@@ -7,7 +7,14 @@ of T_{w^-1}.  The canonical element b_w is the unique bar-invariant element
 
 computed by the classical recursion on length within the degree-0 coset and
 extended to all degrees by b_{w rho^z} = b_{w rho^-z rho^z ...} twisting with
-T_{rho^z}.  Every output is re-verified against the defining conditions.
+T_{rho^z}.  Every output is re-verified against the defining conditions,
+bar-invariance included.
+
+The bar involution evaluates (T_{x^-1})^-1 for every support term x by
+inverse letter steps along the reduced word of x^-1, read from its end.
+The partial product for a suffix of that word does not depend on x, so one
+call keeps every suffix it has evaluated; on the supports of canonical
+elements each further term then costs a single letter step.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import functools
 
 from . import hecke, quotients
 from .errors import InternalInvariantError, ResourceLimitError
-from .hecke import HeckeElt, invert_t, t_basis
+from .hecke import HeckeElt, t_basis
 from .laurent import ONE, LaurentPoly, v_power
 from .quotients import IdealSpec, QuotientElt, in_ideal
 from .weyl import AffinePerm, positive_elements
@@ -49,11 +56,29 @@ class CanonicalElt:
 
 
 def bar_involution(a: HeckeElt) -> HeckeElt:
-    """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1."""
-    out = hecke.zero(a.n)
+    """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1.
+
+    With letters the reduced word of w^-1, (T_{w^-1})^-1 is the product of
+    the inverse letters from the last to the first.  ``inverses`` maps each
+    suffix letters[k:] met during this call to the inverse of its T-product,
+    so a term whose word shares a suffix with an earlier term's word only
+    pays the inverse letter steps in front of that suffix.
+    """
+    inverses = {(): hecke.one(a.n)}
+    out: dict[AffinePerm, LaurentPoly] = {}
     for w, c in a.terms.items():
-        out = out + invert_t(w.inverse()).scale(c.bar())
-    return out
+        letters = hecke._reduced_letters(w.inverse())
+        k = 0
+        while letters[k:] not in inverses:
+            k += 1
+        inv = inverses[letters[k:]]
+        for j in range(k - 1, -1, -1):
+            inv = inv.right_letter_inverse(letters[j])
+            inverses[letters[j:]] = inv
+        cbar = c.bar()
+        for u, cu in inv.terms.items():
+            hecke._acc(out, u, cu * cbar)
+    return hecke._raw(a.n, out)
 
 
 def canonical_basis(w: AffinePerm, max_length: int = DEFAULT_LENGTH_CAP) -> CanonicalElt:

@@ -238,6 +238,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    if args.n < 1:
+        parser.error("--n must be at least 1")
+    if getattr(args, "trials", 1) < 1:
+        parser.error("--trials must be at least 1")
     try:
         lines, code = args.func(args)
     except _INPUT_ERRORS as exc:

@@ -5,7 +5,9 @@ is the bilinear extension of
     T_w T_{s_i} = T_{w s_i}                       if l(w s_i) > l(w),
     T_w T_{s_i} = (v^-2 - 1) T_w + v^-2 T_{w s_i}  otherwise,
     T_w T_{rho^{+-1}} = T_{w rho^{+-1}},
-with a general right factor expanded along one of its reduced words.
+with a general right factor expanded along one of its reduced words.  The
+inverse T_w^-1 takes one right step per letter of a reduced word of w, read
+from its end: by T_{s_i}^-1 = v^2 T_{s_i} + (v^2-1), or by T_{rho^{-+1}}.
 
 The Bernstein elements form the commuting family
     X_1 = v^{1-n} T_1 T_2 ... T_{n-1} T_{rho^-1},
@@ -21,13 +23,8 @@ import functools
 from typing import Mapping, Sequence
 
 from .errors import NegativeEntryError, RankMismatchError
-from .laurent import ONE, LaurentPoly, v_power
+from .laurent import ONE, Q, Q_MINUS_ONE, V2, V2_MINUS_ONE, LaurentPoly, v_power
 from .weyl import RHO, RHO_INV, AffinePerm
-
-Q = LaurentPoly({-2: 1})
-Q_MINUS_ONE = LaurentPoly({-2: 1, 0: -1})
-V2 = LaurentPoly({2: 1})
-V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,6 +139,26 @@ class HeckeElt:
                 _acc(out, ws, c)
         return _raw(n, out)
 
+    def right_letter_inverse(self, letter) -> "HeckeElt":
+        """Multiply on the right by the inverse of T of a single generator letter.
+
+        T_w T_{s_i}^-1 = T_{w s_i} if l(w s_i) < l(w), and otherwise
+        v^2 T_{w s_i} + (v^2-1) T_w, from T_{s_i}^-1 = v^2 T_{s_i} + (v^2-1).
+        """
+        if letter in (RHO, RHO_INV):
+            return self.right_letter(RHO_INV if letter == RHO else RHO)
+        n = self.n
+        out: dict[AffinePerm, LaurentPoly] = {}
+        si = AffinePerm.s(n, letter)
+        for w, c in self.terms.items():
+            ws = w.compose(si)
+            if w.has_right_descent(letter):
+                _acc(out, ws, c)
+            else:
+                _acc(out, ws, c * V2)
+                _acc(out, w, c * V2_MINUS_ONE)
+        return _raw(n, out)
+
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
@@ -236,18 +253,10 @@ def t_tilde(w: AffinePerm) -> HeckeElt:
 
 
 def invert_t(w: AffinePerm) -> HeckeElt:
-    """The inverse of T_w, via T_{s_i}^-1 = v^2 T_{s_i} + (v^2-1) along a word."""
-    n = w.n
-    out = one(n)
+    """The inverse of T_w: one inverse letter step per letter of a reduced word."""
+    out = one(w.n)
     for letter in reversed(_reduced_letters(w)):
-        if letter == RHO:
-            out = out.right_letter(RHO_INV)
-        elif letter == RHO_INV:
-            out = out.right_letter(RHO)
-        else:
-            si = AffinePerm.s(n, letter)
-            inv = HeckeElt(n, {si: V2, AffinePerm.identity(n): V2_MINUS_ONE})
-            out = out * inv
+        out = out.right_letter_inverse(letter)
     return out
 
 

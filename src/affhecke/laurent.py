@@ -57,11 +57,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no valuation")
         return min(self._c)
 
-    def top_exponent(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no top exponent")
-        return max(self._c)
-
     def is_monomial(self) -> bool:
         return len(self._c) == 1
 
@@ -116,13 +111,22 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in o._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + c1 * c2
+        a, b = self._c, o._c
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial factor shifts exponents and scales; nothing cancels
+            ((e1, c1),) = a.items()
+            c = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+        else:
+            acc: dict[int, int] = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + c1 * c2
+            c = {e: k for e, k in acc.items() if k}
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: k for e, k in c.items() if k}
+        out._c = c
         out._hash = None
         return out
 
@@ -204,6 +208,8 @@ V = LaurentPoly({1: 1})
 V_INV = LaurentPoly({-1: 1})
 Q = LaurentPoly({-2: 1})            # the Hecke parameter q = v^-2
 Q_MINUS_ONE = LaurentPoly({-2: 1, 0: -1})
+V2 = LaurentPoly({2: 1})            # q^-1 = v^2
+V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
 
 
 def v_power(k: int) -> LaurentPoly:

@@ -1,8 +1,9 @@
-"""Exact linear algebra over the rationals for the oracle checks.
+"""Exact linear algebra for the oracle checks.
 
-Matrices are lists of rows of Fractions (or ints, coerced).  Only what the
-commutant and rank computations need: row reduction, rank, nullspace, and an
-incremental row-space builder so that huge stacked systems never materialize.
+Matrices are lists of rows of exact numbers; the oracle's operator matrices
+hold ints.  Only what the commutant and rank computations need: an exact
+matrix product over the rationals, and ranks by a fraction-free integer row
+space that takes the rows one at a time.
 """
 
 from __future__ import annotations
@@ -10,98 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
-
-
-def _rows(matrix: Iterable[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
-def rref(matrix: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    rows = _rows(matrix)
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + rows[r:], pivots
-
-
-def rank(matrix: Iterable[Sequence]) -> int:
-    return len(rref(matrix)[1])
-
-
-def nullspace(matrix: Iterable[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right nullspace (solutions of M x = 0)."""
-    rows = _rows(matrix)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
-
-
-class RowSpace:
-    """Incremental row space: add rows one at a time, keep an rref basis."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, row: Sequence) -> list[Fraction]:
-        vec = [Fraction(x) for x in row]
-        for r, pc in enumerate(self.pivots):
-            if vec[pc]:
-                f = vec[pc]
-                base = self.rows[r]
-                vec = [a - f * b for a, b in zip(vec, base)]
-        return vec
-
-    def add(self, row: Sequence) -> bool:
-        """Insert a row; returns True if it enlarged the space."""
-        vec = self.reduce(row)
-        pc = next((c for c, x in enumerate(vec) if x), None)
-        if pc is None:
-            return False
-        inv = 1 / vec[pc]
-        vec = [x * inv for x in vec]
-        for r in range(len(self.rows)):
-            if self.rows[r][pc]:
-                f = self.rows[r][pc]
-                self.rows[r] = [a - f * b for a, b in zip(self.rows[r], vec)]
-        at = next((k for k, c in enumerate(self.pivots) if c > pc), len(self.pivots))
-        self.rows.insert(at, vec)
-        self.pivots.insert(at, pc)
-        return True
-
-    def contains(self, row: Sequence) -> bool:
-        return all(not x for x in self.reduce(row))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 class IntRowSpace:
@@ -171,15 +80,3 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]
         [sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in bt]
         for row in a
     ]
-
-
-def spaces_equal(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence], ncols: int) -> bool:
-    sa = RowSpace(ncols)
-    for row in basis_a:
-        sa.add(row)
-    sb = RowSpace(ncols)
-    for row in basis_b:
-        sb.add(row)
-    if sa.dim != sb.dim:
-        return False
-    return all(sa.contains(row) for row in sb.rows)

@@ -9,7 +9,9 @@ Element expressions combine atoms with +, -, *, ^ and parentheses:
 
 A caret takes integer exponents; negative exponents are allowed for
 scalars and for single basis terms with unit coefficient, where the
-basis inverse is expanded exactly.
+basis inverse is expanded exactly.  Exponents larger than MAX_EXPONENT in
+absolute value raise ResourceLimitError before any multiplication, as do
+integers too long for int() to convert.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from __future__ import annotations
 import re
 
 from . import hecke, weyl
-from .errors import ElementParseError
+from .errors import ElementParseError, ResourceLimitError
 from .laurent import LaurentPoly
+
+MAX_EXPONENT = 32
 
 _TOKEN = re.compile(r"(T\(w\[[^\]]*\]\)|T\[[^\]]*\]|X\d+|v|\d+|\^|\+|-|\*|\(|\))")
 
@@ -118,7 +122,7 @@ class _Parser:
             tok = self.take()
         if not tok.isdigit():
             raise ElementParseError(f"expected an integer exponent, got {tok!r}")
-        return sign * int(tok)
+        return sign * _int(tok)
 
     def atom(self) -> hecke.HeckeElt:
         tok = self.take()
@@ -129,7 +133,7 @@ class _Parser:
         if tok == "v":
             return hecke.one(self.n).scale(LaurentPoly.monomial(1))
         if tok.isdigit():
-            return hecke.one(self.n).scale(int(tok))
+            return hecke.one(self.n).scale(_int(tok))
         if tok.startswith("T["):
             try:
                 word = weyl.Word.parse(self.n, tok[2:-1])
@@ -143,11 +147,18 @@ class _Parser:
             except ValueError as exc:
                 raise ElementParseError(str(exc)) from None
         if tok.startswith("X"):
-            i = int(tok[1:])
+            i = _int(tok[1:])
             if not 1 <= i <= self.n:
                 raise ElementParseError(f"X{i} out of range 1..{self.n}")
             return hecke.x_element(self.n, i)
         raise ElementParseError(f"unexpected token {tok!r}")
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter converts
+        raise ResourceLimitError("integer of %d digits is too long" % len(digits)) from None
 
 
 def _invert(n: int, elt: hecke.HeckeElt) -> hecke.HeckeElt:
@@ -163,6 +174,8 @@ def _invert(n: int, elt: hecke.HeckeElt) -> hecke.HeckeElt:
 
 
 def _power(n: int, base: hecke.HeckeElt, k: int) -> hecke.HeckeElt:
+    if abs(k) > MAX_EXPONENT:
+        raise ResourceLimitError("exponent %d exceeds the cap %d" % (k, MAX_EXPONENT))
     if k < 0:
         base = _invert(n, base)
         k = -k

@@ -21,11 +21,8 @@ from .errors import (
     SpecMismatchError,
 )
 from .hecke import HeckeElt, t_basis, x_monomial
-from .laurent import LaurentPoly
+from .laurent import V2, V2_MINUS_ONE
 from .weyl import RHO_INV, AffinePerm, check_partition, dom
-
-V2 = LaurentPoly({2: 1})
-V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
 
 
 class IdealSpec:

@@ -172,13 +172,6 @@ class AffinePerm:
     def has_left_descent(self, i: int) -> bool:
         return self.inverse().has_right_descent(i)
 
-    def right_descents(self) -> list[int]:
-        return [i for i in range(self.n) if self.has_right_descent(i)]
-
-    def left_descents(self) -> list[int]:
-        inv = self.inverse()
-        return [i for i in range(self.n) if inv.has_right_descent(i)]
-
     # -- positivity -----------------------------------------------------------
 
     def is_positive(self) -> bool:

@@ -156,6 +156,36 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     assert "status: fail" in out
 
 
+def usage_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_rank_below_one_exits_2(capsys):
+    code, out, err = usage_exit(capsys, "mul", "--n", "0", "T[]")
+    assert (code, out) == (2, "")
+    assert "error: --n must be at least 1" in err
+    code, out, _ = usage_exit(capsys, "canonical", "--n", "-1", "--max-length", "1")
+    assert (code, out) == (2, "")
+
+
+def test_negative_trials_exit_2(capsys):
+    code, out, err = usage_exit(capsys, "oracle", "lift", "--n", "2", "--d", "2",
+                                "--q", "2", "--trials", "-1")
+    assert (code, out) == (2, "")
+    assert "error: --trials must be at least 1" in err
+
+
+def test_huge_exponent_exits_3(capsys):
+    code, out, err = run(capsys, "mul", "--n", "2", "T[s1]^99999999")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    code, out, _ = run(capsys, "mul", "--n", "2", "T[s1]^-99999999")
+    assert (code, out) == (3, "")
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit):
         cli.main(["mul", "--n", "2"] )  # missing expression

@@ -45,6 +45,16 @@ def test_unit_and_zero(a):
     assert a * zero == zero
 
 
+@given(polys, st.integers(min_value=-8, max_value=8).filter(bool),
+       st.integers(min_value=-9, max_value=9).filter(bool))
+def test_monomial_product_matches_convolution(a, exp, coef):
+    # m + 1 has two terms, so its product takes the general convolution
+    m = LaurentPoly({exp: coef})
+    one = LaurentPoly({0: 1})
+    assert m * a == a * m == (m + one) * a - a
+    assert all(c != 0 for _, c in (m * a).items())
+
+
 @given(polys, polys)
 def test_bar_is_ring_involution(a, b):
     assert a.bar().bar() == a

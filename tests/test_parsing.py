@@ -5,7 +5,7 @@ import random
 import pytest
 
 from affhecke import hecke, parsing, weyl
-from affhecke.errors import ElementParseError
+from affhecke.errors import ElementParseError, ResourceLimitError
 from affhecke.laurent import LaurentPoly
 
 V = LaurentPoly.monomial(1)
@@ -91,6 +91,18 @@ def test_rejected_expressions(bad):
 def test_negative_power_needs_unit_coefficient():
     with pytest.raises(ElementParseError):
         parsing.parse_element(2, "(2*T[s1])^-1")
+
+
+def test_exponent_cap():
+    cap = parsing.MAX_EXPONENT
+    for k in (cap, -cap):
+        assert parsing.parse_element(2, "T[r]^%d" % k) == hecke.t_basis(weyl.AffinePerm.rho(2, k))
+    # 5000 digits is past what int() converts from text
+    for k in (cap + 1, -cap - 1, 99999999, "9" * 5000):
+        with pytest.raises(ResourceLimitError):
+            parsing.parse_element(2, "T[r]^%s" % k)
+    with pytest.raises(ResourceLimitError):
+        parsing.parse_element(2, "9" * 5000)
 
 
 def test_parse_window():
