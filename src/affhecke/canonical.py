@@ -141,13 +141,16 @@ def positive_canonical_basis(
     """All b_w with w positive, l(w) <= max_length, degree(w) >= -max_depth.
 
     Asserts the positivity of supports: for positive w the whole support of
-    b_w stays inside the positive cone.
+    b_w stays inside the positive cone.  A max_length above
+    DEFAULT_LENGTH_CAP raises ResourceLimitError before any enumeration.
     """
     if max_length < 0 or max_depth < 0:
         raise ResourceLimitError("bounds must be nonnegative")
+    if max_length > DEFAULT_LENGTH_CAP:
+        raise ResourceLimitError("length %d exceeds cap %d" % (max_length, DEFAULT_LENGTH_CAP))
     out = []
     for w in positive_elements(n, max_length, -max_depth):
-        b = canonical_basis(w, max_length=max(max_length, DEFAULT_LENGTH_CAP))
+        b = canonical_basis(w)
         bad = [x for x in b.value.terms if not x.is_positive()]
         if bad:
             raise InternalInvariantError(

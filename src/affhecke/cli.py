@@ -42,12 +42,6 @@ _RESOURCE_ERRORS = (ResourceLimitError, UnsupportedParameterError)
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count accepted for compatibility; execution is serial",
-    )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     return common
 
@@ -236,8 +230,6 @@ def _cmd_oracle_lift(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     if args.n < 1:
         parser.error("--n must be at least 1")
     if getattr(args, "trials", 1) < 1:

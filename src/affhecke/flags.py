@@ -15,8 +15,10 @@ stay in the thousands.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import add
 
-from .errors import ResourceLimitError, UnsupportedParameterError
+from .errors import InternalInvariantError, ResourceLimitError, UnsupportedParameterError
 
 MAX_RANK = 4
 MAX_STEPS = 4
@@ -98,12 +100,28 @@ class FlagContext:
 
         return self._memo("subspaces", build)
 
+    def intersections(self):
+        """Position of each subspace, and the table of intersection
+        dimensions of any two, read off the bit sets of their vectors."""
+
+        def build():
+            q, n = self.q, self.n
+            bit = {v: 1 << i for i, v in enumerate(self.vectors())}
+            masks = []
+            for sub in self.subspaces():
+                mask = 0
+                for coeffs in itertools.product(range(q), repeat=len(sub)):
+                    mask |= bit[tuple(sum(c * row[k] for c, row in zip(coeffs, sub)) % q for k in range(n))]
+                masks.append(mask)
+            dim_of = {q**k: k for k in range(n + 1)}
+            table = [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
+            return {sub: i for i, sub in enumerate(self.subspaces())}, table
+
+        return self._memo("intersections", build)
+
     def inter_dim(self, a, b) -> int:
-        key = ("inter", a, b)
-        if key not in self._cache:
-            joint = len(span_of(a + b, self.q))
-            self._cache[key] = len(a) + len(b) - joint
-        return self._cache[key]
+        index, table = self.intersections()
+        return table[index[a]][index[b]]
 
     def contains(self, big, small) -> bool:
         return self.inter_dim(big, small) == len(small)
@@ -198,11 +216,6 @@ class FlagContext:
         dims = self.component_dims(forgotten)
         return tuple(flag[c - 1] for c in dims)
 
-    def phi_between(self, flag, forgotten_i, forgotten_j):
-        dims_i = self.component_dims(forgotten_i)
-        dims_j = self.component_dims(forgotten_j)
-        return tuple(flag[dims_i.index(c)] for c in dims_j)
-
     def fibers(self, forgotten) -> dict:
         def build():
             out: dict = {}
@@ -211,15 +224,6 @@ class FlagContext:
             return {p: tuple(v) for p, v in out.items()}
 
         return self._memo(("fibers", tuple(sorted(forgotten))), build)
-
-    def fibers_between(self, forgotten_i, forgotten_j) -> dict:
-        def build():
-            out: dict = {}
-            for p in self.space_points(("YI", tuple(sorted(forgotten_i)))):
-                out.setdefault(self.phi_between(p, forgotten_i, forgotten_j), []).append(p)
-            return {qq: tuple(v) for qq, v in out.items()}
-
-        return self._memo(("fibers2", tuple(sorted(forgotten_i)), tuple(sorted(forgotten_j))), build)
 
     def fiber_size(self, forgotten) -> int:
         def build():
@@ -233,27 +237,98 @@ class FlagContext:
     # -- labels ------------------------------------------------------------
 
     def pair_label(self, left_flag, right_flag):
-        key = ("label", left_flag, right_flag)
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                tuple(self.inter_dim(li, rj) for rj in right_flag) for li in left_flag
-            )
-        return self._cache[key]
+        index, table = self.intersections()
+        cols = [index[s] for s in right_flag]
+        return tuple(tuple(table[index[s]][j] for j in cols) for s in left_flag)
 
     def label_table(self, key_left, key_right):
-        """Sorted labels, one representative pair per label, full pair map."""
+        """Sorted labels, one representative pair per label, and the label
+        positions: row i, column j holds the position in the labels of the
+        pair (i-th left point, j-th right point)."""
 
         def build():
-            reps: dict = {}
-            pairs: dict = {}
-            for fl in self.space_points(key_left):
-                for fr in self.space_points(key_right):
-                    lab = self.pair_label(fl, fr)
-                    pairs[(fl, fr)] = lab
-                    reps.setdefault(lab, (fl, fr))
-            return (tuple(sorted(reps)), reps, pairs)
+            index, table = self.intersections()
+            lefts, rights = self.space_points(key_left), self.space_points(key_right)
+            right_subs = [[index[s] for s in fr] for fr in rights]
+            columns: dict = {}  # one label column (a right subspace against the left flag) -> code
+            found: dict = {}  # label as a tuple of column codes -> first position
+            reps = []
+            rows = []
+            for fl in lefts:
+                code = [columns.setdefault(col, len(columns)) for col in zip(*(table[index[s]] for s in fl))]
+                row = []
+                for fr, subs in zip(rights, right_subs):
+                    key = tuple([code[j] for j in subs])
+                    k = found.get(key)
+                    if k is None:
+                        k = found[key] = len(reps)
+                        reps.append((fl, fr))
+                    row.append(k)
+                rows.append(row)
+            cols = list(columns)
+            labels = [tuple(zip(*(cols[c] for c in key))) for key in found]
+            order = sorted(range(len(labels)), key=labels.__getitem__)
+            pos = sorted(range(len(order)), key=order.__getitem__)
+            reps = {labels[k]: reps[k] for k in order}
+            return tuple(reps), reps, [[pos[k] for k in row] for row in rows]
 
-        return self._memo(("table", key_left, key_right), build)
+        return self._memo(("table", self.space_id(key_left), self.space_id(key_right)), build)
+
+    def structure_constants(self, left, mid, right) -> dict:
+        """For each label c of (left, right) pairs, the triples (a, b, count)
+        such that count middle points m give label(l, m) = a and
+        label(m, r) = b at a pair (l, r) with label c.  Counted at every
+        pair: where two pairs of one label disagree, the labels are too
+        coarse and InternalInvariantError is raised."""
+
+        def build():
+            labels_lm, _, lm = self.label_table(left, mid)
+            labels_mr, _, mr = self.label_table(mid, right)
+            labels_lr, _, lr = self.label_table(left, right)
+            width = len(labels_mr)
+            mr_cols = list(zip(*mr))
+            counts: list = [None] * len(labels_lr)
+            for lm_row, lr_row in zip(lm, lr):
+                shifted = [a * width for a in lm_row]
+                for col, c in zip(mr_cols, lr_row):
+                    found = dict(Counter(map(add, shifted, col)))  # plain dicts compare in C
+                    if counts[c] is None:
+                        counts[c] = found
+                    elif counts[c] != found:
+                        raise InternalInvariantError(f"structure constants not constant on label {labels_lr[c]}")
+            return {
+                lab: tuple((labels_lm[k // width], labels_mr[k % width], count) for k, count in found.items())
+                for lab, found in zip(labels_lr, counts)
+            }
+
+        return self._memo(("constants", self.space_id(left), self.space_id(mid), self.space_id(right)), build)
+
+    def forget_graph(self, source, forgotten, transpose=False) -> tuple:
+        """Labels of the pairs (x, phi(x)) of the map forgetting steps from
+        source onto a component, or of the pairs (phi(x), x) when transposed.
+        Tested at every pair: a label both on and off the graph raises
+        InternalInvariantError."""
+        forgotten = tuple(sorted(forgotten))
+        target = ("YI", forgotten)
+
+        def build():
+            points = self.space_points(source)
+            dims = tuple(len(s) for s in points[0])
+            pick = [dims.index(c) for c in self.component_dims(forgotten)]
+            where = {p: j for j, p in enumerate(self.space_points(target))}
+            image = [where[tuple(x[k] for k in pick)] for x in points]
+            labels, _, index = self.label_table(*((target, source) if transpose else (source, target)))
+            hits: list = [None] * len(labels)
+            for i, row in enumerate(index):
+                for j, k in enumerate(row):
+                    hit = image[j] == i if transpose else image[i] == j
+                    if hits[k] is None:
+                        hits[k] = hit
+                    elif hits[k] != hit:
+                        raise InternalInvariantError(f"forgetting map straddles label {labels[k]}")
+            return tuple(lab for lab, hit in zip(labels, hits) if hit)
+
+        return self._memo(("graph", self.space_id(source), forgotten, transpose), build)
 
     # -- distinguished flags -----------------------------------------------
 
@@ -263,12 +338,6 @@ class FlagContext:
     def perm_flag(self, window):
         """Complete flag whose step i is spanned by basis vectors w(1)..w(i)."""
         window = tuple(window)
-        key = ("permflag", window)
-        if key not in self._cache:
-            rows: list = []
-            steps = []
-            for j in window:
-                rows.append(self.basis_vector(j))
-                steps.append(span_of(rows, self.q))
-            self._cache[key] = tuple(steps)
-        return self._cache[key]
+        return self._memo(("permflag", window), lambda: tuple(
+            span_of([self.basis_vector(j) for j in window[:i]], self.q) for i in range(1, len(window) + 1)
+        ))

@@ -1,15 +1,15 @@
 """Exact linear algebra for the oracle checks.
 
-Matrices are lists of rows of exact numbers; the oracle's operator matrices
-hold ints.  Only what the commutant and rank computations need: an exact
-matrix product over the rationals, and ranks by a fraction-free integer row
-space that takes the rows one at a time.
+Matrices are lists of rows of ints, as the oracle's operator matrices are.
+Only what the commutant and rank computations need: an exact integer
+matrix product, and ranks by a fraction-free integer row space that takes
+the rows one at a time.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -74,9 +74,6 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     return space.dim
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     bt = list(zip(*b))
-    return [
-        [sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in bt]
-        for row in a
-    ]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]

@@ -2,9 +2,12 @@
 
 Functions invariant under simultaneous change of basis live on orbit
 labels (intersection-dimension matrices) of pairs of flags.  Convolution
-sums over a middle flag; every product recomputes the sum at all pairs
-and insists the result is constant on each label, so a wrong label
-scheme fails loudly instead of silently.
+reads the structure constants of its triple of spaces: counts of middle
+flags by their labels with both ends.  The pushforward, the pullback and
+the fiber indicator are convolutions with the graph of a forgetting map.
+Both tables are audited once per context at every pair, which must be
+constant on each label, so a wrong label scheme fails loudly instead of
+silently.
 
 The checks exercised here: the orbit algebra on pairs of complete flags
 multiplies like the generic positive algebra with the parameter set to
@@ -87,125 +90,59 @@ class OrbitFunction:
         return OrbitFunction(self.ctx, self.left, self.right, {lab: c * v for lab, v in self.values.items()})
 
     def convolve(self, other: "OrbitFunction") -> "OrbitFunction":
-        """Sum over the shared middle flag, checked constant per label."""
+        """Sum over the shared middle flag, by the audited structure constants."""
         if self.ctx is not other.ctx:
             raise DomainMismatchError("convolution operands built on different contexts")
         if self.ctx.space_id(self.right) != other.ctx.space_id(other.left):
             raise DomainMismatchError(
                 f"middle spaces differ: {self.right!r} vs {other.left!r}"
             )
-        ctx = self.ctx
-        _, _, pairs_lm = ctx.label_table(self.left, self.right)
-        _, _, pairs_mr = ctx.label_table(other.left, other.right)
-        mids = ctx.space_points(self.right)
-        # per left point, the middle points where self is nonzero
-        support: dict = {}
-        for (fl, fm), lab in pairs_lm.items():
-            c = self.values.get(lab)
-            if c:
-                support.setdefault(fl, []).append((fm, c))
-        out: dict = {}
-        for fl in ctx.space_points(self.left):
-            row = support.get(fl, ())
-            for fr in ctx.space_points(other.right):
-                total = 0
-                for fm, c in row:
-                    c2 = other.values.get(pairs_mr[(fm, fr)])
-                    if c2:
-                        total += c * c2
-                lab = ctx.pair_label(fl, fr)
-                if lab in out:
-                    if out[lab] != total:
-                        raise InternalInvariantError(
-                            f"convolution not constant on label {lab}: {out[lab]} vs {total}"
-                        )
-                else:
-                    out[lab] = total
-        return OrbitFunction(ctx, self.left, other.right, out)
+        f, g = self.values.get, other.values.get
+        out = {
+            lab: sum(f(a, 0) * g(b, 0) * count for a, b, count in terms)
+            for lab, terms in self.ctx.structure_constants(self.left, self.right, other.right).items()
+        }
+        return OrbitFunction(self.ctx, self.left, other.right, out)
 
 
 # -- pushforward / pullback along forgetting steps ------------------------------
+
+
+def _graph(ctx: FlagContext, source, forgotten, transpose=False) -> OrbitFunction:
+    """Indicator of the map forgetting steps from source onto a component,
+    on (source, component) pairs, or on (component, source) when transposed."""
+    pair = (source, ("YI", tuple(sorted(forgotten))))
+    left, right = pair[::-1] if transpose else pair
+    return OrbitFunction(ctx, left, right, {lab: 1 for lab in ctx.forget_graph(source, forgotten, transpose)})
 
 
 def theta(f: OrbitFunction, forgotten) -> OrbitFunction:
     """Sum f over complete flags refining each partial flag (right factor)."""
     if f.ctx.space_id(f.right) != f.ctx.space_id("X"):
         raise DomainMismatchError("theta expects a function with complete right factor")
-    ctx = f.ctx
-    forgotten = tuple(sorted(forgotten))
-    fibers = ctx.fibers(forgotten)
-    _, _, pairs = ctx.label_table(f.left, "X")
-    out: dict = {}
-    for fl in ctx.space_points(f.left):
-        for part, fiber in fibers.items():
-            total = sum(f.values.get(pairs[(fl, x)], 0) for x in fiber)
-            lab = ctx.pair_label(fl, part)
-            if lab in out:
-                if out[lab] != total:
-                    raise InternalInvariantError(f"fiber sum not constant on label {lab}")
-            else:
-                out[lab] = total
-    return OrbitFunction(ctx, f.left, ("YI", forgotten), out)
+    return f.convolve(_graph(f.ctx, "X", forgotten))
 
 
 def theta_between(g: OrbitFunction, forgotten_i, forgotten_j) -> OrbitFunction:
     """Push a partial-flag function further down to a coarser component."""
     forgotten_i = tuple(sorted(forgotten_i))
-    forgotten_j = tuple(sorted(forgotten_j))
     if g.ctx.space_id(g.right) != g.ctx.space_id(("YI", forgotten_i)):
         raise DomainMismatchError("function does not live on the named component")
     if not set(forgotten_i) <= set(forgotten_j):
         raise DomainMismatchError("target component must forget at least as much")
-    ctx = g.ctx
-    fibers = ctx.fibers_between(forgotten_i, forgotten_j)
-    _, _, pairs = ctx.label_table(g.left, ("YI", forgotten_i))
-    out: dict = {}
-    for fl in ctx.space_points(g.left):
-        for part, fiber in fibers.items():
-            total = sum(g.values.get(pairs[(fl, p)], 0) for p in fiber)
-            lab = ctx.pair_label(fl, part)
-            if lab in out:
-                if out[lab] != total:
-                    raise InternalInvariantError(f"fiber sum not constant on label {lab}")
-            else:
-                out[lab] = total
-    return OrbitFunction(ctx, g.left, ("YI", forgotten_j), out)
+    return g.convolve(_graph(g.ctx, ("YI", forgotten_i), forgotten_j))
 
 
 def psi(g: OrbitFunction, forgotten) -> OrbitFunction:
     """Pull a partial-flag function back along the forgetting map."""
-    forgotten = tuple(sorted(forgotten))
-    if g.ctx.space_id(g.right) != g.ctx.space_id(("YI", forgotten)):
+    if g.ctx.space_id(g.right) != g.ctx.space_id(("YI", tuple(sorted(forgotten)))):
         raise DomainMismatchError("function does not live on the named component")
-    ctx = g.ctx
-    out: dict = {}
-    for fl in ctx.space_points(g.left):
-        for x in ctx.space_points("X"):
-            val = g.value(ctx.pair_label(fl, ctx.phi(x, forgotten)))
-            lab = ctx.pair_label(fl, x)
-            if lab in out:
-                if out[lab] != val:
-                    raise InternalInvariantError(f"pullback not constant on label {lab}")
-            else:
-                out[lab] = val
-    return OrbitFunction(ctx, g.left, "X", out)
+    return g.convolve(_graph(g.ctx, "X", forgotten, transpose=True))
 
 
 def fiber_indicator(ctx: FlagContext, forgotten) -> OrbitFunction:
     """Indicator of pairs of complete flags with the same partial image."""
-    forgotten = tuple(sorted(forgotten))
-    out: dict = {}
-    for x in ctx.space_points("X"):
-        px = ctx.phi(x, forgotten)
-        for x2 in ctx.space_points("X"):
-            hit = 1 if ctx.phi(x2, forgotten) == px else 0
-            lab = ctx.pair_label(x, x2)
-            if lab in out:
-                if out[lab] != hit:
-                    raise InternalInvariantError(f"fiber relation straddles label {lab}")
-            else:
-                out[lab] = hit
-    return OrbitFunction(ctx, "X", "X", out)
+    return _graph(ctx, "X", forgotten).convolve(_graph(ctx, "X", forgotten, transpose=True))
 
 
 # -- matrices of convolution operators ------------------------------------------
@@ -243,10 +180,6 @@ def _commutator_rows(mats, m):
                 if any(row):
                     rows.add(tuple(row))
     return sorted(rows)
-
-
-def _mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -340,7 +273,7 @@ def bicommutant_check(n: int, d: int, q: int) -> Report:
     ]
     mismatches: list = []
     for la, rb in itertools.product(left_mats, right_mats):
-        if not _mat_eq(linalg.mat_mul(la, rb), linalg.mat_mul(rb, la)):
+        if linalg.mat_mul(la, rb) != linalg.mat_mul(rb, la):
             mismatches.append({"kind": "actions do not commute"})
             break
 

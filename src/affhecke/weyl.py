@@ -18,10 +18,12 @@ from .errors import (
     NonDominantError,
     NotPositiveError,
     RankMismatchError,
+    ResourceLimitError,
 )
 
 RHO = "r"
 RHO_INV = "r-"
+MAX_POSITIVE_CANDIDATES = 100_000
 
 
 class AffinePerm:
@@ -424,10 +426,21 @@ def elements_ball(n: int, max_length: int, max_height: int) -> list[AffinePerm]:
 
 
 def positive_elements(n: int, max_length: int, min_degree: int) -> list[AffinePerm]:
-    """All positive w with l(w) <= max_length and degree(w) >= min_degree."""
+    """All positive w with l(w) <= max_length and degree(w) >= min_degree.
+
+    The n! (depth + 1)^n candidates are counted first; ResourceLimitError
+    if they exceed MAX_POSITIVE_CANDIDATES.
+    """
     if min_degree > 0:
         return []
     depth = -min_degree
+    count = 1
+    for k in range(1, n + 1):
+        count *= k * (depth + 1)
+        if count > MAX_POSITIVE_CANDIDATES:
+            raise ResourceLimitError(
+                "more than %d candidates for n=%d, depth %d" % (MAX_POSITIVE_CANDIDATES, n, depth)
+            )
     out = []
     for sigma in itertools.permutations(range(1, n + 1)):
         for lam in itertools.product(range(-depth, 1), repeat=n):

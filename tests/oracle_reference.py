@@ -1,0 +1,104 @@
+"""Reference forms of convolution and of the forgetting-map operations.
+
+These are the per-pair forms: each one sums at every pair of points and
+insists the result is constant on each orbit label.  The package computes
+the same functions from structure constants and from the indicator of the
+forgetting map's graph; the differential tests compare the two.
+"""
+
+from affhecke import OrbitFunction
+from affhecke.errors import DomainMismatchError, InternalInvariantError
+
+
+def _pairs(ctx, left, right):
+    return {
+        (fl, fr): ctx.pair_label(fl, fr)
+        for fl in ctx.space_points(left)
+        for fr in ctx.space_points(right)
+    }
+
+
+def _put(out, lab, value, what):
+    if lab in out:
+        if out[lab] != value:
+            raise InternalInvariantError(f"{what} not constant on label {lab}")
+    else:
+        out[lab] = value
+
+
+def convolve_reference(f, g):
+    """Sum over the shared middle flag at every pair."""
+    ctx = f.ctx
+    if ctx.space_id(f.right) != ctx.space_id(g.left):
+        raise DomainMismatchError("middle spaces differ")
+    pairs_lm = _pairs(ctx, f.left, f.right)
+    pairs_mr = _pairs(ctx, g.left, g.right)
+    support: dict = {}
+    for (fl, fm), lab in pairs_lm.items():
+        c = f.values.get(lab)
+        if c:
+            support.setdefault(fl, []).append((fm, c))
+    out: dict = {}
+    for fl in ctx.space_points(f.left):
+        row = support.get(fl, ())
+        for fr in ctx.space_points(g.right):
+            total = 0
+            for fm, c in row:
+                c2 = g.values.get(pairs_mr[(fm, fr)])
+                if c2:
+                    total += c * c2
+            _put(out, ctx.pair_label(fl, fr), total, "convolution")
+    return OrbitFunction(ctx, f.left, g.right, out)
+
+
+def _fiber_sums(func, fibers, target):
+    ctx = func.ctx
+    pairs = _pairs(ctx, func.left, func.right)
+    out: dict = {}
+    for fl in ctx.space_points(func.left):
+        for part, fiber in fibers.items():
+            total = sum(func.values.get(pairs[(fl, p)], 0) for p in fiber)
+            _put(out, ctx.pair_label(fl, part), total, "fiber sum")
+    return OrbitFunction(ctx, func.left, target, out)
+
+
+def theta_reference(f, forgotten):
+    """Sum f over the complete flags refining each partial flag."""
+    forgotten = tuple(sorted(forgotten))
+    return _fiber_sums(f, f.ctx.fibers(forgotten), ("YI", forgotten))
+
+
+def theta_between_reference(g, forgotten_i, forgotten_j):
+    """Push a partial-flag function down to a coarser component."""
+    ctx = g.ctx
+    forgotten_i = tuple(sorted(forgotten_i))
+    forgotten_j = tuple(sorted(forgotten_j))
+    dims_i = ctx.component_dims(forgotten_i)
+    dims_j = ctx.component_dims(forgotten_j)
+    fibers: dict = {}
+    for p in ctx.space_points(("YI", forgotten_i)):
+        image = tuple(p[dims_i.index(c)] for c in dims_j)
+        fibers.setdefault(image, []).append(p)
+    return _fiber_sums(g, fibers, ("YI", forgotten_j))
+
+
+def psi_reference(g, forgotten):
+    """Pull a partial-flag function back along the forgetting map."""
+    ctx = g.ctx
+    out: dict = {}
+    for fl in ctx.space_points(g.left):
+        for x in ctx.space_points("X"):
+            val = g.value(ctx.pair_label(fl, ctx.phi(x, forgotten)))
+            _put(out, ctx.pair_label(fl, x), val, "pullback")
+    return OrbitFunction(ctx, g.left, "X", out)
+
+
+def fiber_indicator_reference(ctx, forgotten):
+    """Indicator of pairs of complete flags with the same partial image."""
+    out: dict = {}
+    for x in ctx.space_points("X"):
+        px = ctx.phi(x, forgotten)
+        for x2 in ctx.space_points("X"):
+            hit = 1 if ctx.phi(x2, forgotten) == px else 0
+            _put(out, ctx.pair_label(x, x2), hit, "fiber relation")
+    return OrbitFunction(ctx, "X", "X", out)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -184,6 +185,24 @@ def test_huge_exponent_exits_3(capsys):
     assert err.startswith("error:")
     code, out, _ = run(capsys, "mul", "--n", "2", "T[s1]^-99999999")
     assert (code, out) == (3, "")
+
+
+def test_canonical_caps_exit_3_before_any_work(capsys):
+    for argv, cause in (
+        (("--max-length", "40", "--min-degree", "-20"), "exceeds cap 24"),
+        (("--max-length", "10", "--min-degree", "-20"), "candidates"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "canonical", "--n", "4", *argv)
+        assert (code, out) == (3, "")
+        assert cause in err
+        assert time.perf_counter() - start < 5
+
+
+def test_threads_is_an_unknown_option(capsys):
+    code, out, err = usage_exit(capsys, "mul", "--n", "2", "--threads", "0", "T[s1]")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --threads" in err
 
 
 def test_usage_errors(capsys):

@@ -128,6 +128,26 @@ def test_orbit_count_equals_weyl_group_size():
         assert len(labels) == math.factorial(n)
 
 
+@pytest.mark.parametrize("n,d,q", [(2, 3, 3), (3, 2, 2)])
+def test_label_table_positions_match_pair_labels(n, d, q):
+    ctx = FlagContext(n, q, d)
+    for left, right in itertools.product(("X", "Y"), repeat=2):
+        labels, reps, index = ctx.label_table(left, right)
+        assert list(labels) == sorted(set(labels)) == list(reps)
+        for lab, pair in reps.items():
+            assert ctx.pair_label(*pair) == lab
+        for fl, row in zip(ctx.space_points(left), index):
+            for fr, k in zip(ctx.space_points(right), row):
+                assert labels[k] == ctx.pair_label(fl, fr)
+
+
+def test_tables_are_shared_by_equal_point_spaces():
+    ctx = FlagContext(3, 2, 3)
+    assert ctx.space_id(("YI", ())) == ctx.space_id("X")
+    assert ctx.label_table("X", ("YI", ())) is ctx.label_table("X", "X")
+    assert ctx.structure_constants(("YI", ()), "X", "X") is ctx.structure_constants("X", "X", ("YI", ()))
+
+
 # -- components and fibers ---------------------------------------------------------
 
 def test_valid_components():

@@ -1,6 +1,7 @@
 """Convolution algebras over small finite fields against the generic algebra."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,16 @@ def test_hecke_structure_constants(n, q):
     report = verify_hecke_iso(n, q)
     assert report.ok
     assert report.mismatches == []
+
+
+def test_hecke_structure_constants_rank_4():
+    cap = 60
+    start = time.perf_counter()
+    report = verify_hecke_iso(4, 2)
+    elapsed = time.perf_counter() - start
+    assert report.ok, report.to_json()
+    assert report.dims == {"flags": 315, "orbits": 24, "group order": 24}
+    assert elapsed < cap, "runtime %.2fs exceeds the %ds cap" % (elapsed, cap)
 
 
 def test_hecke_iso_covers_all_orbits():

@@ -1,0 +1,155 @@
+"""Convolution by structure constants and the forgetting maps by graph
+convolution, against the per-pair reference forms in oracle_reference;
+and the label-constancy guards firing on labels that are too coarse."""
+
+import functools
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from affhecke import OrbitFunction
+from affhecke.errors import InternalInvariantError
+from affhecke.flags import FlagContext
+from affhecke.oracle import basis_labels, fiber_indicator, psi, theta, theta_between
+from oracle_reference import (
+    convolve_reference,
+    fiber_indicator_reference,
+    psi_reference,
+    theta_between_reference,
+    theta_reference,
+)
+
+# (n, d, q); at d = n the nothing-forgotten component is the complete flag
+# space itself, so its tables are shared with those of "X".
+SETTINGS = ((2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def context(setting):
+    n, d, q = setting
+    return FlagContext(n, q, d)
+
+
+def spaces(ctx):
+    return ["X", "Y"] + [("YI", forgotten) for forgotten in ctx.valid_components()]
+
+
+VALUES = {
+    "int": st.integers(-4, 4),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+}
+
+
+def draw_function(data, ctx, left, right):
+    values = VALUES[data.draw(st.sampled_from(sorted(VALUES)))]
+    labels = basis_labels(ctx, left, right)
+    drawn = data.draw(st.lists(values, min_size=len(labels), max_size=len(labels)))
+    return OrbitFunction(ctx, left, right, zip(labels, drawn))
+
+
+def draw_setting(data):
+    return context(data.draw(st.sampled_from(SETTINGS)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_convolve_matches_reference(data):
+    ctx = draw_setting(data)
+    left, mid, right = (data.draw(st.sampled_from(spaces(ctx))) for _ in range(3))
+    f = draw_function(data, ctx, left, mid)
+    g = draw_function(data, ctx, mid, right)
+    assert f.convolve(g) == convolve_reference(f, g)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_theta_matches_reference(data):
+    ctx = draw_setting(data)
+    forgotten = data.draw(st.sampled_from(ctx.valid_components()))
+    f = draw_function(data, ctx, data.draw(st.sampled_from(spaces(ctx))), "X")
+    assert theta(f, forgotten) == theta_reference(f, forgotten)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_theta_between_matches_reference(data):
+    ctx = draw_setting(data)
+    steps = [(fi, fj) for fi, fj in itertools.product(ctx.valid_components(), repeat=2)
+             if set(fi) <= set(fj)]
+    fi, fj = data.draw(st.sampled_from(steps))
+    g = draw_function(data, ctx, data.draw(st.sampled_from(spaces(ctx))), ("YI", fi))
+    assert theta_between(g, fi, fj) == theta_between_reference(g, fi, fj)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_psi_matches_reference(data):
+    ctx = draw_setting(data)
+    forgotten = data.draw(st.sampled_from(ctx.valid_components()))
+    g = draw_function(data, ctx, data.draw(st.sampled_from(spaces(ctx))), ("YI", forgotten))
+    assert psi(g, forgotten) == psi_reference(g, forgotten)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_fiber_indicator_matches_reference(setting):
+    ctx = context(setting)
+    for forgotten in ctx.valid_components():
+        assert fiber_indicator(ctx, forgotten) == fiber_indicator_reference(ctx, forgotten)
+
+
+# -- the guards ----------------------------------------------------------------
+
+
+class RowDropped(FlagContext):
+    """Labels with one row of the intersection matrix dropped.
+
+    Without the first row a label cannot tell whether the first steps of
+    two flags agree, so the graph of a forgetting map straddles labels.
+    Without the last row (the full space against the right flag) a label
+    on (complete, multistep) pairs loses the step dimensions of the right
+    flag, and pairs from different components share a label.
+    """
+
+    def __init__(self, n, q, d, row):
+        super().__init__(n, q, d)
+        self.row = row
+
+    def _coarse(self, label):
+        rows = list(label)
+        del rows[self.row]
+        return tuple(rows)
+
+    def label_table(self, key_left, key_right):
+        labels, reps, index = super().label_table(key_left, key_right)
+        coarse = sorted({self._coarse(lab) for lab in labels})
+        pos = [coarse.index(self._coarse(lab)) for lab in labels]
+        coarse_reps = {}
+        for lab in labels:
+            coarse_reps.setdefault(self._coarse(lab), reps[lab])
+        return tuple(coarse), coarse_reps, [[pos[k] for k in row] for row in index]
+
+
+def test_exact_labels_pass_both_audits():
+    ctx = FlagContext(2, 2, 2)
+    ctx.structure_constants("X", "X", "Y")
+    assert ctx.forget_graph("X", ())
+
+
+def test_structure_constants_refuse_coarse_labels():
+    ctx = RowDropped(2, 2, 2, row=-1)
+    with pytest.raises(InternalInvariantError, match="structure constants"):
+        ctx.structure_constants("X", "X", "Y")
+    f = OrbitFunction(ctx, "X", "X", {basis_labels(ctx, "X", "X")[0]: 1})
+    g = OrbitFunction(ctx, "X", "Y", {basis_labels(ctx, "X", "Y")[0]: 1})
+    with pytest.raises(InternalInvariantError):
+        f.convolve(g)
+
+
+def test_forgetting_map_indicator_refuses_coarse_labels():
+    ctx = RowDropped(2, 2, 2, row=0)
+    with pytest.raises(InternalInvariantError, match="forgetting map"):
+        ctx.forget_graph("X", ())
+    f = OrbitFunction(ctx, "X", "X", {basis_labels(ctx, "X", "X")[0]: 1})
+    with pytest.raises(InternalInvariantError, match="forgetting map"):
+        theta(f, ())
