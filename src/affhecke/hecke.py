@@ -284,7 +284,7 @@ def x_element_inverse(n: int, i: int) -> HeckeElt:
     if i == 1:
         out = t_basis(AffinePerm.rho(n))
         for j in range(n - 1, 0, -1):
-            out = out * invert_t(AffinePerm.s(n, j))
+            out = out.right_letter_inverse(j)
         return out.scale(v_power(n - 1))
     prev = x_element_inverse(n, i - 1)
     ti = t_basis(AffinePerm.s(n, i - 1))

@@ -35,10 +35,6 @@ class LaurentPoly:
     def monomial(exp: int, coef: int = 1) -> "LaurentPoly":
         return LaurentPoly({exp: coef})
 
-    @staticmethod
-    def from_int(k: int) -> "LaurentPoly":
-        return LaurentPoly({0: k})
-
     # -- inspection ------------------------------------------------------
 
     @property
@@ -202,10 +198,8 @@ class LaurentPoly:
         return LaurentPoly({int(exp): int(coef) for exp, coef in data.items()})
 
 
-ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
-V_INV = LaurentPoly({-1: 1})
 Q = LaurentPoly({-2: 1})            # the Hecke parameter q = v^-2
 Q_MINUS_ONE = LaurentPoly({-2: 1, 0: -1})
 V2 = LaurentPoly({2: 1})            # q^-1 = v^2

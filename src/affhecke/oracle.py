@@ -26,6 +26,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 from . import hecke, linalg, weyl
 from .errors import (
@@ -152,14 +153,27 @@ def basis_labels(ctx: FlagContext, left, right):
     return ctx.label_table(left, right)[0]
 
 
-def operator_matrix(ctx: FlagContext, op, left, right):
-    """Columns are op applied to the indicator basis of the pair space."""
-    labels = basis_labels(ctx, left, right)
-    cols = []
-    for lab in labels:
-        image = op(OrbitFunction(ctx, left, right, {lab: 1}))
-        cols.append([image.value(out_lab) for out_lab in labels])
-    return [[cols[j][i] for j in range(len(labels))] for i in range(len(labels))]
+def operator_matrix(fixed: OrbitFunction, left, mid, right):
+    """Matrix of convolution by a fixed factor, read off the structure
+    constants of (left, mid, right): on the left of functions on (mid,
+    right) if the factor lives on (left, mid), else on the right of
+    functions on (left, mid).  Where all three spaces are one it acts on the
+    left.  Rows follow the labels of (left, right), columns the operand's."""
+    ctx, sid = fixed.ctx, fixed.ctx.space_id
+    spaces = (sid(fixed.left), sid(fixed.right))
+    on_left = spaces == (sid(left), sid(mid))
+    if not on_left and spaces != (sid(mid), sid(right)):
+        raise DomainMismatchError(f"factor on {fixed.left!r} x {fixed.right!r} fits neither side of the triple")
+    column = {lab: j for j, lab in enumerate(basis_labels(ctx, *((mid, right) if on_left else (left, mid))))}
+    consts = ctx.structure_constants(left, mid, right)
+    rows = []
+    for lab in basis_labels(ctx, left, right):
+        row = [0] * len(column)
+        for a, b, count in consts[lab]:
+            fixed_lab, free_lab = (a, b) if on_left else (b, a)
+            row[column[free_lab]] += fixed.value(fixed_lab) * count
+        rows.append(row)
+    return rows
 
 
 def _vec(mat):
@@ -264,11 +278,11 @@ def bicommutant_check(n: int, d: int, q: int) -> Report:
     dim_b = len(basis_labels(ctx, "X", "X"))
     dim_c = len(basis_labels(ctx, "Y", "X"))
     left_mats = [
-        operator_matrix(ctx, lambda c, a=a: OrbitFunction(ctx, "Y", "Y", {a: 1}).convolve(c), "Y", "X")
+        operator_matrix(OrbitFunction(ctx, "Y", "Y", {a: 1}), "Y", "Y", "X")
         for a in basis_labels(ctx, "Y", "Y")
     ]
     right_mats = [
-        operator_matrix(ctx, lambda c, b=b: c.convolve(OrbitFunction(ctx, "X", "X", {b: 1})), "Y", "X")
+        operator_matrix(OrbitFunction(ctx, "X", "X", {b: 1}), "Y", "X", "X")
         for b in basis_labels(ctx, "X", "X")
     ]
     mismatches: list = []
@@ -324,20 +338,20 @@ def im_psi_check(n: int, d: int, q: int) -> Report:
         poincare = sum(q ** w.length() for w in group)
         if m_fiber != poincare:
             mismatches.append({"kind": "fiber size", "component": name, "got": m_fiber, "expected": poincare})
-        z_ind = fiber_indicator(ctx, forgotten)
-        rmat = operator_matrix(ctx, lambda c: c.convolve(z_ind), "Y", "X")
+        rmat = operator_matrix(fiber_indicator(ctx, forgotten), "Y", "X", "X")
         shifted = [
             [rmat[i][j] - (m_fiber if i == j else 0) for j in range(dim_c)]
             for i in range(dim_c)
         ]
         nullity = dim_c - linalg.int_rank(shifted)
-        expected = len(basis_labels(ctx, "Y", ("YI", forgotten)))
-        pulled = []
-        for lab in basis_labels(ctx, "Y", ("YI", forgotten)):
-            h = psi(OrbitFunction(ctx, "Y", ("YI", forgotten), {lab: 1}), forgotten)
-            if h.convolve(z_ind) != h.scale(m_fiber):
+        partial = ("YI", forgotten)
+        expected = len(basis_labels(ctx, "Y", partial))
+        # the pullbacks of the indicator basis are the columns of the matrix of psi
+        pmat = operator_matrix(_graph(ctx, "X", forgotten, transpose=True), "Y", partial, "X")
+        pulled = [list(col) for col in zip(*pmat)]
+        for h in pulled:
+            if [sum(map(mul, row, h)) for row in rmat] != [m_fiber * x for x in h]:
                 mismatches.append({"kind": "pullback not an eigenfunction", "component": name})
-            pulled.append([h.value(out) for out in basis_labels(ctx, "Y", "X")])
         rank_pulled = linalg.int_rank(pulled)
         dims[f"eigenspace [{name}]"] = nullity
         dims[f"partial orbits [{name}]"] = expected
@@ -376,25 +390,26 @@ def _finite_descents(w: weyl.AffinePerm) -> tuple:
     return tuple(i for i in range(1, w.n) if w.has_right_descent(i))
 
 
-def _theta_table(ctx: FlagContext, forgotten) -> dict:
-    """Per permutation: the coset label its orbit pushes to, and the
-    multiplicity there.  Coset multiplicities must sum to the fiber size."""
-    e_flag = ctx.standard_flag()
-    table: dict = {}
-    sums: dict = {}
-    for w in weyl.finite_permutations(ctx.n):
-        part = ctx.phi(ctx.perm_flag(w.window), forgotten)
-        out_lab = ctx.pair_label(e_flag, part)
-        w_lab = perm_label(ctx, w)
-        mult = sum(
-            1 for x in ctx.fibers(forgotten)[part] if ctx.pair_label(e_flag, x) == w_lab
-        )
-        table[w] = (out_lab, mult)
-        sums[out_lab] = sums.get(out_lab, 0) + mult
-    bad = {lab: s for lab, s in sums.items() if s != ctx.fiber_size(forgotten)}
+def _cosets(ctx: FlagContext, forgotten) -> dict:
+    """Per orbit on complete-flag pairs: the coset label it pushes forward
+    onto, and that row of the pushforward matrix as {orbit: multiplicity}.
+    Every row must sum to the fiber size, and every orbit's column must have
+    exactly one nonzero entry."""
+    target = ("YI", forgotten)
+    mat = operator_matrix(_graph(ctx, "X", forgotten), "X", "X", target)
+    rows = dict(zip(basis_labels(ctx, "X", target), mat))
+    size = ctx.fiber_size(forgotten)
+    bad = {c: sum(row) for c, row in rows.items() if sum(row) != size}
     if bad:
-        raise InternalInvariantError(f"coset multiplicities do not sum to the fiber size: {bad}")
-    return table
+        raise InternalInvariantError(f"coset multiplicities do not sum to the fiber size {size}: {bad}")
+    if any(sum(map(bool, col)) != 1 for col in zip(*mat)):
+        raise InternalInvariantError(f"an orbit does not push forward onto exactly one coset (component {forgotten})")
+    orbits = basis_labels(ctx, "X", "X")
+    out: dict = {}
+    for coset, row in rows.items():
+        entries = {a: m for a, m in zip(orbits, row) if m}
+        out.update(dict.fromkeys(entries, (coset, entries)))
+    return out
 
 
 def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
@@ -427,26 +442,19 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
 
     perms = sorted(weyl.finite_permutations(n), key=lambda w: (w.length(), w.window))
     values: dict = {}
-    tables = {forg: _theta_table(ctx, forg) for forg in valid}
-    groups = {forg: _parabolic(n, forg) for forg in valid}
+    cosets = {forg: _cosets(ctx, forg) for forg in valid}
     for w in perms:
         descents = _finite_descents(w)
+        lab = perm_label(ctx, w)
         if len(descents) < n - d:
-            values[w] = 0
+            values[lab] = 0
             continue
-        table = tables[descents]
-        out_lab, mult = table[w]
-        if mult < 1:
-            raise InternalInvariantError(f"vanishing top multiplicity at {w}")
-        total = family[descents].value(out_lab)
-        for g in groups[descents]:
-            other = w.compose(g)
-            if other == w:
-                continue
-            total -= table[other][1] * values[other]
-        values[w] = Fraction(total) / mult
+        # w is longest in its coset, so the rest of the row is already solved
+        coset, row = cosets[descents][lab]
+        total = family[descents].value(coset) - sum(m * values[a] for a, m in row.items() if a != lab)
+        values[lab] = Fraction(total) / row[lab]
 
-    lifted = OrbitFunction(ctx, "X", "X", {perm_label(ctx, w): v for w, v in values.items()})
+    lifted = OrbitFunction(ctx, "X", "X", values)
     for forg in valid:
         if theta(lifted, forg) != family[forg]:
             raise IncompatibleFamilyError(

@@ -217,19 +217,8 @@ def generated_span_check(lam: Sequence[int], max_length: int) -> bool:
         expected = hecke.t_tilde(seed)
         if gen * x_monomial(n, diff) != expected:
             return False
-        certified.add(seed)
-        frontier = [seed]
-        while frontier:
-            w = frontier.pop()
-            for i in range(1, n):
-                si = AffinePerm.s(n, i)
-                for target in (si.compose(w), w.compose(si)):
-                    if target in certified:
-                        continue
-                    if not _certify_step(w, target, i, left=target == si.compose(w)):
-                        return False
-                    certified.add(target)
-                    frontier.append(target)
+        if not _certify_reachable(seed, certified):
+            return False
     return all(w in certified for w in slice_elements)
 
 
@@ -252,26 +241,33 @@ def double_coset_span_check(w: AffinePerm) -> bool:
         for v in finite:
             if not (uw * t_basis(v)).support() <= coset:
                 return False
-    certified = {w}
-    frontier = [w]
-    while frontier:
-        cur = frontier.pop()
-        for i in range(1, n):
-            si = AffinePerm.s(n, i)
-            for target in (si.compose(cur), cur.compose(si)):
-                if target in certified:
-                    continue
-                if not _certify_step(cur, target, i, left=target == si.compose(cur)):
-                    return False
-                certified.add(target)
-                frontier.append(target)
-    return certified == coset
+    certified: set[AffinePerm] = set()
+    return _certify_reachable(w, certified) and certified == coset
 
 
 def _letter_elt(n: int, a) -> HeckeElt:
     if a == RHO_INV:
         return t_basis(AffinePerm.rho(n, -1))
     return t_basis(AffinePerm.s(n, a))
+
+
+def _certify_reachable(seed: AffinePerm, certified: set) -> bool:
+    """Add to certified everything reached from seed by one-letter left and
+    right steps, each solved exactly; False at the first step that fails."""
+    n = seed.n
+    certified.add(seed)
+    frontier = [seed]
+    while frontier:
+        w = frontier.pop()
+        for i in range(1, n):
+            si = AffinePerm.s(n, i)
+            for target, left in ((si.compose(w), True), (w.compose(si), False)):
+                if target not in certified:
+                    if not _certify_step(w, target, i, left):
+                        return False
+                    certified.add(target)
+                    frontier.append(target)
+    return True
 
 
 def _certify_step(w: AffinePerm, target: AffinePerm, i: int, left: bool) -> bool:

@@ -105,13 +105,6 @@ class AffinePerm:
             inv[r - 1] = i + (r - wi)
         return AffinePerm(self.n, inv)
 
-    def __pow__(self, k: int) -> "AffinePerm":
-        base = self if k >= 0 else self.inverse()
-        out = AffinePerm.identity(self.n)
-        for _ in range(abs(k)):
-            out = out.compose(base)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, AffinePerm):
             return NotImplemented
@@ -246,22 +239,20 @@ class AffinePerm:
 
 @functools.lru_cache(maxsize=None)
 def _bruhat_leq_coxeter(x: AffinePerm, w: AffinePerm) -> bool:
-    # lifting property recursion on degree-0 (Coxeter) elements
-    if x == w:
-        return True
-    lx, lw = x.length(), w.length()
-    if lx >= lw:
-        return False
-    if lw == 0:
-        return False
-    for i in range(w.n):
-        if w.has_left_descent(i):
-            si = AffinePerm.s(w.n, i)
-            sw = si.compose(w)
-            if x.has_left_descent(i):
-                return _bruhat_leq_coxeter(si.compose(x), sw)
-            return _bruhat_leq_coxeter(x, sw)
-    raise InternalInvariantError("positive-length element without left descent")
+    # lifting property on degree-0 (Coxeter) elements: strip a left descent
+    # s of w each step, from x too where it is a descent of x
+    n = w.n
+    while x != w:
+        if x.length() >= w.length():
+            return False
+        i = next((i for i in range(n) if w.has_left_descent(i)), None)
+        if i is None:
+            raise InternalInvariantError("positive-length element without left descent")
+        si = AffinePerm.s(n, i)
+        if x.has_left_descent(i):
+            x = si.compose(x)
+        w = si.compose(w)
+    return True
 
 
 class Word:

@@ -1,13 +1,18 @@
-"""Reference forms of convolution and of the forgetting-map operations.
+"""Reference forms of convolution, of the forgetting-map operations and
+of the operator matrices built from them.
 
 These are the per-pair forms: each one sums at every pair of points and
 insists the result is constant on each orbit label.  The package computes
 the same functions from structure constants and from the indicator of the
-forgetting map's graph; the differential tests compare the two.
+forgetting map's graph; the differential tests compare the two.  The
+operator matrix reference applies one convolution per basis label, and the
+coset table reference counts over the fibers of the forgetting map.
 """
 
 from affhecke import OrbitFunction
 from affhecke.errors import DomainMismatchError, InternalInvariantError
+from affhecke.oracle import perm_label
+from affhecke.weyl import finite_permutations
 
 
 def _pairs(ctx, left, right):
@@ -102,3 +107,30 @@ def fiber_indicator_reference(ctx, forgotten):
             hit = 1 if ctx.phi(x2, forgotten) == px else 0
             _put(out, ctx.pair_label(x, x2), hit, "fiber relation")
     return OrbitFunction(ctx, "X", "X", out)
+
+
+def operator_matrix_reference(ctx, op, left, right):
+    """Columns are op applied to the indicator basis of the pair space."""
+    labels = ctx.label_table(left, right)[0]
+    images = [op(OrbitFunction(ctx, left, right, {lab: 1})) for lab in labels]
+    return [[image.value(out) for image in images] for out in labels]
+
+
+def theta_table_reference(ctx, forgotten):
+    """Per permutation: the coset label its orbit pushes to, and the
+    multiplicity there, counted over the fiber of the pushed flag.  Coset
+    multiplicities must sum to the fiber size."""
+    e_flag = ctx.standard_flag()
+    table: dict = {}
+    sums: dict = {}
+    for w in finite_permutations(ctx.n):
+        part = ctx.phi(ctx.perm_flag(w.window), forgotten)
+        out_lab = ctx.pair_label(e_flag, part)
+        w_lab = perm_label(ctx, w)
+        mult = sum(1 for x in ctx.fibers(forgotten)[part] if ctx.pair_label(e_flag, x) == w_lab)
+        table[w] = (out_lab, mult)
+        sums[out_lab] = sums.get(out_lab, 0) + mult
+    bad = {lab: s for lab, s in sums.items() if s != ctx.fiber_size(forgotten)}
+    if bad:
+        raise InternalInvariantError(f"coset multiplicities do not sum to the fiber size: {bad}")
+    return table

@@ -1,9 +1,11 @@
 """Command line behaviour: frozen outputs, exit codes, JSON hygiene."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -216,8 +218,11 @@ def test_usage_errors(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "affhecke", "mul", "--n", "2", "T[s1]", "T[s1]"],
-        capture_output=True)
+        capture_output=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == b"(v^-2-1)*T[s1] + v^-2*T[]\n"

@@ -1,6 +1,7 @@
-"""Convolution by structure constants and the forgetting maps by graph
-convolution, against the per-pair reference forms in oracle_reference;
-and the label-constancy guards firing on labels that are too coarse."""
+"""Convolution by structure constants, the forgetting maps by graph
+convolution and the operator matrices read off the structure constants,
+against the reference forms in oracle_reference; and the label-constancy
+and pushforward guards firing."""
 
 import functools
 import itertools
@@ -8,16 +9,28 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affhecke import OrbitFunction
-from affhecke.errors import InternalInvariantError
+from affhecke import OrbitFunction, oracle
+from affhecke.errors import DomainMismatchError, InternalInvariantError
 from affhecke.flags import FlagContext
-from affhecke.oracle import basis_labels, fiber_indicator, psi, theta, theta_between
+from affhecke.oracle import (
+    _graph,
+    basis_labels,
+    fiber_indicator,
+    lift_family,
+    operator_matrix,
+    perm_label,
+    psi,
+    theta,
+    theta_between,
+)
 from oracle_reference import (
     convolve_reference,
     fiber_indicator_reference,
+    operator_matrix_reference,
     psi_reference,
     theta_between_reference,
     theta_reference,
+    theta_table_reference,
 )
 
 # (n, d, q); at d = n the nothing-forgotten component is the complete flag
@@ -98,6 +111,43 @@ def test_fiber_indicator_matches_reference(setting):
         assert fiber_indicator(ctx, forgotten) == fiber_indicator_reference(ctx, forgotten)
 
 
+# -- operator matrices ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_operator_matrices_match_reference(setting):
+    ctx = context(setting)
+    for a in basis_labels(ctx, "Y", "Y"):
+        f = OrbitFunction(ctx, "Y", "Y", {a: 1})
+        assert operator_matrix(f, "Y", "Y", "X") == operator_matrix_reference(ctx, f.convolve, "Y", "X")
+    for b in basis_labels(ctx, "X", "X"):
+        g = OrbitFunction(ctx, "X", "X", {b: 1})
+        assert operator_matrix(g, "Y", "X", "X") == operator_matrix_reference(ctx, lambda c: c.convolve(g), "Y", "X")
+    for forgotten in ctx.valid_components():
+        z = fiber_indicator(ctx, forgotten)
+        assert operator_matrix(z, "Y", "X", "X") == operator_matrix_reference(ctx, lambda c: c.convolve(z), "Y", "X")
+
+
+def test_operator_matrix_refuses_a_factor_off_the_triple():
+    ctx = context((2, 2, 2))
+    f = OrbitFunction(ctx, "X", "Y", {basis_labels(ctx, "X", "Y")[0]: 1})
+    with pytest.raises(DomainMismatchError, match="fits neither side"):
+        operator_matrix(f, "Y", "Y", "X")
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_pushforward_columns_match_theta_table(setting):
+    ctx = context(setting)
+    for forgotten in ctx.valid_components():
+        target = ("YI", forgotten)
+        mat = operator_matrix(_graph(ctx, "X", forgotten), "X", "X", target)
+        orbits = basis_labels(ctx, "X", "X")
+        cosets = basis_labels(ctx, "X", target)
+        for w, (coset, mult) in theta_table_reference(ctx, forgotten).items():
+            column = [row[orbits.index(perm_label(ctx, w))] for row in mat]
+            assert {cosets[i]: m for i, m in enumerate(column) if m} == {coset: mult}
+
+
 # -- the guards ----------------------------------------------------------------
 
 
@@ -153,3 +203,36 @@ def test_forgetting_map_indicator_refuses_coarse_labels():
     f = OrbitFunction(ctx, "X", "X", {basis_labels(ctx, "X", "X")[0]: 1})
     with pytest.raises(InternalInvariantError, match="forgetting map"):
         theta(f, ())
+
+
+def _pushforward_family(ctx):
+    f = OrbitFunction(ctx, "X", "X", {lab: 1 for lab in basis_labels(ctx, "X", "X")})
+    return {forgotten: theta(f, forgotten) for forgotten in ctx.valid_components()}
+
+
+def test_lift_refuses_rows_off_the_fiber_size(monkeypatch):
+    ctx = FlagContext(3, 2, 2)
+    family = _pushforward_family(ctx)
+    monkeypatch.setattr(FlagContext, "fiber_size", lambda self, forgotten: 1)
+    with pytest.raises(InternalInvariantError, match="fiber size"):
+        lift_family(ctx, family)
+
+
+def test_lift_refuses_an_orbit_on_two_cosets(monkeypatch):
+    # move one unit of a column onto another orbit's column in the same row:
+    # row sums stay, but that orbit now pushes forward onto two cosets
+    def moved(fixed, left, mid, right):
+        mat = exact(fixed, left, mid, right)
+        if len(mat) > 1:
+            first = next(j for j, x in enumerate(mat[0]) if x)
+            k = next(j for j, x in enumerate(mat[1]) if x)
+            mat[0][first] -= 1
+            mat[0][k] += 1
+        return mat
+
+    ctx = FlagContext(3, 2, 2)
+    family = _pushforward_family(ctx)
+    exact = oracle.operator_matrix
+    monkeypatch.setattr(oracle, "operator_matrix", moved)
+    with pytest.raises(InternalInvariantError, match="exactly one coset"):
+        lift_family(ctx, family)

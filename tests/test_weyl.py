@@ -207,6 +207,15 @@ def test_bruhat_is_a_partial_order():
                 assert x.length() <= w.length()
 
 
+def test_bruhat_on_long_elements_does_not_recurse():
+    # length 2800: one descent step per unit of length, far past the
+    # interpreter's recursion limit
+    w = AffinePerm.translation((700, 0, -700))
+    assert w.length() == 2800
+    assert AffinePerm.identity(3).bruhat_leq(w)
+    assert not w.bruhat_leq(AffinePerm.identity(3))
+
+
 # -- compositions and partitions ---------------------------------------------
 
 def test_dom_and_reverse():
