@@ -14,7 +14,13 @@ The bar involution evaluates (T_{x^-1})^-1 for every support term x by
 inverse letter steps along the reduced word of x^-1, read from its end.
 The partial product for a suffix of that word does not depend on x, so one
 call keeps every suffix it has evaluated; on the supports of canonical
-elements each further term then costs a single letter step.
+elements each further term then costs a single letter step.  It runs in
+the packed kernel of ``hecke``: the steps act on window tuples and
+Kronecker-packed int coefficients, each barred coefficient is packed once,
+every term's contribution is one int product per support term, and the
+result is unpacked once.  The slot width comes from a coefficient bound
+computed before packing (see ``bar_involution``), so the result reads back
+exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import functools
 from . import hecke, quotients
 from .errors import InternalInvariantError, ResourceLimitError
 from .hecke import HeckeElt, t_basis
-from .laurent import ONE, LaurentPoly, v_power
+from .laurent import kronecker_pack, slot_width, v_power
 from .quotients import IdealSpec, QuotientElt, in_ideal
 from .weyl import AffinePerm, positive_elements
 
@@ -60,25 +66,37 @@ def bar_involution(a: HeckeElt) -> HeckeElt:
 
     With letters the reduced word of w^-1, (T_{w^-1})^-1 is the product of
     the inverse letters from the last to the first.  ``inverses`` maps each
-    suffix letters[k:] met during this call to the inverse of its T-product,
-    so a term whose word shares a suffix with an earlier term's word only
-    pays the inverse letter steps in front of that suffix.
+    suffix letters[k:] met during this call to the packed inverse of its
+    T-product, so a term whose word shares a suffix with an earlier term's
+    word only pays the inverse letter steps in front of that suffix.  The
+    inverses have base 0; a suffix with k Coxeter letters has coefficients
+    at most 3^k, which with the barred coefficients' 1-norms bounds the
+    result and sets the slot width.
     """
-    inverses = {(): hecke.one(a.n)}
-    out: dict[AffinePerm, LaurentPoly] = {}
-    for w, c in a.terms.items():
-        letters = hecke._reduced_letters(w.inverse())
+    n = a.n
+    terms = [(hecke._reduced_letters(w.inverse()), c.bar()) for w, c in a.terms.items()]
+    if not terms:
+        return HeckeElt(n)
+    width = slot_width(
+        sum(3 ** hecke._coxeter_count(letters) * c.norm1() for letters, c in terms)
+    )
+    shift = 2 * width
+    base = min(c.valuation() for _, c in terms)
+    inverses = {(): {tuple(range(1, n + 1)): 1}}
+    out: dict[tuple, int] = {}
+    get = out.get
+    for letters, c in terms:
         k = 0
         while letters[k:] not in inverses:
             k += 1
         inv = inverses[letters[k:]]
         for j in range(k - 1, -1, -1):
-            inv = inv.right_letter_inverse(letters[j])
+            inv = hecke._step_inverse(inv, n, letters[j], shift)
             inverses[letters[j:]] = inv
-        cbar = c.bar()
-        for u, cu in inv.terms.items():
-            hecke._acc(out, u, cu * cbar)
-    return hecke._raw(a.n, out)
+        factor = kronecker_pack(c, base, width)
+        for t, p in inv.items():
+            out[t] = get(t, 0) + p * factor
+    return hecke._unpack(n, out, base, width, a)
 
 
 def canonical_basis(w: AffinePerm, max_length: int = DEFAULT_LENGTH_CAP) -> CanonicalElt:

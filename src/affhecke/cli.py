@@ -11,10 +11,11 @@ guard, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from . import canonical, hecke, oracle, parsing, quotients
+from . import canonical, oracle, parsing, quotients
 from .laurent import LaurentPoly
 from .errors import (
     ElementParseError,
@@ -134,9 +135,10 @@ def _word_lines(args, word) -> tuple[list[str], int]:
 
 
 def _cmd_mul(args) -> tuple[list[str], int]:
-    product = hecke.one(args.n)
-    for text in args.exprs:
-        product = product * parsing.parse_element(args.n, text)
+    budget = parsing.WorkBudget()
+    product = parsing.parse_element(args.n, args.exprs[0], budget)
+    for text in args.exprs[1:]:
+        product = budget.mul(product, parsing.parse_element(args.n, text, budget))
     if args.json:
         return [_dump(product.to_json())], 0
     return [str(product)], 0
@@ -195,8 +197,10 @@ def _cmd_ideal_member(args) -> tuple[list[str], int]:
 
 def _cmd_quotient_mul(args) -> tuple[list[str], int]:
     spec = _spec(args)
-    left = quotients.reduce(parsing.parse_element(args.n, args.left), spec)
-    right = quotients.reduce(parsing.parse_element(args.n, args.right), spec)
+    budget = parsing.WorkBudget()
+    left = quotients.reduce(parsing.parse_element(args.n, args.left, budget), spec)
+    right = quotients.reduce(parsing.parse_element(args.n, args.right, budget), spec)
+    budget.charge(left.rep, right.rep)
     product = quotients.quotient_mul(left, right)
     if args.json:
         return [_dump(product.to_json())], 0
@@ -227,8 +231,14 @@ def _cmd_oracle_lift(args):
     return _report_lines(args, oracle.lift_trials(args.n, args.d, args.q, args.trials, args.seed))
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("--n must be at least 1")

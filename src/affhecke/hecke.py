@@ -15,15 +15,44 @@ The Bernstein elements form the commuting family
 whose monomials at dominant exponents collapse to single T-terms supported
 on translations.  Only X_1 is itself a single term; every X_i has positive
 support.
+
+Letter steps in both directions, products, inverses and the bar involution
+of ``canonical`` all run in one packed kernel.  An operation packs its
+operands once, as dicts from window tuple to one int per coefficient,
+sum_e c_e 2^(B (e - e0)) with balanced digits (``laurent.kronecker_pack``),
+and unpacks its result once.  On windows, s_i (i >= 1) swaps two slots,
+s_0 and rho^{+-1} move one value by +-n, and a descent is one comparison.
+On coefficients, v^2 and v^2 - 1 are a shift and a shift with a
+subtraction, and a coefficient product is one int product.  The base e0
+is the lowest exponent of the operands; a step by T_{s_i} lowers it by 2,
+so the kernel only ever shifts left and never divides.  The slot width B
+comes from a bound on every coefficient the operation can produce,
+computed from its operands before packing: a Coxeter letter step at most
+triples the largest coefficient, and a product with a coefficient c
+multiplies the bound by the 1-norm of c.  Every operation sizes its own
+slots this way, so one whose operands have outgrown the last operation's
+slots packs wider; nothing is ever truncated.  Packing is a ring map
+Z[v] -> Z, so the ints stay exact however large intermediate digits grow,
+and only the result has to fit its slots to read back exactly.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Sequence
+import operator
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NegativeEntryError, RankMismatchError
-from .laurent import ONE, Q, Q_MINUS_ONE, V2, V2_MINUS_ONE, LaurentPoly, v_power
+from .laurent import (
+    ONE,
+    Q,
+    V2,
+    LaurentPoly,
+    kronecker_pack,
+    kronecker_unpack,
+    slot_width,
+    v_power,
+)
 from .weyl import RHO, RHO_INV, AffinePerm
 
 
@@ -122,22 +151,7 @@ class HeckeElt:
 
     def right_letter(self, letter) -> "HeckeElt":
         """Multiply on the right by T of a single generator letter."""
-        n = self.n
-        out: dict[AffinePerm, LaurentPoly] = {}
-        if letter in (RHO, RHO_INV):
-            step = AffinePerm.rho(n, 1 if letter == RHO else -1)
-            for w, c in self.terms.items():
-                out[w.compose(step)] = c
-            return _raw(n, out)
-        si = AffinePerm.s(n, letter)
-        for w, c in self.terms.items():
-            ws = w.compose(si)
-            if w.has_right_descent(letter):
-                _acc(out, w, c * Q_MINUS_ONE)
-                _acc(out, ws, c * Q)
-            else:
-                _acc(out, ws, c)
-        return _raw(n, out)
+        return _letter_steps(self, (letter,), _step)
 
     def right_letter_inverse(self, letter) -> "HeckeElt":
         """Multiply on the right by the inverse of T of a single generator letter.
@@ -145,19 +159,7 @@ class HeckeElt:
         T_w T_{s_i}^-1 = T_{w s_i} if l(w s_i) < l(w), and otherwise
         v^2 T_{w s_i} + (v^2-1) T_w, from T_{s_i}^-1 = v^2 T_{s_i} + (v^2-1).
         """
-        if letter in (RHO, RHO_INV):
-            return self.right_letter(RHO_INV if letter == RHO else RHO)
-        n = self.n
-        out: dict[AffinePerm, LaurentPoly] = {}
-        si = AffinePerm.s(n, letter)
-        for w, c in self.terms.items():
-            ws = w.compose(si)
-            if w.has_right_descent(letter):
-                _acc(out, ws, c)
-            else:
-                _acc(out, ws, c * V2)
-                _acc(out, w, c * V2_MINUS_ONE)
-        return _raw(n, out)
+        return _letter_steps(self, (letter,), _step_inverse)
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -166,14 +168,28 @@ class HeckeElt:
             return NotImplemented
         if self.n != other.n:
             raise RankMismatchError("ranks differ: %d vs %d" % (self.n, other.n))
-        total: dict[AffinePerm, LaurentPoly] = {}
-        for w, c in other.terms.items():
-            cur = self
-            for letter in _reduced_letters(w):
-                cur = cur.right_letter(letter)
-            for u, cu in cur.terms.items():
-                _acc(total, u, cu * c)
-        return _raw(self.n, total)
+        n = self.n
+        if not self.terms or not other.terms:
+            return HeckeElt(n)
+        # self T_w runs the letters of w from the packed self; every result
+        # is brought to the common base by shifting its coefficient factor
+        words = [_reduced_letters(w) for w in other.terms]
+        lengths = [_coxeter_count(letters) for letters in words]
+        top = max(lengths)
+        width = slot_width(_product_bound(self, other, lengths))
+        shift = 2 * width
+        base_a, base_b = _valuation(self), _valuation(other)
+        packed = _pack(self, base_a, width)
+        total: dict[tuple, int] = {}
+        get = total.get
+        for letters, c, k in zip(words, other.terms.values(), lengths):
+            cur = packed
+            for letter in letters:
+                cur = _step(cur, n, letter, shift)
+            factor = kronecker_pack(c, base_b, width) << (shift * (top - k))
+            for t, p in cur.items():
+                total[t] = get(t, 0) + p * factor
+        return _unpack(n, total, base_a + base_b - 2 * top, width, self)
 
     # -- rendering -----------------------------------------------------------------
 
@@ -217,20 +233,141 @@ class HeckeElt:
         )
 
 
-def _acc(d: dict, w: AffinePerm, c: LaurentPoly) -> None:
-    s = d.get(w)
-    s = c if s is None else s + c
-    if s:
-        d[w] = s
-    else:
-        d.pop(w, None)
-
-
 def _raw(n: int, terms: dict[AffinePerm, LaurentPoly]) -> HeckeElt:
     out = HeckeElt.__new__(HeckeElt)
     out.n = n
     out.terms = {w: c for w, c in terms.items() if c}
     return out
+
+
+# -- the packed kernel -----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _window_step(n: int, letter) -> tuple:
+    """(move, descent) for one letter at rank n.
+
+    ``move`` sends the window of w to the window of w*letter.  For a Coxeter
+    letter, ``descent`` is (a, b, off): the letter is a right descent of w
+    iff window[a] - off > window[b]; for a rho letter it is None.
+    """
+    if letter == RHO:
+        return (lambda t: t[1:] + (t[0] + n,)), None
+    if letter == RHO_INV:
+        return (lambda t: (t[-1] - n,) + t[:-1]), None
+    AffinePerm.s(n, letter)  # rejects a letter outside s_0..s_{n-1}
+    if letter == 0:
+        return (lambda t: (t[-1] - n,) + t[1:-1] + (t[0] + n,)), (n - 1, 0, n)
+    order = list(range(n))
+    order[letter - 1], order[letter] = letter, letter - 1
+    return operator.itemgetter(*order), (letter - 1, letter, 0)
+
+
+def _step(terms: dict, n: int, letter, shift: int) -> dict:
+    """Packed terms times T_letter; a Coxeter letter lowers the base by 2.
+
+    Read at the lower base, an input coefficient p is p << shift, so
+    T_w T_s = (q-1) T_w + q T_ws at a descent gives p - (p << shift) at w
+    and p at ws, and T_w T_s = T_ws elsewhere gives p << shift at ws.
+    """
+    move, descent = _window_step(n, letter)
+    if descent is None:
+        return {move(t): p for t, p in terms.items()}
+    a, b, off = descent
+    out: dict[tuple, int] = {}
+    get = out.get
+    for t, p in terms.items():
+        ts = move(t)
+        if t[a] - off > t[b]:
+            out[ts] = get(ts, 0) + p
+            out[t] = get(t, 0) + p - (p << shift)
+        else:
+            out[ts] = get(ts, 0) + (p << shift)
+    return out
+
+
+def _step_inverse(terms: dict, n: int, letter, shift: int) -> dict:
+    """Packed terms times T_letter^-1, base unchanged: T_ws at a descent,
+    else v^2 T_ws + (v^2-1) T_w, i.e. p << shift at ws and (p << shift) - p at w."""
+    if letter == RHO or letter == RHO_INV:
+        return _step(terms, n, RHO_INV if letter == RHO else RHO, shift)
+    move, (a, b, off) = _window_step(n, letter)
+    out: dict[tuple, int] = {}
+    get = out.get
+    for t, p in terms.items():
+        ts = move(t)
+        if t[a] - off > t[b]:
+            out[ts] = get(ts, 0) + p
+        else:
+            ps = p << shift
+            out[ts] = get(ts, 0) + ps
+            out[t] = get(t, 0) + ps - p
+    return out
+
+
+def _coxeter_count(letters: tuple) -> int:
+    return len(letters) - letters.count(RHO) - letters.count(RHO_INV)
+
+
+def _product_bound(a: HeckeElt, b: HeckeElt, lengths: list[int]) -> int:
+    """A bound on every coefficient of a*b, given l(w) for w in supp b in order."""
+    height = max(c.height() for c in a.terms.values())
+    return height * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
+
+
+def product_cost(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
+    """Bounds (letter-term steps, bits of one packed coefficient) for a*b.
+
+    Running the l(w) letters of w at most doubles the terms at each step,
+    so a*b takes at most |supp a| * sum over w in supp b of 2^(l(w)+1)
+    steps.  A packed coefficient of a*b spans the exponents of a and b
+    widened by 2 per letter, in slots of the width the product packs with.
+    """
+    if not a.terms or not b.terms:
+        return 0, 0
+    lengths = [w.length() for w in b.terms]
+    steps = len(a.terms) * sum(2 ** (k + 1) for k in lengths)
+    span = 1 + 2 * max(lengths)
+    for elt in (a, b):
+        span += max(c.degree() for c in elt.terms.values()) - _valuation(elt)
+    return steps, span * slot_width(_product_bound(a, b, lengths))
+
+
+def _valuation(a: HeckeElt) -> int:
+    return min(c.valuation() for c in a.terms.values())
+
+
+def _pack(a: HeckeElt, base: int, width: int) -> dict:
+    return {w.window: kronecker_pack(c, base, width) for w, c in a.terms.items()}
+
+
+def _unpack(n: int, terms: dict, base: int, width: int, known: HeckeElt) -> HeckeElt:
+    """The element of the packed terms; a window in ``known``'s support keeps its AffinePerm."""
+    perms = {w.window: w for w in known.terms}
+    out = HeckeElt.__new__(HeckeElt)
+    out.n = n
+    out.terms = {
+        perms.get(t) or AffinePerm._trusted(n, t): kronecker_unpack(p, base, width)
+        for t, p in terms.items()
+        if p
+    }
+    return out
+
+
+def _letter_steps(a: HeckeElt, letters: Iterable, step) -> HeckeElt:
+    """a times T (``step=_step``) or T^-1 (``_step_inverse``) of each letter in turn."""
+    letters = tuple(letters)
+    n = a.n
+    coxeter = _coxeter_count(letters)
+    height = max((c.height() for c in a.terms.values()), default=0)
+    width = slot_width(3**coxeter * height)
+    base = _valuation(a) if a.terms else 0
+    terms = _pack(a, base, width)
+    for letter in letters:
+        terms = step(terms, n, letter, 2 * width)
+    if step is _step:
+        base -= 2 * coxeter
+    return _unpack(n, terms, base, width, a)
 
 
 # -- basis elements ------------------------------------------------------------
@@ -254,10 +391,7 @@ def t_tilde(w: AffinePerm) -> HeckeElt:
 
 def invert_t(w: AffinePerm) -> HeckeElt:
     """The inverse of T_w: one inverse letter step per letter of a reduced word."""
-    out = one(w.n)
-    for letter in reversed(_reduced_letters(w)):
-        out = out.right_letter_inverse(letter)
-    return out
+    return _letter_steps(one(w.n), reversed(_reduced_letters(w)), _step_inverse)
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,10 +400,7 @@ def x_element(n: int, i: int) -> HeckeElt:
     if not 1 <= i <= n:
         raise IndexError("X index %d out of range [1,%d]" % (i, n))
     if i == 1:
-        out = one(n)
-        for j in range(1, n):
-            out = out.right_letter(j)
-        out = out.right_letter(RHO_INV)
+        out = _letter_steps(one(n), [*range(1, n), RHO_INV], _step)
         return out.scale(v_power(1 - n))
     prev = x_element(n, i - 1)
     t_inv = invert_t(AffinePerm.s(n, i - 1))
@@ -282,9 +413,7 @@ def x_element_inverse(n: int, i: int) -> HeckeElt:
     if not 1 <= i <= n:
         raise IndexError("X index %d out of range [1,%d]" % (i, n))
     if i == 1:
-        out = t_basis(AffinePerm.rho(n))
-        for j in range(n - 1, 0, -1):
-            out = out.right_letter_inverse(j)
+        out = _letter_steps(t_basis(AffinePerm.rho(n)), range(n - 1, 0, -1), _step_inverse)
         return out.scale(v_power(n - 1))
     prev = x_element_inverse(n, i - 1)
     ti = t_basis(AffinePerm.s(n, i - 1))

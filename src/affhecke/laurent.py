@@ -3,6 +3,13 @@
 All scalar coefficients of the algebra live here, together with the bar
 involution v -> v^-1.  Values are immutable and hashable; arithmetic is
 plain dict convolution on arbitrary-precision ints, so equality is exact.
+
+``kronecker_pack`` and ``kronecker_unpack`` convert a polynomial to and
+from one int, sum_e c_e 2^(B (e - e0)), for the T-basis kernel in
+``hecke``.  Packing is a ring map Z[v] -> Z, so the kernel adds and
+multiplies the ints directly; a packed value reads back exactly when every
+coefficient satisfies |c_e| < 2^(B-1), which ``slot_width`` guarantees for
+a given coefficient bound.
 """
 
 from __future__ import annotations
@@ -52,6 +59,20 @@ class LaurentPoly:
         if not self._c:
             raise ValueError("zero polynomial has no valuation")
         return min(self._c)
+
+    def degree(self) -> int:
+        """Largest exponent with nonzero coefficient."""
+        if not self._c:
+            raise ValueError("zero polynomial has no degree")
+        return max(self._c)
+
+    def height(self) -> int:
+        """Largest absolute value of a coefficient (0 for the zero polynomial)."""
+        return max(map(abs, self._c.values()), default=0)
+
+    def norm1(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._c.values()))
 
     def is_monomial(self) -> bool:
         return len(self._c) == 1
@@ -201,10 +222,48 @@ class LaurentPoly:
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
 Q = LaurentPoly({-2: 1})            # the Hecke parameter q = v^-2
-Q_MINUS_ONE = LaurentPoly({-2: 1, 0: -1})
 V2 = LaurentPoly({2: 1})            # q^-1 = v^2
 V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
 
 
 def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
+
+
+# -- Kronecker packing -------------------------------------------------------
+
+
+def slot_width(bound: int) -> int:
+    """The smallest B >= 2 whose balanced digits hold every |c| <= bound.
+
+    (One-bit balanced digits are only 0 and -1, too few to read back.)
+    """
+    return max(2, bound.bit_length() + 1)
+
+
+def kronecker_pack(p: LaurentPoly, base: int, width: int) -> int:
+    """sum_e c_e 2^(width (e - base)); every exponent must be >= base."""
+    return sum(c << (width * (e - base)) for e, c in p._c.items())
+
+
+def kronecker_unpack(value: int, base: int, width: int) -> LaurentPoly:
+    """The polynomial whose balanced base-2^width digits are ``value``'s."""
+    c: dict[int, int] = {}
+    full = 1 << width
+    half = full >> 1
+    mask = full - 1
+    exp = base
+    while value:
+        skip = ((value & -value).bit_length() - 1) // width  # empty low slots
+        value >>= skip * width
+        exp += skip
+        digit = value & mask
+        if digit >= half:
+            digit -= full
+        c[exp] = digit
+        value = (value - digit) >> width
+        exp += 1
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = c
+    out._hash = None
+    return out

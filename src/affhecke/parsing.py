@@ -12,6 +12,17 @@ scalars and for single basis terms with unit coefficient, where the
 basis inverse is expanded exactly.  Exponents larger than MAX_EXPONENT in
 absolute value raise ResourceLimitError before any multiplication, as do
 integers too long for int() to convert.
+
+Before every product an expression (or a command line request) builds,
+a ``WorkBudget`` estimates the work of a*b as |supp a| * sum over w in
+supp b of 2^(l(w)+1) letter-term steps (``hecke.product_cost``).  A negative
+power's basis inverse is charged as the product 1*T_w.  The estimates of
+one request add up, and the product that would take the total above
+MAX_PRODUCT_WORK raises ResourceLimitError before it starts.  So does a
+product whose packed coefficients (exponent span times the kernel's slot
+width, see ``hecke``) could pass MAX_COEFFICIENT_BITS: that keeps every
+int step cheap and every coefficient printable.  Library products, such
+as the canonical-basis recursion, are not budgeted.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from .errors import ElementParseError, ResourceLimitError
 from .laurent import LaurentPoly
 
 MAX_EXPONENT = 32
+MAX_PRODUCT_WORK = 500_000
+MAX_COEFFICIENT_BITS = 8192
 
 _TOKEN = re.compile(r"(T\(w\[[^\]]*\]\)|T\[[^\]]*\]|X\d+|v|\d+|\^|\+|-|\*|\(|\))")
 
@@ -63,11 +76,40 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in m.group(1).split(","))
 
 
+class WorkBudget:
+    """The summed work estimates of the products built for one request."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, a: hecke.HeckeElt, b: hecke.HeckeElt) -> None:
+        """Add the work of a*b; ResourceLimitError if the total would pass
+        MAX_PRODUCT_WORK or a packed coefficient MAX_COEFFICIENT_BITS."""
+        work, bits = hecke.product_cost(a, b)
+        if self.spent + work > MAX_PRODUCT_WORK:
+            raise ResourceLimitError(
+                "a product of %d by %d terms may take %d more letter steps, "
+                "above the budget of %d per request" % (len(a.terms), len(b.terms), work, MAX_PRODUCT_WORK)
+            )
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ResourceLimitError(
+                "a product's coefficients may take %d bits, above the cap %d" % (bits, MAX_COEFFICIENT_BITS)
+            )
+        self.spent += work
+
+    def mul(self, a: hecke.HeckeElt, b: hecke.HeckeElt) -> hecke.HeckeElt:
+        self.charge(a, b)
+        return a * b
+
+
 class _Parser:
-    def __init__(self, n: int, tokens: list[str]):
+    def __init__(self, n: int, tokens: list[str], budget: WorkBudget):
         self.n = n
         self.tokens = tokens
         self.pos = 0
+        self.budget = budget
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -104,14 +146,14 @@ class _Parser:
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = out * self.factor()
+            out = self.budget.mul(out, self.factor())
         return out
 
     def factor(self) -> hecke.HeckeElt:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            base = _power(self.n, base, self.integer())
+            base = _power(self.n, base, self.integer(), self.budget)
         return base
 
     def integer(self) -> int:
@@ -161,7 +203,7 @@ def _int(digits: str) -> int:
         raise ResourceLimitError("integer of %d digits is too long" % len(digits)) from None
 
 
-def _invert(n: int, elt: hecke.HeckeElt) -> hecke.HeckeElt:
+def _invert(n: int, elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
     terms = list(elt.terms.items())
     if len(terms) != 1:
         raise ElementParseError("negative powers need a single-term base")
@@ -170,23 +212,27 @@ def _invert(n: int, elt: hecke.HeckeElt) -> hecke.HeckeElt:
     if len(items) != 1 or items[0][1] not in (1, -1):
         raise ElementParseError("negative powers need a unit coefficient")
     exp, coef = items[0]
+    budget.charge(hecke.one(n), elt)
     return hecke.invert_t(w).scale(LaurentPoly.monomial(-exp, coef))
 
 
-def _power(n: int, base: hecke.HeckeElt, k: int) -> hecke.HeckeElt:
+def _power(n: int, base: hecke.HeckeElt, k: int, budget: WorkBudget) -> hecke.HeckeElt:
     if abs(k) > MAX_EXPONENT:
         raise ResourceLimitError("exponent %d exceeds the cap %d" % (k, MAX_EXPONENT))
+    if k == 0:
+        return hecke.one(n)
     if k < 0:
-        base = _invert(n, base)
+        base = _invert(n, base, budget)
         k = -k
-    out = hecke.one(n)
-    for _ in range(k):
-        out = out * base
+    out = base
+    for _ in range(k - 1):
+        out = budget.mul(out, base)
     return out
 
 
-def parse_element(n: int, text: str) -> hecke.HeckeElt:
-    parser = _Parser(n, _tokenize(text))
+def parse_element(n: int, text: str, budget: WorkBudget | None = None) -> hecke.HeckeElt:
+    """The element ``text`` denotes; its products are charged to ``budget``."""
+    parser = _Parser(n, _tokenize(text), budget if budget is not None else WorkBudget())
     out = parser.expression()
     if parser.peek() is not None:
         raise ElementParseError(f"trailing tokens starting at {parser.peek()!r}")

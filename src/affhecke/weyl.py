@@ -45,6 +45,15 @@ class AffinePerm:
 
     # -- constructors -----------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, n: int, window: tuple) -> "AffinePerm":
+        """An element from a window tuple already known to be valid."""
+        out = object.__new__(cls)
+        out.n = n
+        out.window = window
+        out._hash = None
+        return out
+
     @staticmethod
     def identity(n: int) -> "AffinePerm":
         return AffinePerm(n, range(1, n + 1))
@@ -286,12 +295,6 @@ class Word:
             out = out.compose(step)
         return out
 
-    def coxeter_count(self) -> int:
-        return sum(1 for a in self.letters if isinstance(a, int))
-
-    def rho_inv_count(self) -> int:
-        return sum(1 for a in self.letters if a == RHO_INV)
-
     def alphabet(self) -> set:
         return set(self.letters)
 
@@ -405,15 +408,6 @@ def coxeter_ball(n: int, max_length: int) -> tuple[AffinePerm, ...]:
                     nxt.append(u)
         frontier = nxt
     return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
-
-
-def elements_ball(n: int, max_length: int, max_height: int) -> list[AffinePerm]:
-    """All w with l(w) <= max_length and |degree(w)| <= max_height."""
-    out = []
-    for c in coxeter_ball(n, max_length):
-        for z in range(-max_height, max_height + 1):
-            out.append(c.compose(AffinePerm.rho(n, z)))
-    return out
 
 
 def positive_elements(n: int, max_length: int, min_degree: int) -> list[AffinePerm]:

@@ -6,7 +6,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from affhecke import HeckeElt, LaurentPoly, bar_involution, invert_t, t_basis
-from affhecke.weyl import RHO, RHO_INV, Word, elements_ball
+from affhecke.weyl import RHO, RHO_INV, Word
+from weyl_helpers import elements_ball
 from hecke_reference import bar_involution_reference, invert_t_reference
 
 

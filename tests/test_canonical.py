@@ -19,7 +19,8 @@ from affhecke import (
     t_basis,
 )
 from affhecke.errors import ResourceLimitError
-from affhecke.weyl import elements_ball, finite_permutations
+from affhecke.weyl import finite_permutations
+from weyl_helpers import elements_ball
 
 V = LaurentPoly({1: 1})
 

@@ -226,3 +226,46 @@ def test_module_entry_point():
         capture_output=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == b"(v^-2-1)*T[s1] + v^-2*T[]\n"
+
+
+def fresh_process(*argv):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "affhecke", *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout.decode()
+
+
+def test_shared_parser_keeps_requests_apart(capsys):
+    # --lambda appends to a default list; the second request must not see it
+    quotient = ("canonical", "--n", "3", "--max-length", "2", "--min-degree", "-1",
+                "--lambda", "1,0,0")
+    full = ("canonical", "--n", "3", "--max-length", "2", "--min-degree", "-1")
+    in_process = [run(capsys, *quotient)[:2], run(capsys, *full)[:2]]
+    assert in_process == [fresh_process(*quotient), fresh_process(*full)]
+    assert in_process[0] != in_process[1]
+    code, out, err = usage_exit(capsys, "canonical", "--n", "3", "--lambda", "1,0,0")
+    assert (code, out) == (2, "")
+    assert "--max-length" in err
+    assert run(capsys, *full)[:2] == in_process[1]
+    assert cli._parser() is cli._parser()
+
+
+def test_product_work_guard_exits_3_before_the_product(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mul", "--n", "3",
+                         "(T[s1]+T[s2]+T[s0])^32", "(T[s1]+T[s2]+T[s0])^20")
+    assert (code, out) == (3, "")
+    assert "letter steps" in err
+    assert time.perf_counter() - start < 5
+    code, out, err = run(capsys, "quotient-mul", "--n", "3", "--lambda", "9,0,0",
+                         "(T[s1]+T[s2]+T[r-])^16", "(T[s1]+T[s2]+T[r-])^16")
+    assert (code, out) == (3, "")
+    assert "letter steps" in err
+
+
+def test_coefficient_guard_exits_3_instead_of_an_unprintable_integer(capsys):
+    # 2^32768 has more digits than the interpreter turns into text
+    code, out, err = run(capsys, "mul", "--n", "2", "((2^32)^32)^32")
+    assert (code, out) == (3, "")
+    assert "bits" in err
+    assert run(capsys, "mul", "--n", "2", "(2^32)^32")[0] == 0

@@ -20,7 +20,8 @@ from affhecke import (
     zero,
 )
 from affhecke.errors import NegativeEntryError, RankMismatchError
-from affhecke.weyl import coxeter_ball, elements_ball, finite_permutations
+from affhecke.weyl import coxeter_ball, finite_permutations
+from weyl_helpers import elements_ball
 
 V2 = LaurentPoly({2: 1})
 Q = LaurentPoly({-2: 1})

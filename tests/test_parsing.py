@@ -143,3 +143,30 @@ def test_str_round_trip():
             elt = elt + hecke.t_basis(w).scale(c)
         assert parsing.parse_element(n, str(elt)) == elt
     assert parsing.parse_element(2, str(hecke.one(2).scale(0))).is_zero
+
+
+def test_product_cost_bounds():
+    s1 = hecke.t_basis(weyl.AffinePerm.s(2, 1))
+    # one term times one letter: at most 2^2 steps; coefficients within 3 over
+    # exponents 0..-2, so three slots of 3 bits
+    assert hecke.product_cost(s1, s1) == (4, 9)
+    assert hecke.product_cost(s1, hecke.zero(2)) == (0, 0)
+
+
+def test_one_budget_covers_a_whole_request(monkeypatch):
+    text = "(T[s1]+T[s2]+T[s0])^8"
+    budget = parsing.WorkBudget()
+    value = parsing.parse_element(3, text, budget)
+    spent = budget.spent
+    assert spent > 0
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", 2 * spent - 1)
+    with pytest.raises(ResourceLimitError):
+        parsing.parse_element(3, text, budget)
+    assert parsing.parse_element(3, text) == value  # a fresh budget fits
+
+
+def test_coefficient_cap(monkeypatch):
+    assert parsing.parse_element(2, "(2^32)^32") == hecke.one(2).scale(2**1024)
+    monkeypatch.setattr(parsing, "MAX_COEFFICIENT_BITS", 1000)
+    with pytest.raises(ResourceLimitError):
+        parsing.parse_element(2, "(2^32)^32")
