@@ -9,12 +9,17 @@ classified by the matrix of pairwise intersection dimensions; those
 matrices serve as orbit labels everywhere in the convolution oracle.
 
 Everything is brute-force enumeration, guarded to ranks where the counts
-stay in the thousands.
+stay in the thousands.  ``point_counts`` gives the sizes of both point
+families in closed form, so a caller can bound its work before any
+enumeration, and ``shared_context`` keeps the audited tables of the most
+recent settings alive across calls.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from array import array
 from collections import Counter
 from operator import add
 
@@ -58,22 +63,51 @@ def span_of(vectors, q: int):
     return rref_fq(vecs, q) if vecs else ()
 
 
+def _check_parameters(n: int, q: int, d: int) -> None:
+    if q not in FIELD_SIZES:
+        raise UnsupportedParameterError(f"field size {q} not supported; use one of {FIELD_SIZES}")
+    if not 1 <= n <= MAX_RANK:
+        raise ResourceLimitError(f"rank {n} outside brute-force range 1..{MAX_RANK}")
+    if not 1 <= d <= MAX_STEPS:
+        raise ResourceLimitError(f"step count {d} outside brute-force range 1..{MAX_STEPS}")
+
+
+def point_counts(n: int, q: int, d: int) -> tuple[int, int]:
+    """The numbers of complete flags and of d-step multichains in F_q^n,
+    from Gaussian binomials alone: a chain is a subspace of dimension k
+    followed by a (d-1)-step chain ending at it.  Raises like FlagContext
+    on parameters out of range."""
+    _check_parameters(n, q, d)
+
+    def binomial(m: int, k: int) -> int:
+        num = den = 1
+        for i in range(k):
+            num *= q ** (m - i) - 1
+            den *= q ** (i + 1) - 1
+        return num // den
+
+    complete = 1
+    for k in range(1, n + 1):
+        complete *= (q**k - 1) // (q - 1)
+    chains = [1] * (n + 1)  # 1-step chains: the space itself
+    for _ in range(d - 1):
+        chains = [sum(binomial(m, k) * chains[k] for k in range(m + 1)) for m in range(n + 1)]
+    return complete, chains[n]
+
+
 class FlagContext:
     """Shared enumeration and labelling state for one (n, q, d) setting."""
 
     def __init__(self, n: int, q: int, d: int):
-        if q not in FIELD_SIZES:
-            raise UnsupportedParameterError(f"field size {q} not supported; use one of {FIELD_SIZES}")
-        if not 1 <= n <= MAX_RANK:
-            raise ResourceLimitError(f"rank {n} outside brute-force range 1..{MAX_RANK}")
-        if not 1 <= d <= MAX_STEPS:
-            raise ResourceLimitError(f"step count {d} outside brute-force range 1..{MAX_STEPS}")
+        _check_parameters(n, q, d)
         self.n = n
         self.q = q
         self.d = d
         self._cache: dict = {}
 
     def _memo(self, key, build):
+        """The value built once per key; a build that raises stores nothing,
+        so a failing audit fails again on every later call."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -244,7 +278,8 @@ class FlagContext:
     def label_table(self, key_left, key_right):
         """Sorted labels, one representative pair per label, and the label
         positions: row i, column j holds the position in the labels of the
-        pair (i-th left point, j-th right point)."""
+        pair (i-th left point, j-th right point).  Each row is an unsigned
+        ``array``, 2 bytes an entry up to 65,536 labels and 4 beyond."""
 
         def build():
             index, table = self.intersections()
@@ -264,13 +299,14 @@ class FlagContext:
                         k = found[key] = len(reps)
                         reps.append((fl, fr))
                     row.append(k)
-                rows.append(row)
+                rows.append(array("I", row))
             cols = list(columns)
             labels = [tuple(zip(*(cols[c] for c in key))) for key in found]
             order = sorted(range(len(labels)), key=labels.__getitem__)
             pos = sorted(range(len(order)), key=order.__getitem__)
             reps = {labels[k]: reps[k] for k in order}
-            return tuple(reps), reps, [[pos[k] for k in row] for row in rows]
+            typecode = "H" if len(labels) <= 1 << 16 else "I"
+            return tuple(reps), reps, [array(typecode, map(pos.__getitem__, row)) for row in rows]
 
         return self._memo(("table", self.space_id(key_left), self.space_id(key_right)), build)
 
@@ -341,3 +377,13 @@ class FlagContext:
         return self._memo(("permflag", window), lambda: tuple(
             span_of([self.basis_vector(j) for j in window[:i]], self.q) for i in range(1, len(window) + 1)
         ))
+
+
+@functools.lru_cache(maxsize=8)
+def shared_context(n: int, q: int, d: int) -> FlagContext:
+    """The one FlagContext of (n, q, d) in this process, tables and all.
+
+    Holds the eight most recently used settings; ``cache_clear()`` frees
+    them.  A direct ``FlagContext(n, q, d)`` still builds a private one.
+    """
+    return FlagContext(n, q, d)

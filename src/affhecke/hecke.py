@@ -333,6 +333,28 @@ def product_cost(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
     return steps, span * slot_width(_product_bound(a, b, lengths))
 
 
+def product_steps(a: HeckeElt, b: HeckeElt, cap: int) -> int:
+    """The letter-term steps a*b takes, or a count above ``cap`` once it
+    passes it.  Runs the letter steps of a*b on windows alone, taking both
+    branches at every descent, so it never counts fewer windows than the
+    packed kernel holds; coefficients are never formed."""
+    start = {w.window for w in a.terms}
+    steps = 0
+    for w in b.terms:
+        windows = start
+        for letter in _reduced_letters(w):
+            steps += len(windows)
+            if steps > cap:
+                return steps
+            move, descent = _window_step(a.n, letter)
+            moved = set(map(move, windows))
+            if descent is not None:
+                i, j, off = descent
+                moved.update(t for t in windows if t[i] - off > t[j])
+            windows = moved
+    return steps
+
+
 def _valuation(a: HeckeElt) -> int:
     return min(c.valuation() for c in a.terms.values())
 

@@ -9,6 +9,17 @@ Both tables are audited once per context at every pair, which must be
 constant on each label, so a wrong label scheme fails loudly instead of
 silently.
 
+The four checks below take their context from ``flags.shared_context``:
+one per (n, q, d) per process, at most eight alive, so a repeated setting
+reuses its audited tables; ``flags.shared_context.cache_clear()`` frees
+them.  Every check's own verifications (commutation, ranks, the eigenvalue
+equation, the coset audits, the lift's round trip) still run on every
+call.  Before a context is built or looked up, the largest
+structure-constant table a check builds is bounded from the closed-form
+point counts: a table on (left, mid, right) visits |left|·|mid|·|right|
+middle points, and above MAX_TABLE_VISITS the check raises
+ResourceLimitError without enumerating anything.
+
 The checks exercised here: the orbit algebra on pairs of complete flags
 multiplies like the generic positive algebra with the parameter set to
 the field size; the left and right convolution actions on the mixed
@@ -33,8 +44,13 @@ from .errors import (
     DomainMismatchError,
     IncompatibleFamilyError,
     InternalInvariantError,
+    ResourceLimitError,
 )
-from .flags import FlagContext
+from .flags import FlagContext, point_counts, shared_context
+
+# Admits every rank-4 setting over F_2 up to d = 3, whose largest table
+# (Y x Y x X at d = 3) visits about 8.3e7 middle points.
+MAX_TABLE_VISITS = 100_000_000
 
 
 class OrbitFunction:
@@ -223,6 +239,21 @@ def _finish(claim: str, dims: dict, mismatches: list) -> Report:
     return Report(claim=claim, status="pass" if not mismatches else "fail", dims=dims, mismatches=mismatches)
 
 
+def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
+    """The shared context of (n, q, d), once every structure-constant table
+    the caller builds is under MAX_TABLE_VISITS.  ``triples`` names the
+    (left, mid, right) spaces of those tables by "X" and "Y"; a component
+    counts as "Y", whose points it is a subset of."""
+    size = dict(zip("XY", point_counts(n, q, d)))
+    visits = max(size[a] * size[b] * size[c] for a, b, c in triples)
+    if visits > MAX_TABLE_VISITS:
+        raise ResourceLimitError(
+            "oracle tables at n=%d, q=%d, d=%d may visit %d middle points, above the cap %d"
+            % (n, q, d, visits, MAX_TABLE_VISITS)
+        )
+    return shared_context(n, q, d)
+
+
 # -- check 1: complete-flag orbit algebra vs generic algebra --------------------
 
 
@@ -233,7 +264,7 @@ def perm_label(ctx: FlagContext, w: weyl.AffinePerm):
 
 def verify_hecke_iso(n: int, q: int) -> Report:
     """Match orbit convolution on complete flags against the generic product."""
-    ctx = FlagContext(n, q, 1)
+    ctx = _context(n, q, 1, ("XXX",))
     perms = list(weyl.finite_permutations(n))
     labels = basis_labels(ctx, "X", "X")
     lab_of: dict = {}
@@ -273,7 +304,7 @@ def bicommutant_check(n: int, d: int, q: int) -> Report:
     other's centralizer.  At d >= n both actions fill their centralizer
     exactly; at d < n the right action is checked to surject with a
     nonzero kernel."""
-    ctx = FlagContext(n, q, d)
+    ctx = _context(n, q, d, ("YYX", "YXX"))
     dim_a = len(basis_labels(ctx, "Y", "Y"))
     dim_b = len(basis_labels(ctx, "X", "X"))
     dim_c = len(basis_labels(ctx, "Y", "X"))
@@ -327,7 +358,7 @@ def bicommutant_check(n: int, d: int, q: int) -> Report:
 def im_psi_check(n: int, d: int, q: int) -> Report:
     """On every component: pullbacks from the partial factor are exactly
     the eigenspace of right convolution by the fiber indicator."""
-    ctx = FlagContext(n, q, d)
+    ctx = _context(n, q, d, ("XYX", "YXX", "YYX"))
     dim_c = len(basis_labels(ctx, "Y", "X"))
     mismatches: list = []
     dims: dict = {"dim mixed space": dim_c}
@@ -452,7 +483,8 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
         # w is longest in its coset, so the rest of the row is already solved
         coset, row = cosets[descents][lab]
         total = family[descents].value(coset) - sum(m * values[a] for a, m in row.items() if a != lab)
-        values[lab] = Fraction(total) / row[lab]
+        quotient, remainder = divmod(total, row[lab])
+        values[lab] = Fraction(total, row[lab]) if remainder else quotient
 
     lifted = OrbitFunction(ctx, "X", "X", values)
     for forg in valid:
@@ -465,7 +497,7 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
 
 def lift_trials(n: int, d: int, q: int, trials: int, seed: int) -> Report:
     """Seeded round-trips: random function, push to all components, lift back."""
-    ctx = FlagContext(n, q, d)
+    ctx = _context(n, q, d, ("XXY", "XYY"))
     rng = random.Random(seed)
     perms = list(weyl.finite_permutations(n))
     zeroed = [w for w in perms if len(_finite_descents(w)) < n - d]

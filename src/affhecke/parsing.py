@@ -15,10 +15,13 @@ integers too long for int() to convert.
 
 Before every product an expression (or a command line request) builds,
 a ``WorkBudget`` estimates the work of a*b as |supp a| * sum over w in
-supp b of 2^(l(w)+1) letter-term steps (``hecke.product_cost``).  A negative
-power's basis inverse is charged as the product 1*T_w.  The estimates of
-one request add up, and the product that would take the total above
-MAX_PRODUCT_WORK raises ResourceLimitError before it starts.  So does a
+supp b of 2^(l(w)+1) letter-term steps (``hecke.product_cost``).  Where
+that coarse estimate would not fit the rest of the budget, the product's
+letter steps are counted instead by a dry run on windows alone
+(``hecke.product_steps``), stopped once it passes the rest of the budget.
+A negative power's basis inverse is charged as the product 1*T_w.  The
+charges of one request add up, and the product that would take the total
+above MAX_PRODUCT_WORK raises ResourceLimitError before it starts.  So does a
 product whose packed coefficients (exponent span times the kernel's slot
 width, see ``hecke``) could pass MAX_COEFFICIENT_BITS: that keeps every
 int step cheap and every coefficient printable.  Library products, such
@@ -86,9 +89,14 @@ class WorkBudget:
 
     def charge(self, a: hecke.HeckeElt, b: hecke.HeckeElt) -> None:
         """Add the work of a*b; ResourceLimitError if the total would pass
-        MAX_PRODUCT_WORK or a packed coefficient MAX_COEFFICIENT_BITS."""
+        MAX_PRODUCT_WORK or a packed coefficient MAX_COEFFICIENT_BITS.  The
+        work is the coarse estimate, or the dry-run count where the coarse
+        estimate does not fit."""
         work, bits = hecke.product_cost(a, b)
-        if self.spent + work > MAX_PRODUCT_WORK:
+        remaining = MAX_PRODUCT_WORK - self.spent
+        if work > remaining:
+            work = hecke.product_steps(a, b, remaining)
+        if work > remaining:
             raise ResourceLimitError(
                 "a product of %d by %d terms may take %d more letter steps, "
                 "above the budget of %d per request" % (len(a.terms), len(b.terms), work, MAX_PRODUCT_WORK)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from affhecke import cli, oracle
+from affhecke import HeckeElt, cli, oracle
+from affhecke.parsing import parse_element
+from hecke_reference import mul_reference
 
 
 def run(capsys, *argv):
@@ -150,6 +152,19 @@ def test_resource_guard_exits_3(capsys):
     assert (code, out) == (3, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "hecke", "--n", "4", "--q", "3"),
+    ("oracle", "bicommutant", "--n", "4", "--d", "4", "--q", "2"),
+])
+def test_oracle_work_guard_exits_3_before_any_enumeration(capsys, argv):
+    # X x X x X at 2,080 complete flags, Y x Y x X at 1,969 chains: hours of work
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "middle points" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_failed_verification_exits_1(capsys, monkeypatch):
     bad = oracle.Report(claim="demo", status="fail", dims={},
                         mismatches=[{"where": "demo"}])
@@ -261,6 +276,16 @@ def test_product_work_guard_exits_3_before_the_product(capsys):
                          "(T[s1]+T[s2]+T[r-])^16", "(T[s1]+T[s2]+T[r-])^16")
     assert (code, out) == (3, "")
     assert "letter steps" in err
+
+
+def test_long_word_square_fits_by_its_dry_run(capsys):
+    # the coarse estimate of T_w T_w at l(w) = 19 is 2^20 steps, past the
+    # budget; the dry run counts what the product really takes
+    word = "T[%s]" % " ".join(["s0 s1 s2"] * 6 + ["s0"])
+    code, out, err = run(capsys, "mul", "--n", "3", "--json", word, word)
+    assert (code, err) == (0, "")
+    w = parse_element(3, word)
+    assert HeckeElt.from_json(3, json.loads(out)) == mul_reference(w, w)
 
 
 def test_coefficient_guard_exits_3_instead_of_an_unprintable_integer(capsys):

@@ -1,6 +1,7 @@
 """Finite-field flag enumeration, orbit labels, components, and fibers."""
 
 import itertools
+from array import array
 
 import pytest
 
@@ -136,6 +137,7 @@ def test_label_table_positions_match_pair_labels(n, d, q):
         assert list(labels) == sorted(set(labels)) == list(reps)
         for lab, pair in reps.items():
             assert ctx.pair_label(*pair) == lab
+        assert all(isinstance(row, array) and row.typecode == "H" for row in index)
         for fl, row in zip(ctx.space_points(left), index):
             for fr, k in zip(ctx.space_points(right), row):
                 assert labels[k] == ctx.pair_label(fl, fr)

@@ -33,6 +33,9 @@ from oracle_reference import (
     theta_table_reference,
 )
 
+# some tests here patch FlagContext
+pytestmark = pytest.mark.usefixtures("fresh_shared_contexts")
+
 # (n, d, q); at d = n the nothing-forgotten component is the complete flag
 # space itself, so its tables are shared with those of "X".
 SETTINGS = ((2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 2))

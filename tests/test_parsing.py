@@ -153,16 +153,51 @@ def test_product_cost_bounds():
     assert hecke.product_cost(s1, hecke.zero(2)) == (0, 0)
 
 
+@pytest.mark.parametrize("a,b", [
+    ("T[s1]+T[s2 s1]+X1", "T[s0 s1 s2 s0]+T[r- s1]"),
+    ("T[s0 s1 s2 s0 s1 s2 s0]", "T[s0 s1 s2 s0 s1 s2 s0 s1]"),
+    ("X2*T[s1 s0]", "X3+T[s2 s1 s2]"),
+])
+def test_product_steps_count_the_kernel_steps(monkeypatch, a, b):
+    a, b = parsing.parse_element(3, a), parsing.parse_element(3, b)
+    taken = []
+    step = hecke._step
+
+    def counted(terms, *rest):
+        taken.append(len(terms))
+        return step(terms, *rest)
+
+    monkeypatch.setattr(hecke, "_step", counted)
+    a * b
+    exact = sum(taken)
+    assert hecke.product_steps(a, b, exact) == exact <= hecke.product_cost(a, b)[0]
+    assert hecke.product_steps(a, b, exact - 1) > exact - 1
+
+
+def test_budget_falls_back_to_the_dry_run(monkeypatch):
+    a = parsing.parse_element(3, "T[s0 s1 s2 s0 s1 s2 s0 s1]")
+    coarse = hecke.product_cost(a, a)[0]
+    exact = hecke.product_steps(a, a, coarse)
+    assert exact < coarse
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", exact)
+    budget = parsing.WorkBudget()
+    budget.charge(a, a)
+    assert budget.spent == exact
+    with pytest.raises(ResourceLimitError, match="letter steps"):
+        parsing.WorkBudget().charge(a, a * hecke.t_basis(weyl.AffinePerm.s(3, 0)))
+
+
 def test_one_budget_covers_a_whole_request(monkeypatch):
     text = "(T[s1]+T[s2]+T[s0])^8"
     budget = parsing.WorkBudget()
     value = parsing.parse_element(3, text, budget)
     spent = budget.spent
     assert spent > 0
-    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", 2 * spent - 1)
+    # the spent budget has no room left; a fresh one fits exactly
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", spent)
     with pytest.raises(ResourceLimitError):
         parsing.parse_element(3, text, budget)
-    assert parsing.parse_element(3, text) == value  # a fresh budget fits
+    assert parsing.parse_element(3, text) == value
 
 
 def test_coefficient_cap(monkeypatch):
