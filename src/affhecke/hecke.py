@@ -333,26 +333,45 @@ def product_cost(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
     return steps, span * slot_width(_product_bound(a, b, lengths))
 
 
+def _window_steps(n: int, windows: set, letters: tuple, cap: int) -> int:
+    """A bound on the letter-term steps of running ``letters`` by T or by
+    T^-1 from terms on ``windows``, or a count above ``cap`` once it passes
+    it.  Every Coxeter letter keeps both the moved and the unmoved windows,
+    a superset of what either kernel keeps; by the subword property the
+    windows after a prefix of a reduced word stay in windows·[e, prefix],
+    so the count grows like the lower Bruhat intervals, not like 2^l."""
+    steps = 0
+    last = len(letters) - 1
+    for i, letter in enumerate(letters):
+        steps += len(windows)
+        # a next letter steps at least as many windows, so stop before building them
+        ahead = len(windows) if i < last else 0
+        if steps + ahead > cap:
+            return steps + ahead
+        move, descent = _window_step(n, letter)
+        moved = set(map(move, windows))
+        if descent is not None:
+            moved |= windows
+        windows = moved
+    return steps
+
+
 def product_steps(a: HeckeElt, b: HeckeElt, cap: int) -> int:
-    """The letter-term steps a*b takes, or a count above ``cap`` once it
-    passes it.  Runs the letter steps of a*b on windows alone, taking both
-    branches at every descent, so it never counts fewer windows than the
-    packed kernel holds; coefficients are never formed."""
+    """At least the letter-term steps a*b takes, or a count above ``cap``
+    once it passes it; a dry run on windows alone, coefficients never formed."""
     start = {w.window for w in a.terms}
     steps = 0
     for w in b.terms:
-        windows = start
-        for letter in _reduced_letters(w):
-            steps += len(windows)
-            if steps > cap:
-                return steps
-            move, descent = _window_step(a.n, letter)
-            moved = set(map(move, windows))
-            if descent is not None:
-                i, j, off = descent
-                moved.update(t for t in windows if t[i] - off > t[j])
-            windows = moved
+        steps += _window_steps(a.n, start, _reduced_letters(w), cap - steps)
+        if steps > cap:
+            break
     return steps
+
+
+def inverse_steps(w: AffinePerm, cap: int) -> int:
+    """As ``product_steps``, for the inverse letter steps of ``invert_t(w)``."""
+    letters = tuple(reversed(_reduced_letters(w)))
+    return _window_steps(w.n, {AffinePerm.identity(w.n).window}, letters, cap)
 
 
 def _valuation(a: HeckeElt) -> int:

@@ -243,7 +243,8 @@ def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
     """The shared context of (n, q, d), once every structure-constant table
     the caller builds is under MAX_TABLE_VISITS.  ``triples`` names the
     (left, mid, right) spaces of those tables by "X" and "Y"; a component
-    counts as "Y", whose points it is a subset of."""
+    counts as "Y", whose points it is a subset of.  The test suite records
+    the tables each check builds and holds them to these names."""
     size = dict(zip("XY", point_counts(n, q, d)))
     visits = max(size[a] * size[b] * size[c] for a, b, c in triples)
     if visits > MAX_TABLE_VISITS:

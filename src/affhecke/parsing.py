@@ -17,11 +17,13 @@ Before every product an expression (or a command line request) builds,
 a ``WorkBudget`` estimates the work of a*b as |supp a| * sum over w in
 supp b of 2^(l(w)+1) letter-term steps (``hecke.product_cost``).  Where
 that coarse estimate would not fit the rest of the budget, the product's
-letter steps are counted instead by a dry run on windows alone
+letter steps are bounded instead by a dry run on windows alone
 (``hecke.product_steps``), stopped once it passes the rest of the budget.
-A negative power's basis inverse is charged as the product 1*T_w.  The
-charges of one request add up, and the product that would take the total
-above MAX_PRODUCT_WORK raises ResourceLimitError before it starts.  So does a
+A negative power's basis inverse is charged the coarse estimate of the
+product 1*T_w, or the same dry run along the inverse letter steps it
+takes (``hecke.inverse_steps``).  The charges of one request add up, and
+the product that would take the total above MAX_PRODUCT_WORK raises
+ResourceLimitError before it starts.  So does a
 product whose packed coefficients (exponent span times the kernel's slot
 width, see ``hecke``) could pass MAX_COEFFICIENT_BITS: that keeps every
 int step cheap and every coefficient printable.  Library products, such
@@ -89,17 +91,25 @@ class WorkBudget:
 
     def charge(self, a: hecke.HeckeElt, b: hecke.HeckeElt) -> None:
         """Add the work of a*b; ResourceLimitError if the total would pass
-        MAX_PRODUCT_WORK or a packed coefficient MAX_COEFFICIENT_BITS.  The
-        work is the coarse estimate, or the dry-run count where the coarse
-        estimate does not fit."""
+        MAX_PRODUCT_WORK or a packed coefficient MAX_COEFFICIENT_BITS."""
         work, bits = hecke.product_cost(a, b)
+        self._add(work, bits, lambda cap: hecke.product_steps(a, b, cap))
+
+    def charge_inverse(self, w: weyl.AffinePerm) -> None:
+        """Add the work of ``hecke.invert_t(w)``, bounded like the product 1*T_w."""
+        work, bits = hecke.product_cost(hecke.one(w.n), hecke.t_basis(w))
+        self._add(work, bits, lambda cap: hecke.inverse_steps(w, cap))
+
+    def _add(self, work: int, bits: int, dry_run) -> None:
+        """Charge ``work`` steps, or, where that coarse estimate would not fit
+        the rest of the budget, the count of ``dry_run`` capped at the rest."""
         remaining = MAX_PRODUCT_WORK - self.spent
-        if work > remaining:
-            work = hecke.product_steps(a, b, remaining)
+        if work > remaining and bits <= MAX_COEFFICIENT_BITS:
+            work = dry_run(remaining)
         if work > remaining:
             raise ResourceLimitError(
-                "a product of %d by %d terms may take %d more letter steps, "
-                "above the budget of %d per request" % (len(a.terms), len(b.terms), work, MAX_PRODUCT_WORK)
+                "a request may take %d more letter steps, above the budget of %d per request"
+                % (work, MAX_PRODUCT_WORK)
             )
         if bits > MAX_COEFFICIENT_BITS:
             raise ResourceLimitError(
@@ -220,7 +230,7 @@ def _invert(n: int, elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
     if len(items) != 1 or items[0][1] not in (1, -1):
         raise ElementParseError("negative powers need a unit coefficient")
     exp, coef = items[0]
-    budget.charge(hecke.one(n), elt)
+    budget.charge_inverse(w)
     return hecke.invert_t(w).scale(LaurentPoly.monomial(-exp, coef))
 
 

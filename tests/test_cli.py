@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from affhecke import HeckeElt, cli, oracle
+from affhecke import HeckeElt, cli, hecke, oracle
 from affhecke.parsing import parse_element
 from hecke_reference import mul_reference
 
@@ -286,6 +286,20 @@ def test_long_word_square_fits_by_its_dry_run(capsys):
     assert (code, err) == (0, "")
     w = parse_element(3, word)
     assert HeckeElt.from_json(3, json.loads(out)) == mul_reference(w, w)
+
+
+def test_long_inverse_is_charged_its_inverse_steps(capsys):
+    # T_w^-1 at l(w) = 19 fits by its dry run; at the longest element of
+    # S_10 (l = 45) the inverse steps fill S_10's 3.6M windows, so it exits 3
+    word = "T[%s]" % " ".join(["s0 s1 s2"] * 6 + ["s0"])
+    code, out, err = run(capsys, "mul", "--n", "3", "--json", word + "^-1", word)
+    assert (code, err) == (0, "")
+    assert HeckeElt.from_json(3, json.loads(out)) == hecke.one(3)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mul", "--n", "10", "T(w[10,9,8,7,6,5,4,3,2,1])^-1", "1")
+    assert (code, out) == (3, "")
+    assert "letter steps" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_coefficient_guard_exits_3_instead_of_an_unprintable_integer(capsys):

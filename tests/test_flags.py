@@ -6,7 +6,7 @@ from array import array
 import pytest
 
 from affhecke.errors import ResourceLimitError, UnsupportedParameterError
-from affhecke.flags import FlagContext, rref_fq, span_of
+from affhecke.flags import FlagContext, point_counts, rref_fq, span_of
 
 
 # -- enumeration counts ---------------------------------------------------------
@@ -37,6 +37,25 @@ def test_flags_are_duplicate_free_and_increasing():
         assert flag[-1] == ctx.full_space()
         for small, big in zip(flag, flag[1:]):
             assert ctx.contains(big, small)
+
+
+@pytest.mark.parametrize("n,q,d", [
+    (n, q, d) for n in (1, 2, 3) for q in (2, 3) for d in (1, 2, 3, 4)
+] + [(4, 2, 1), (4, 2, 3)])
+def test_point_counts_match_enumeration(n, q, d):
+    ctx = FlagContext(n, q, d)
+    assert point_counts(n, q, d) == (len(ctx.space_points("X")), len(ctx.space_points("Y")))
+
+
+def test_point_counts_in_closed_form():
+    # complete flags of F_q^n are prod [k]_q; chains of F_2^4 of 2 and 3 steps
+    assert point_counts(4, 3, 1) == (1 * 4 * 13 * 40, 1)
+    assert point_counts(4, 2, 2) == (315, 1 + 15 + 35 + 15 + 1)
+    assert point_counts(4, 2, 3)[1] == 513
+    with pytest.raises(UnsupportedParameterError):
+        point_counts(2, 5, 1)
+    with pytest.raises(ResourceLimitError):
+        point_counts(5, 2, 1)
 
 
 def test_resource_guards():

@@ -153,38 +153,75 @@ def test_product_cost_bounds():
     assert hecke.product_cost(s1, hecke.zero(2)) == (0, 0)
 
 
-@pytest.mark.parametrize("a,b", [
-    ("T[s1]+T[s2 s1]+X1", "T[s0 s1 s2 s0]+T[r- s1]"),
-    ("T[s0 s1 s2 s0 s1 s2 s0]", "T[s0 s1 s2 s0 s1 s2 s0 s1]"),
-    ("X2*T[s1 s0]", "X3+T[s2 s1 s2]"),
-])
-def test_product_steps_count_the_kernel_steps(monkeypatch, a, b):
-    a, b = parsing.parse_element(3, a), parsing.parse_element(3, b)
+def _counting(monkeypatch, name):
+    """Patch the kernel step ``name`` to record how many terms each call steps."""
     taken = []
-    step = hecke._step
+    step = getattr(hecke, name)
 
     def counted(terms, *rest):
         taken.append(len(terms))
         return step(terms, *rest)
 
-    monkeypatch.setattr(hecke, "_step", counted)
+    monkeypatch.setattr(hecke, name, counted)
+    return taken
+
+
+@pytest.mark.parametrize("a,b", [
+    ("T[s1]+T[s2 s1]+X1", "T[s0 s1 s2 s0]+T[r- s1]"),
+    ("T[s0 s1 s2 s0 s1 s2 s0]", "T[s0 s1 s2 s0 s1 s2 s0 s1]"),
+    ("X2*T[s1 s0]", "X3+T[s2 s1 s2]"),
+])
+def test_product_dry_run_bounds_the_kernel_steps(monkeypatch, a, b):
+    a, b = parsing.parse_element(3, a), parsing.parse_element(3, b)
+    taken = _counting(monkeypatch, "_step")
     a * b
-    exact = sum(taken)
-    assert hecke.product_steps(a, b, exact) == exact <= hecke.product_cost(a, b)[0]
-    assert hecke.product_steps(a, b, exact - 1) > exact - 1
+    dry = hecke.product_steps(a, b, hecke.product_cost(a, b)[0])
+    assert sum(taken) <= dry <= hecke.product_cost(a, b)[0]
+    assert hecke.product_steps(a, b, dry) == dry
+    assert hecke.product_steps(a, b, dry - 1) > dry - 1
+
+
+@pytest.mark.parametrize("n,word", [
+    (3, "s0 s1 s2 s0 s1 s2 s0 s1"),
+    (3, "r s1 s2 s0 s1 r- s2"),
+    (5, "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1"),  # the longest element of S_5
+])
+def test_inverse_dry_run_bounds_the_inverse_steps(monkeypatch, n, word):
+    # T_w^-1 branches at every non-descent, where the product 1*T_w never
+    # branches; one dry run bounds both
+    w = parsing.parse_element(n, "T[%s]" % word)
+    (perm,) = w.terms
+    taken = _counting(monkeypatch, "_step_inverse")
+    inverse = hecke.invert_t(perm)
+    assert inverse * w == hecke.one(n)
+    dry = hecke.inverse_steps(perm, hecke.product_cost(hecke.one(n), w)[0])
+    assert sum(taken) <= dry <= hecke.product_cost(hecke.one(n), w)[0]
 
 
 def test_budget_falls_back_to_the_dry_run(monkeypatch):
     a = parsing.parse_element(3, "T[s0 s1 s2 s0 s1 s2 s0 s1]")
     coarse = hecke.product_cost(a, a)[0]
-    exact = hecke.product_steps(a, a, coarse)
-    assert exact < coarse
-    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", exact)
+    dry = hecke.product_steps(a, a, coarse)
+    assert dry < coarse
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", dry)
     budget = parsing.WorkBudget()
     budget.charge(a, a)
-    assert budget.spent == exact
+    assert budget.spent == dry
     with pytest.raises(ResourceLimitError, match="letter steps"):
         parsing.WorkBudget().charge(a, a * hecke.t_basis(weyl.AffinePerm.s(3, 0)))
+
+
+def test_budget_charges_an_inverse_its_own_dry_run(monkeypatch):
+    (perm,) = parsing.parse_element(3, "T[s0 s1 s2 s0 s1 s2 s0 s1]").terms
+    dry = hecke.inverse_steps(perm, 1 << 20)
+    assert dry < hecke.product_cost(hecke.one(3), hecke.t_basis(perm))[0]
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", dry)
+    budget = parsing.WorkBudget()
+    budget.charge_inverse(perm)
+    assert budget.spent == dry
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", dry - 1)
+    with pytest.raises(ResourceLimitError, match="letter steps"):
+        parsing.parse_element(3, "T[s0 s1 s2 s0 s1 s2 s0 s1]^-1")
 
 
 def test_one_budget_covers_a_whole_request(monkeypatch):

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from affhecke import linalg, oracle
-from affhecke.errors import IncompatibleFamilyError, InternalInvariantError
+from affhecke.errors import IncompatibleFamilyError, InternalInvariantError, ResourceLimitError
 from affhecke.flags import FlagContext, shared_context
 from affhecke.oracle import OrbitFunction, basis_labels, lift_family, theta
 
@@ -67,6 +67,61 @@ def test_entry_points_share_one_context(monkeypatch):
 
 
 # -- audits of the tables: tripped, they fail on every call ----------------------
+
+
+def _kind(key) -> str:
+    return "X" if key == "X" else "Y"  # "Y" or a component of it
+
+
+@pytest.mark.parametrize("check,args", [
+    ("verify_hecke_iso", (3, 2)),
+    ("bicommutant_check", (3, 2, 2)),
+    ("bicommutant_check", (2, 4, 2)),
+    ("im_psi_check", (3, 2, 2)),
+    ("im_psi_check", (3, 3, 2)),
+    ("lift_trials", (3, 2, 2, 2, 1)),
+    ("lift_trials", (3, 3, 2, 2, 1)),
+])
+def test_the_guard_names_every_table_a_check_builds(monkeypatch, check, args):
+    declared, built = [], set()
+    guard, constants = oracle._context, FlagContext.structure_constants
+
+    def recording_guard(n, q, d, triples):
+        declared.extend(triples)
+        return guard(n, q, d, triples)
+
+    def recording_constants(self, left, mid, right):
+        built.add(_kind(left) + _kind(mid) + _kind(right))
+        return constants(self, left, mid, right)
+
+    monkeypatch.setattr(oracle, "_context", recording_guard)
+    monkeypatch.setattr(FlagContext, "structure_constants", recording_constants)
+    getattr(oracle, check)(*args)
+    assert built and built <= set(declared)
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("check,admitted,refused", [
+    ("verify_hecke_iso", (4, 2), (4, 3)),
+    ("bicommutant_check", (4, 3, 2), (4, 4, 2)),
+    ("im_psi_check", (4, 3, 2), (4, 4, 2)),
+    ("lift_trials", (4, 3, 2, 1, 0), (4, 4, 2, 1, 0)),
+])
+def test_the_guard_admits_rank_4_up_to_3_steps_over_f2(monkeypatch, check, admitted, refused):
+    # the largest table there, Y x Y x X, visits 513 * 513 * 315 middle points
+    assert 513 * 513 * 315 < oracle.MAX_TABLE_VISITS
+
+    def reached(n, q, d):
+        raise _Admitted
+
+    monkeypatch.setattr(oracle, "shared_context", reached)
+    with pytest.raises(_Admitted):
+        getattr(oracle, check)(*admitted)
+    with pytest.raises(ResourceLimitError, match="middle points"):
+        getattr(oracle, check)(*refused)
 
 
 def test_structure_constant_audit_fails_on_every_call(monkeypatch):
