@@ -9,10 +9,14 @@ classified by the matrix of pairwise intersection dimensions; those
 matrices serve as orbit labels everywhere in the convolution oracle.
 
 Everything is brute-force enumeration, guarded to ranks where the counts
-stay in the thousands.  ``point_counts`` gives the sizes of both point
-families in closed form, so a caller can bound its work before any
-enumeration, and ``shared_context`` keeps the audited tables of the most
-recent settings alive across calls.
+stay in the thousands.  The per-cell work runs in C where it can:
+subspaces grow breadth-first as bit masks of their vectors, with one row
+reduction per new subspace, and those masks give every intersection
+dimension; a row of a label table is zipped and looked up whole.
+``point_counts`` gives the sizes of both point families in closed form,
+so a caller can bound its work before any enumeration, and
+``shared_context`` keeps the audited tables of the most recent settings
+alive across calls.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import functools
 import itertools
 from array import array
 from collections import Counter
-from operator import add
+from operator import add, mul
 
 from .errors import InternalInvariantError, ResourceLimitError, UnsupportedParameterError
 
@@ -117,37 +121,50 @@ class FlagContext:
     def vectors(self):
         return self._memo("vectors", lambda: tuple(itertools.product(range(self.q), repeat=self.n)))
 
-    def subspaces(self):
+    def _masks(self) -> dict:
+        """Each subspace's canonical basis -> the bit mask of its vectors
+        (bit i for the i-th of ``vectors``), grown breadth-first from the
+        zero space: a subspace and a vector v outside it span the union of
+        its translates by the multiples of v, read off a vector-addition
+        table, and each new span is row reduced once."""
+
         def build():
-            found = {(): None}
-            frontier = [()]
+            q, vecs = self.q, self.vectors()
+            where = {v: i for i, v in enumerate(vecs)}
+            plus = [[where[tuple((a + b) % q for a, b in zip(u, v))] for v in vecs] for u in vecs]
+            spans = {1: ()}  # mask -> canonical basis; the zero vector is bit 0
+            frontier = [((), 1, [0])]
             while frontier:
                 nxt = []
-                for sub in frontier:
-                    for v in self.vectors():
-                        grown = span_of(sub + (v,), self.q)
-                        if len(grown) == len(sub) + 1 and grown not in found:
-                            found[grown] = None
-                            nxt.append(grown)
+                for sub, covered, elems in frontier:
+                    for i, v in enumerate(vecs):
+                        if covered >> i & 1:
+                            continue
+                        line = [i]
+                        for _ in range(q - 2):
+                            line.append(plus[line[-1]][i])
+                        grown = elems + [plus[u][e] for u in line for e in elems]
+                        mask = sum(1 << e for e in grown)
+                        covered |= mask
+                        if mask not in spans:
+                            spans[mask] = rref_fq(sub + (v,), q)
+                            nxt.append((spans[mask], mask, grown))
                 frontier = nxt
-            return tuple(sorted(found))
+            return {sub: mask for mask, sub in spans.items()}
 
-        return self._memo("subspaces", build)
+        return self._memo("masks", build)
+
+    def subspaces(self):
+        return self._memo("subspaces", lambda: tuple(sorted(self._masks())))
 
     def intersections(self):
         """Position of each subspace, and the table of intersection
         dimensions of any two, read off the bit sets of their vectors."""
 
         def build():
-            q, n = self.q, self.n
-            bit = {v: 1 << i for i, v in enumerate(self.vectors())}
-            masks = []
-            for sub in self.subspaces():
-                mask = 0
-                for coeffs in itertools.product(range(q), repeat=len(sub)):
-                    mask |= bit[tuple(sum(c * row[k] for c, row in zip(coeffs, sub)) % q for k in range(n))]
-                masks.append(mask)
-            dim_of = {q**k: k for k in range(n + 1)}
+            found = self._masks()
+            masks = [found[sub] for sub in self.subspaces()]
+            dim_of = {self.q**k: k for k in range(self.n + 1)}
             table = [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
             return {sub: i for i, sub in enumerate(self.subspaces())}, table
 
@@ -227,13 +244,20 @@ class FlagContext:
     # -- components of the multistep family --------------------------------
 
     def component_dims(self, forgotten) -> tuple:
-        forgotten = tuple(sorted(forgotten))
-        if any(not 1 <= i <= self.n - 1 for i in forgotten):
-            raise ValueError(f"forgotten steps {forgotten} outside 1..{self.n - 1}")
-        kept = sorted(set(range(1, self.n)) - set(forgotten))
-        if len(kept) > self.d - 1:
-            raise ValueError(f"component {forgotten} needs more than {self.d} steps")
-        return tuple(kept) + (self.n,) * (self.d - len(kept))
+        """Step dimensions of the component forgetting the given steps;
+        memoised, since every ``space_id`` of a component asks for them."""
+        forgotten = tuple(forgotten)
+
+        def build():
+            steps = tuple(sorted(forgotten))
+            if any(not 1 <= i <= self.n - 1 for i in steps):
+                raise ValueError(f"forgotten steps {steps} outside 1..{self.n - 1}")
+            kept = sorted(set(range(1, self.n)) - set(steps))
+            if len(kept) > self.d - 1:
+                raise ValueError(f"component {steps} needs more than {self.d} steps")
+            return tuple(kept) + (self.n,) * (self.d - len(kept))
+
+        return self._memo(("dims", forgotten), build)
 
     def valid_components(self) -> tuple:
         def build():
@@ -279,29 +303,31 @@ class FlagContext:
         """Sorted labels, one representative pair per label, and the label
         positions: row i, column j holds the position in the labels of the
         pair (i-th left point, j-th right point).  Each row is an unsigned
-        ``array``, 2 bytes an entry up to 65,536 labels and 4 beyond."""
+        ``array``, 2 bytes an entry up to 65,536 labels and 4 beyond.
+        A label is keyed by the codes of its columns; only a row with an
+        unseen key walks its pairs, to record each new label's first pair."""
 
         def build():
             index, table = self.intersections()
             lefts, rights = self.space_points(key_left), self.space_points(key_right)
-            right_subs = [[index[s] for s in fr] for fr in rights]
+            steps = [[index[s] for s in step] for step in zip(*rights)]
             columns: dict = {}  # one label column (a right subspace against the left flag) -> code
             found: dict = {}  # label as a tuple of column codes -> first position
             reps = []
             rows = []
             for fl in lefts:
-                code = [columns.setdefault(col, len(columns)) for col in zip(*(table[index[s]] for s in fl))]
-                row = []
-                for fr, subs in zip(rights, right_subs):
-                    key = tuple([code[j] for j in subs])
-                    k = found.get(key)
-                    if k is None:
-                        k = found[key] = len(reps)
-                        reps.append((fl, fr))
-                    row.append(k)
-                rows.append(array("I", row))
-            cols = list(columns)
-            labels = [tuple(zip(*(cols[c] for c in key))) for key in found]
+                cols = list(zip(*[table[index[s]] for s in fl]))
+                columns.update(zip(set(cols).difference(columns), itertools.count(len(columns))))
+                code = list(map(columns.__getitem__, cols))
+                keys = list(zip(*[map(code.__getitem__, step) for step in steps]))
+                if not found.keys() >= set(keys):
+                    for fr, key in zip(rights, keys):
+                        if key not in found:
+                            found[key] = len(reps)
+                            reps.append((fl, fr))
+                rows.append(array("I", map(found.__getitem__, keys)))
+            by_code = list(columns)
+            labels = [tuple(zip(*(by_code[c] for c in key))) for key in found]
             order = sorted(range(len(labels)), key=labels.__getitem__)
             pos = sorted(range(len(order)), key=order.__getitem__)
             reps = {labels[k]: reps[k] for k in order}
@@ -325,15 +351,15 @@ class FlagContext:
             mr_cols = list(zip(*mr))
             counts: list = [None] * len(labels_lr)
             for lm_row, lr_row in zip(lm, lr):
-                shifted = [a * width for a in lm_row]
+                shifted = list(map(mul, lm_row, itertools.repeat(width)))
                 for col, c in zip(mr_cols, lr_row):
-                    found = dict(Counter(map(add, shifted, col)))  # plain dicts compare in C
+                    found = sorted(map(add, shifted, col))  # a multiset, compared in C
                     if counts[c] is None:
                         counts[c] = found
                     elif counts[c] != found:
                         raise InternalInvariantError(f"structure constants not constant on label {labels_lr[c]}")
             return {
-                lab: tuple((labels_lm[k // width], labels_mr[k % width], count) for k, count in found.items())
+                lab: tuple((labels_lm[k // width], labels_mr[k % width], count) for k, count in Counter(found).items())
                 for lab, found in zip(labels_lr, counts)
             }
 

@@ -33,7 +33,6 @@ by a triangular recursion over descent classes.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -215,12 +214,29 @@ def _commutator_rows(mats, m):
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclasses.dataclass
 class Report:
-    claim: str
-    status: str
-    dims: dict
-    mismatches: list
+    """Outcome of one check: its claim, "pass" or "fail", the dimensions it
+    measured and one record per mismatch found."""
+
+    __slots__ = ("claim", "status", "dims", "mismatches")
+    __hash__ = None  # mutable, and equal by value
+
+    def __init__(self, claim: str, status: str, dims: dict, mismatches: list):
+        self.claim = claim
+        self.status = status
+        self.dims = dims
+        self.mismatches = mismatches
+
+    def _fields(self) -> tuple:
+        return self.claim, self.status, self.dims, self.mismatches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Report(claim=%r, status=%r, dims=%r, mismatches=%r)" % self._fields()
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,6 @@
 """Reference forms of convolution, of the forgetting-map operations and
-of the operator matrices built from them.
+of the operator matrices built from them, and of the flag tables and the
+exact rank underneath.
 
 These are the per-pair forms: each one sums at every pair of points and
 insists the result is constant on each orbit label.  The package computes
@@ -7,10 +8,22 @@ the same functions from structure constants and from the indicator of the
 forgetting map's graph; the differential tests compare the two.  The
 operator matrix reference applies one convolution per basis label, and the
 coset table reference counts over the fibers of the forgetting map.
+
+The flag-table references are the per-cell builds: subspaces by one
+row reduction per (subspace, vector) pair, subspace masks by a loop over
+coefficient tuples, and label positions by one dict lookup per pair of
+points.  ``IntRowSpace``, a dense fraction-free row space, is the
+reference for the sparse ``linalg.int_rank``.
 """
+
+import itertools
+from array import array
+from math import gcd
+from typing import Sequence
 
 from affhecke import OrbitFunction
 from affhecke.errors import DomainMismatchError, InternalInvariantError
+from affhecke.flags import span_of
 from affhecke.oracle import perm_label
 from affhecke.weyl import finite_permutations
 
@@ -134,3 +147,132 @@ def theta_table_reference(ctx, forgotten):
     if bad:
         raise InternalInvariantError(f"coset multiplicities do not sum to the fiber size: {bad}")
     return table
+
+
+# -- flag tables ---------------------------------------------------------------
+
+
+def subspaces_reference(ctx):
+    """Every subspace, grown by spanning each one with each vector."""
+    found = {(): None}
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for v in ctx.vectors():
+                grown = span_of(sub + (v,), ctx.q)
+                if len(grown) == len(sub) + 1 and grown not in found:
+                    found[grown] = None
+                    nxt.append(grown)
+        frontier = nxt
+    return tuple(sorted(found))
+
+
+def intersections_reference(ctx):
+    """Subspace positions and intersection dimensions, each subspace's
+    vector mask built from every tuple of coefficients on its basis."""
+    q, n = ctx.q, ctx.n
+    bit = {v: 1 << i for i, v in enumerate(ctx.vectors())}
+    masks = []
+    for sub in ctx.subspaces():
+        mask = 0
+        for coeffs in itertools.product(range(q), repeat=len(sub)):
+            mask |= bit[tuple(sum(c * row[k] for c, row in zip(coeffs, sub)) % q for k in range(n))]
+        masks.append(mask)
+    dim_of = {q**k: k for k in range(n + 1)}
+    table = [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
+    return {sub: i for i, sub in enumerate(ctx.subspaces())}, table
+
+
+def label_table_reference(ctx, key_left, key_right):
+    """Sorted labels, first representatives and label positions, one dict
+    lookup per pair of points."""
+    index, table = ctx.intersections()
+    lefts, rights = ctx.space_points(key_left), ctx.space_points(key_right)
+    right_subs = [[index[s] for s in fr] for fr in rights]
+    columns: dict = {}
+    found: dict = {}
+    reps = []
+    rows = []
+    for fl in lefts:
+        code = [columns.setdefault(col, len(columns)) for col in zip(*(table[index[s]] for s in fl))]
+        row = []
+        for fr, subs in zip(rights, right_subs):
+            key = tuple([code[j] for j in subs])
+            k = found.get(key)
+            if k is None:
+                k = found[key] = len(reps)
+                reps.append((fl, fr))
+            row.append(k)
+        rows.append(array("I", row))
+    cols = list(columns)
+    labels = [tuple(zip(*(cols[c] for c in key))) for key in found]
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    pos = sorted(range(len(order)), key=order.__getitem__)
+    reps = {labels[k]: reps[k] for k in order}
+    typecode = "H" if len(labels) <= 1 << 16 else "I"
+    return tuple(reps), reps, [array(typecode, map(pos.__getitem__, row)) for row in rows]
+
+
+# -- exact rank ----------------------------------------------------------------
+
+
+class IntRowSpace:
+    """Row space over the integers, fraction-free, for rank counting.
+
+    Rows are cross-multiplied instead of divided, then stripped by their
+    gcd, so entries stay integral and reasonably small.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    @staticmethod
+    def _strip(vec: list[int]) -> list[int]:
+        g = 0
+        for x in vec:
+            g = gcd(g, x)
+            if g == 1:
+                break
+        if g > 1:
+            vec = [x // g for x in vec]
+        lead = next((x for x in vec if x), 0)
+        return [-x for x in vec] if lead < 0 else vec
+
+    def _eliminate(self, vec: list[int], pc: int, base: list[int]) -> list[int]:
+        a, b = vec[pc], base[pc]
+        g = gcd(a, b)
+        am, bm = b // g, a // g
+        return self._strip([am * x - bm * y for x, y in zip(vec, base)])
+
+    def add(self, row: Sequence[int]) -> bool:
+        vec = self._strip([int(x) for x in row])
+        for r, pc in enumerate(self.pivots):
+            if vec[pc]:
+                vec = self._eliminate(vec, pc, self.rows[r])
+        pc = next((c for c, x in enumerate(vec) if x), None)
+        if pc is None:
+            return False
+        for r in range(len(self.rows)):
+            if self.rows[r][pc]:
+                self.rows[r] = self._eliminate(self.rows[r], pc, vec)
+        at = next((k for k, c in enumerate(self.pivots) if c > pc), len(self.pivots))
+        self.rows.insert(at, vec)
+        self.pivots.insert(at, pc)
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def int_rank_reference(rows) -> int:
+    rows = list(rows)
+    if not rows:
+        return 0
+    space = IntRowSpace(len(rows[0]))
+    for row in rows:
+        space.add(row)
+    return space.dim

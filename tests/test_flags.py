@@ -182,6 +182,12 @@ def test_component_dims():
     assert ctx.component_dims((1,)) == (2, 3)
     assert ctx.component_dims((2,)) == (1, 3)
     assert ctx.component_dims((1, 2)) == (3, 3)
+    assert ctx.component_dims([2, 1]) == (3, 3)
+    for _ in range(2):  # a refused component is refused on every call
+        with pytest.raises(ValueError, match="needs more than"):
+            ctx.component_dims(())
+        with pytest.raises(ValueError, match="outside"):
+            ctx.component_dims((3,))
 
 
 def test_forgetting_map_lands_in_the_component():

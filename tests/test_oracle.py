@@ -1,18 +1,24 @@
 """Convolution algebras over small finite fields against the generic algebra."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from affhecke import (
     AffinePerm,
     OrbitFunction,
+    Report,
     bicommutant_check,
     im_psi_check,
     lift_family,
     lift_trials,
+    oracle,
     t_basis,
     verify_hecke_iso,
 )
@@ -184,6 +190,25 @@ def test_bicommutant_square_case():
     assert dims["dim right algebra"] == dims["centralizer of left action"]
 
 
+def test_bicommutant_rank_3_square_case():
+    cap = 60
+    start = time.perf_counter()
+    report = bicommutant_check(3, 3, 2)
+    elapsed = time.perf_counter() - start
+    assert report.ok, report.to_json()
+    assert report.dims == {
+        "dim left algebra": 165,
+        "dim right algebra": 6,
+        "dim mixed space": 27,
+        "rank of left action": 165,
+        "rank of right action": 6,
+        "centralizer of left action": 6,
+        "centralizer of right action": 165,
+        "kernel of right action": 0,
+    }
+    assert elapsed < cap, "runtime %.2fs exceeds the %ds cap" % (elapsed, cap)
+
+
 def test_bicommutant_truncated_case_has_kernel():
     report = bicommutant_check(3, 2, 2)
     assert report.ok
@@ -232,3 +257,22 @@ def test_report_json_schema():
     blob = verify_hecke_iso(2, 2).to_json()
     assert set(blob) == {"claim", "status", "dims", "mismatches"}
     assert blob["status"] in ("pass", "fail")
+
+
+def test_report_is_a_plain_value():
+    a = Report(claim="c", status="pass", dims={"k": 1}, mismatches=[])
+    assert a == Report(claim="c", status="pass", dims={"k": 1}, mismatches=[])
+    assert a != Report(claim="c", status="fail", dims={"k": 1}, mismatches=[{}])
+    assert a.__eq__(a.to_json()) is NotImplemented
+    assert repr(a) == "Report(claim='c', status='pass', dims={'k': 1}, mismatches=[])"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_import_leaves_the_introspection_modules_unloaded():
+    src = str(Path(oracle.__file__).parents[1])
+    code = "import sys, affhecke; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,7 +1,7 @@
 """Convolution by structure constants, the forgetting maps by graph
-convolution and the operator matrices read off the structure constants,
-against the reference forms in oracle_reference; and the label-constancy
-and pushforward guards firing."""
+convolution, the operator matrices read off the structure constants and
+the flag tables under them, against the reference forms in
+oracle_reference; and the label-constancy and pushforward guards firing."""
 
 import functools
 import itertools
@@ -26,8 +26,11 @@ from affhecke.oracle import (
 from oracle_reference import (
     convolve_reference,
     fiber_indicator_reference,
+    intersections_reference,
+    label_table_reference,
     operator_matrix_reference,
     psi_reference,
+    subspaces_reference,
     theta_between_reference,
     theta_reference,
     theta_table_reference,
@@ -49,6 +52,29 @@ def context(setting):
 
 def spaces(ctx):
     return ["X", "Y"] + [("YI", forgotten) for forgotten in ctx.valid_components()]
+
+
+# -- flag tables ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)])
+def test_subspaces_and_intersections_match_reference(n, q):
+    ctx = FlagContext(n, q, 1)
+    assert ctx.subspaces() == subspaces_reference(ctx)
+    assert ctx.intersections() == intersections_reference(ctx)
+
+
+@pytest.mark.parametrize("setting", [(2, 3, 3), (3, 2, 2), (3, 3, 2), (4, 1, 2)])
+def test_label_tables_match_reference(setting):
+    n, d, q = setting
+    ctx = FlagContext(n, q, d)
+    for left, right in itertools.product(spaces(ctx), repeat=2):
+        labels, reps, rows = ctx.label_table(left, right)
+        ref_labels, ref_reps, ref_rows = label_table_reference(ctx, left, right)
+        assert labels == ref_labels
+        assert list(reps.items()) == list(ref_reps.items())
+        assert rows == ref_rows
+        assert [row.typecode for row in rows] == [row.typecode for row in ref_rows]
 
 
 VALUES = {
