@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from collections import Counter
 from operator import add, mul
 
@@ -308,6 +307,8 @@ class FlagContext:
         unseen key walks its pairs, to record each new label's first pair."""
 
         def build():
+            from array import array
+
             index, table = self.intersections()
             lefts, rights = self.space_points(key_left), self.space_points(key_right)
             steps = [[index[s] for s in step] for step in zip(*rights)]

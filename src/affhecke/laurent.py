@@ -14,7 +14,6 @@ a given coefficient bound.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -183,6 +182,8 @@ class LaurentPoly:
 
     def specialize_q(self, q) -> Fraction:
         """Evaluate at v^-2 = q.  Requires all exponents even."""
+        from fractions import Fraction
+
         total = Fraction(0)
         q = Fraction(q)
         for exp, coef in self._c.items():
@@ -244,6 +245,12 @@ def slot_width(bound: int) -> int:
 def kronecker_pack(p: LaurentPoly, base: int, width: int) -> int:
     """sum_e c_e 2^(width (e - base)); every exponent must be >= base."""
     return sum(c << (width * (e - base)) for e, c in p._c.items())
+
+
+def kronecker_pack_bar(p: LaurentPoly, top: int, width: int) -> int:
+    """``kronecker_pack(p.bar(), -top, width)`` without building p.bar();
+    every exponent must be <= top."""
+    return sum(c << (width * (top - e)) for e, c in p._c.items())
 
 
 def kronecker_unpack(value: int, base: int, width: int) -> LaurentPoly:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from operator import mul
 
 from . import hecke, linalg, weyl
@@ -470,6 +469,8 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
     solved by a triangular recursion through its descent component.  The
     result is verified to push forward onto the family exactly.
     """
+    from fractions import Fraction
+
     n, d = ctx.n, ctx.d
     valid = ctx.valid_components()
     if set(family) != set(valid):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from affhecke.canonical import clear_bar_table
 from affhecke.flags import shared_context
 
 
@@ -12,3 +13,12 @@ def fresh_shared_contexts():
     shared_context.cache_clear()
     yield
     shared_context.cache_clear()
+
+
+@pytest.fixture
+def fresh_bar_table():
+    """The bar involution's shared inverse table starts empty and is freed
+    after the test, so test order cannot hide a stale entry."""
+    clear_bar_table()
+    yield
+    clear_bar_table()

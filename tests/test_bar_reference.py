@@ -1,11 +1,12 @@
-"""Inverse letter steps and the shared-suffix bar involution against the
-product-based reference forms in hecke_reference."""
+"""Inverse letter steps and the bar involution with its shared inverse
+table against the product-based reference forms in hecke_reference."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from affhecke import HeckeElt, LaurentPoly, bar_involution, invert_t, t_basis
+from affhecke import AffinePerm, HeckeElt, LaurentPoly, bar_involution, canonical, hecke, invert_t, t_basis
 from affhecke.weyl import RHO, RHO_INV, Word
 from weyl_helpers import elements_ball
 from hecke_reference import bar_involution_reference, invert_t_reference
@@ -15,13 +16,18 @@ def alphabet(n):
     return list(range(n)) + [RHO, RHO_INV]
 
 
+BIG = 2**40
+
+
 @st.composite
-def elements(draw):
-    """Random elements at n in {2,3,4}; rho letters give terms of nonzero degree."""
+def elements(draw, scales=(1,)):
+    """Random elements at n in {2,3,4}; rho letters give terms of nonzero
+    degree.  Coefficients are at most 3 in size times one of ``scales``."""
     n = draw(st.sampled_from((2, 3, 4)))
     words = st.lists(st.sampled_from(alphabet(n)), max_size=8)
+    scale = draw(st.sampled_from(scales))
     coeffs = st.dictionaries(
-        st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=2
+        st.integers(-3, 3), st.integers(-3, 3).filter(bool).map(scale.__mul__), min_size=1, max_size=2
     )
     terms = draw(st.lists(st.tuples(words, coeffs), min_size=1, max_size=5))
     return HeckeElt(n, [(Word(n, w).to_perm(), LaurentPoly(c)) for w, c in terms])
@@ -48,10 +54,72 @@ def test_right_letter_inverse_undoes_right_letter(a):
         assert a.right_letter_inverse(letter).right_letter(letter) == a
 
 
-def test_bar_matches_reference_on_a_whole_ball():
-    # every term's word shares suffixes with others, so the memo is hit
+def test_bar_matches_reference_on_a_whole_ball(fresh_bar_table):
+    # every term's word shares suffixes with others, so the table is hit
     rng = random.Random(5)
     a = HeckeElt(3)
     for w in elements_ball(3, 4, 1):
         a = a + t_basis(w).scale(LaurentPoly({rng.randint(-3, 3): rng.randint(1, 3)}))
     assert bar_involution(a) == bar_involution_reference(a)
+
+
+# -- the shared inverse table -------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(elements(scales=(1, 1, BIG, -BIG)), min_size=2, max_size=6))
+def test_bar_call_sequences_match_reference(seq):
+    # ranks 2, 3 and 4 interleave, and a wide call may open a wide bucket
+    # between narrow ones; every call reads what the earlier ones stored
+    canonical.clear_bar_table()
+    for a in seq:
+        assert bar_involution(a) == bar_involution_reference(a)
+
+
+def test_wide_coefficients_open_a_wide_bucket(fresh_bar_table):
+    rng = random.Random(3)
+    ball = elements_ball(3, 4, 1)
+    small = HeckeElt(3, [(w, LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)})) for w in ball])
+    wide = HeckeElt(3, [(w, LaurentPoly({0: BIG, 1: -BIG})) for w in ball[::2]])
+    for a in (wide, small, wide.scale(-1), small + t_basis(ball[-1]), small):
+        assert bar_involution(a) == bar_involution_reference(a)
+    widths = sorted(width for n, width in canonical._TABLE.buckets)
+    assert widths[0] <= 32 and widths[-1] >= 64
+
+
+def test_stored_lengths_are_the_lengths(fresh_bar_table):
+    # the slot width rests on l(u) read from the table; the bound is loose
+    # enough that a short length would rarely show in an output
+    for n in (2, 3, 4):
+        bar_involution(HeckeElt(n, [(w, LaurentPoly({0: 1})) for w in elements_ball(n, 4, 1)]))
+        lengths = canonical._TABLE.lengths[n]
+        assert lengths and all(AffinePerm(n, t).length() == k for t, k in lengths.items())
+
+
+def test_repeated_bar_takes_no_letter_steps(fresh_bar_table, monkeypatch):
+    taken = []
+    step = hecke._step_inverse
+    monkeypatch.setattr(hecke, "_step_inverse", lambda *args: taken.append(1) or step(*args))
+    a = HeckeElt(3, [(w, LaurentPoly({1: 2, 3: -1})) for w in elements_ball(3, 3, 1)])
+    first = bar_involution(a)
+    assert taken
+    taken.clear()
+    assert bar_involution(a) == first == bar_involution_reference(a)
+    assert taken == []
+
+
+@pytest.mark.parametrize("cap", [2, 40, 300])
+def test_a_small_cap_clears_the_table_and_keeps_the_outputs(fresh_bar_table, monkeypatch, cap):
+    monkeypatch.setattr(canonical, "BAR_TABLE_CAP", cap)
+    clears = []
+    clear = canonical._TABLE.clear
+    monkeypatch.setattr(canonical._TABLE, "clear", lambda: clears.append(clear()))
+    rng = random.Random(cap)
+    balls = {n: elements_ball(n, 4, 1) for n in (2, 3, 4)}
+    for _ in range(12):
+        n = rng.choice((2, 3, 4))
+        terms = rng.sample(balls[n], min(6, len(balls[n])))
+        a = HeckeElt(n, [(w, LaurentPoly({rng.randint(-3, 3): rng.choice((1, -2, BIG))})) for w in terms])
+        assert bar_involution(a) == bar_involution_reference(a)
+        assert canonical._TABLE.terms <= cap
+    assert clears

@@ -6,6 +6,7 @@ import pytest
 
 from affhecke import (
     AffinePerm,
+    InternalInvariantError,
     IdealSpec,
     LaurentPoly,
     bar_involution,
@@ -18,8 +19,10 @@ from affhecke import (
     quotient_canonical_basis,
     t_basis,
 )
+from affhecke import canonical
 from affhecke.errors import ResourceLimitError
-from affhecke.weyl import finite_permutations
+from affhecke.laurent import v_power
+from affhecke.weyl import coxeter_ball, finite_permutations
 from weyl_helpers import elements_ball
 
 V = LaurentPoly({1: 1})
@@ -78,6 +81,30 @@ def _check_invariants(w, value):
 def test_invariants_on_a_ball():
     for w in elements_ball(3, max_length=4, max_height=1):
         _check_invariants(w, canonical_basis(w).value)
+
+
+def test_self_check_bites_on_a_warm_table(fresh_bar_table, monkeypatch):
+    # the bar check reads inverses that other calls stored; a wrong
+    # coefficient that keeps the leading term and the valuation bound must
+    # still fail it.  The sweep stores about 1,200 terms, so the cap clears.
+    monkeypatch.setattr(canonical, "BAR_TABLE_CAP", 600)
+    clears = []
+    clear = canonical._TABLE.clear
+    monkeypatch.setattr(canonical._TABLE, "clear", lambda: clears.append(clear()))
+    ball = coxeter_ball(3, 6)
+    for w in ball:
+        canonical_basis(w)
+        assert canonical._TABLE.terms <= 600
+    assert clears
+    w = max(ball, key=lambda u: (len(canonical_basis(u).value.terms), u.window))
+    canonical_basis(w)
+    value = canonical._canonical_value(w)  # the cached object canonical_basis reads
+    x = next(x for x in value.terms if x != w)
+    assert x.window in canonical._TABLE.lengths[3]
+    monkeypatch.setitem(value.terms, x, value.terms[x] + v_power(x.length() + 1))
+    with pytest.raises(InternalInvariantError, match="not bar-invariant"):
+        canonical_basis(w)
+    assert canonical._TABLE.terms <= 600
 
 
 def test_rho_twist_compatibility():

@@ -1,9 +1,15 @@
-"""Generated element expressions through ``cli.main`` (``mul``, ``quotient-mul``).
+"""Generated command lines through ``cli.main``.
 
-Atoms, + - * ^, parentheses and exponents up to +-40, plus strings from the
-expression alphabet that are mostly malformed.  Every call keeps the
-command line contract: exit code 0, 2 or 3, nothing on stdout after an
-error, no traceback, and an answer within LIMIT_S seconds.
+Element expressions for ``mul`` and ``quotient-mul``: atoms, + - * ^,
+parentheses and exponents up to +-40, plus strings from the expression
+alphabet that are mostly malformed.  Whole command lines for
+``reduce-word``, ``positive-word``, ``ideal-member`` and ``canonical``:
+windows, partitions and small bounds, mostly well formed, with or without
+``--lambda``/``--tsv``/``--json``, then perhaps cut short, stripped of one
+word or given an unknown flag.  Every call keeps the command line
+contract: exit code 0, 2 or 3, nothing on stdout after an error, no
+traceback, and an answer within LIMIT_S seconds.  (``oracle`` is left
+out: its commutator system has no work guard yet.)
 """
 
 import io
@@ -58,6 +64,51 @@ def requests(draw):
     return ["quotient-mul", "--n", str(n), "--lambda", lam, left, right]
 
 
+def windows(n):
+    # sigma(i) + n*k_i is a valid window, positive when every k_i <= 0; a raw
+    # list mostly repeats a residue
+    shifts = st.lists(st.integers(-3, 1), min_size=n, max_size=n)
+    valid = st.tuples(st.permutations(range(1, n + 1)), shifts).map(lambda t: [s + n * k for s, k in zip(*t)])
+    raw = st.lists(st.integers(-15, 15), min_size=max(1, n - 1), max_size=n + 1)
+    formatted = st.one_of(valid, valid, valid, raw).map(lambda w: "w[%s]" % ",".join(map(str, w)))
+    return st.one_of(formatted, formatted, formatted, st.text(alphabet="w[]-0123456789, ", max_size=12))
+
+
+def partitions(n):
+    parts = st.lists(st.integers(-1, 3), min_size=n, max_size=n + 1)
+    dominant = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(lambda p: sorted(p, reverse=True))
+    return st.one_of(dominant, dominant, parts).map(lambda p: ",".join(map(str, p)))
+
+
+@st.composite
+def command_lines(draw):
+    n = draw(st.integers(1, 4))
+    command = draw(st.sampled_from(("reduce-word", "positive-word", "ideal-member", "canonical")))
+    argv = [command, "--n", draw(st.sampled_from((str(n),) * 10 + ("0", "-1", "x")))]
+    if command != "canonical":
+        argv.append(draw(windows(n)))
+    if command in ("ideal-member", "canonical"):
+        for _ in range(draw(st.integers(command == "ideal-member", 2))):
+            argv += ["--lambda", draw(partitions(n))]
+    if command == "canonical":
+        argv += ["--max-length", draw(st.sampled_from(("0", "1", "2", "3", "4", "-1", "25", "x")))]
+        if draw(st.booleans()):
+            argv += ["--min-degree", draw(st.sampled_from(("0", "-1", "-2", "2", "y")))]
+        if draw(st.booleans()):
+            argv.append("--tsv")
+    if draw(st.booleans()):
+        argv.append("--json")
+    damage = draw(st.sampled_from(("none", "none", "none", "cut", "drop", "unknown")))
+    at = draw(st.integers(0, len(argv)))
+    if damage == "cut":  # often leaves a flag without its value
+        argv = argv[:at]
+    elif damage == "drop":
+        argv = argv[:at] + argv[at + 1:]
+    elif damage == "unknown":
+        argv = argv[:at] + [draw(st.sampled_from(("--bogus", "--max-length", "--lambda=", "-x", "--n=")))] + argv[at:]
+    return argv
+
+
 def call(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -69,11 +120,21 @@ def call(argv):
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
-@SETTINGS
-@given(requests())
-def test_generated_requests_keep_the_contract(argv):
+def keeps_the_contract(argv):
     code, out, err, seconds = call(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert code == 0 or out == ""
     assert "Traceback" not in err
     assert seconds < LIMIT_S, (argv, seconds)
+
+
+@SETTINGS
+@given(requests())
+def test_generated_requests_keep_the_contract(argv):
+    keeps_the_contract(argv)
+
+
+@SETTINGS
+@given(command_lines())
+def test_generated_command_lines_keep_the_contract(argv):
+    keeps_the_contract(argv)

@@ -269,10 +269,20 @@ def test_report_is_a_plain_value():
         hash(a)
 
 
-def test_import_leaves_the_introspection_modules_unloaded():
+def _loaded_by_import(names):
+    """Which of ``names`` a fresh interpreter has in sys.modules after ``import affhecke``."""
     src = str(Path(oracle.__file__).parents[1])
-    code = "import sys, affhecke; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import sys, affhecke; print(sorted(set(%r) & set(sys.modules)))" % (sorted(names),)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_leaves_the_introspection_modules_unloaded():
+    assert _loaded_by_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_leaves_fractions_decimal_and_array_unloaded():
+    # Fraction is imported by specialize_q and lift_family, array by label_table
+    assert _loaded_by_import({"fractions", "decimal", "array"}) == "[]\n"
