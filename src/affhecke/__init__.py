@@ -23,6 +23,7 @@ from .laurent import LaurentPoly
 from .weyl import AffinePerm, Word
 from .hecke import (
     HeckeElt,
+    bar_involution,
     invert_t,
     one,
     t_basis,
@@ -46,7 +47,6 @@ from .quotients import (
 )
 from .canonical import (
     CanonicalElt,
-    bar_involution,
     canonical_basis,
     mu_coefficient,
     positive_canonical_basis,

@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from . import canonical, oracle, parsing, quotients
+from . import canonical, oracle, parsing, quotients, weyl
 from .laurent import LaurentPoly
 from .errors import (
     ElementParseError,
@@ -127,7 +127,10 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def _word_lines(args, word) -> tuple[list[str], int]:
+def _word_lines(args, walk) -> tuple[list[str], int]:
+    w = parsing.parse_perm(args.n, args.window)
+    parsing.WorkBudget().charge_words([w])  # before ``walk`` takes l(w) letter steps
+    word = walk(w)
     if args.json:
         letters = ["s%d" % a if isinstance(a, int) else a for a in word.letters]
         return [_dump({"letters": letters, "count": len(word)})], 0
@@ -141,17 +144,16 @@ def _cmd_mul(args) -> tuple[list[str], int]:
         product = budget.mul(product, parsing.parse_element(args.n, text, budget))
     if args.json:
         return [_dump(product.to_json())], 0
+    budget.charge_words(product.terms)  # the text names each term by a reduced word
     return [str(product)], 0
 
 
 def _cmd_reduce_word(args) -> tuple[list[str], int]:
-    w = parsing.parse_perm(args.n, args.window)
-    return _word_lines(args, w.reduced_word())
+    return _word_lines(args, weyl.AffinePerm.reduced_word)
 
 
 def _cmd_positive_word(args) -> tuple[list[str], int]:
-    w = parsing.parse_perm(args.n, args.window)
-    return _word_lines(args, w.positive_reduced_word())
+    return _word_lines(args, weyl.AffinePerm.positive_reduced_word)
 
 
 def _spec(args) -> quotients.IdealSpec:
@@ -204,6 +206,7 @@ def _cmd_quotient_mul(args) -> tuple[list[str], int]:
     product = quotients.quotient_mul(left, right)
     if args.json:
         return [_dump(product.to_json())], 0
+    budget.charge_words(product.rep.terms)
     return [str(product)], 0
 
 

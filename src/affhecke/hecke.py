@@ -17,10 +17,10 @@ on translations.  Only X_1 is itself a single term; every X_i has positive
 support.
 
 Letter steps in both directions, products, inverses and the bar involution
-of ``canonical`` all run in one packed kernel.  An operation packs its
-operands once, as dicts from window tuple to one int per coefficient,
-sum_e c_e 2^(B (e - e0)) with balanced digits (``laurent.kronecker_pack``),
-and unpacks its result once.  On windows, s_i (i >= 1) swaps two slots,
+all run in one packed kernel.  An operation packs its operands once, as
+dicts from window tuple to one int per coefficient, sum_e c_e 2^(B (e - e0))
+with balanced digits (``laurent.kronecker_pack``), and unpacks its result
+once.  On windows, s_i (i >= 1) swaps two slots,
 s_0 and rho^{+-1} move one value by +-n, and a descent is one comparison.
 On coefficients, v^2 and v^2 - 1 are a shift and a shift with a
 subtraction, and a coefficient product is one int product.  The base e0
@@ -34,6 +34,25 @@ slots this way, so one whose operands have outgrown the last operation's
 slots packs wider; nothing is ever truncated.  Packing is a ring map
 Z[v] -> Z, so the ints stay exact however large intermediate digits grow,
 and only the result has to fit its slots to read back exactly.
+
+The bar involution (semilinear over v -> v^-1, T_w -> (T_{w^-1})^-1) and
+``invert_t`` (T_w^-1 = (T_{x^-1})^-1 at x = w^-1) share those inverse
+steps.  The partial product for a suffix of the reduced word of x^-1 does
+not depend on x, and the suffix is itself the reduced word of u^-1 for one
+element u (x with the stripped letters removed on the right), so the
+window of u names it.  One module-level table, ``_TABLE``, keeps these
+inverses for every call, by rank, slot-width bucket (the call's width
+rounded up to a power of two) and window of u; ``BAR_TABLE_CAP`` bounds
+it and ``clear_bar_table()`` frees it.  A term whose inverse is stored
+costs no letter step, no inverse permutation and no barred polynomial:
+its coefficient is packed barred straight from its exponents
+(``laurent.kronecker_pack_bar``), and its contribution is one int product
+per term of the inverse.  Any other term runs the inverse letter steps in
+front of its longest stored suffix and stores each result.  A stored
+inverse is the exact value of its polynomials at v = 2^B whichever call
+computed it, so a result reads back exactly once its coefficients fit
+B-bit slots; the bounds in ``bar_involution`` and ``invert_t`` guarantee
+that for the call's width, and the bucket's B is at least as wide.
 """
 
 from __future__ import annotations
@@ -49,11 +68,12 @@ from .laurent import (
     V2,
     LaurentPoly,
     kronecker_pack,
+    kronecker_pack_bar,
     kronecker_unpack,
     slot_width,
     v_power,
 )
-from .weyl import RHO, RHO_INV, AffinePerm
+from .weyl import RHO, RHO_INV, AffinePerm, Word
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,7 +171,7 @@ class HeckeElt:
 
     def right_letter(self, letter) -> "HeckeElt":
         """Multiply on the right by T of a single generator letter."""
-        return _letter_steps(self, (letter,), _step)
+        return self * t_basis(Word(self.n, (letter,)).to_perm())
 
     def right_letter_inverse(self, letter) -> "HeckeElt":
         """Multiply on the right by the inverse of T of a single generator letter.
@@ -159,7 +179,7 @@ class HeckeElt:
         T_w T_{s_i}^-1 = T_{w s_i} if l(w s_i) < l(w), and otherwise
         v^2 T_{w s_i} + (v^2-1) T_w, from T_{s_i}^-1 = v^2 T_{s_i} + (v^2-1).
         """
-        return _letter_steps(self, (letter,), _step_inverse)
+        return self * invert_t(Word(self.n, (letter,)).to_perm())
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -179,7 +199,7 @@ class HeckeElt:
         width = slot_width(_product_bound(self, other, lengths))
         shift = 2 * width
         base_a, base_b = _valuation(self), _valuation(other)
-        packed = _pack(self, base_a, width)
+        packed = {w.window: kronecker_pack(c, base_a, width) for w, c in self.terms.items()}
         total: dict[tuple, int] = {}
         get = total.get
         for letters, c, k in zip(words, other.terms.values(), lengths):
@@ -189,7 +209,7 @@ class HeckeElt:
             factor = kronecker_pack(c, base_b, width) << (shift * (top - k))
             for t, p in cur.items():
                 total[t] = get(t, 0) + p * factor
-        return _unpack(n, total, base_a + base_b - 2 * top, width, self)
+        return _unpack(n, total.items(), base_a + base_b - 2 * top, width, self.terms)
 
     # -- rendering -----------------------------------------------------------------
 
@@ -255,7 +275,6 @@ def _window_step(n: int, letter) -> tuple:
         return (lambda t: t[1:] + (t[0] + n,)), None
     if letter == RHO_INV:
         return (lambda t: (t[-1] - n,) + t[:-1]), None
-    AffinePerm.s(n, letter)  # rejects a letter outside s_0..s_{n-1}
     if letter == 0:
         return (lambda t: (t[-1] - n,) + t[1:-1] + (t[0] + n,)), (n - 1, 0, n)
     order = list(range(n))
@@ -378,37 +397,124 @@ def _valuation(a: HeckeElt) -> int:
     return min(c.valuation() for c in a.terms.values())
 
 
-def _pack(a: HeckeElt, base: int, width: int) -> dict:
-    return {w.window: kronecker_pack(c, base, width) for w, c in a.terms.items()}
-
-
-def _unpack(n: int, terms: dict, base: int, width: int, known: HeckeElt) -> HeckeElt:
-    """The element of the packed terms; a window in ``known``'s support keeps its AffinePerm."""
-    perms = {w.window: w for w in known.terms}
+def _unpack(n: int, pairs: Iterable, base: int, width: int, known: Iterable[AffinePerm]) -> HeckeElt:
+    """The element of the packed (window, int) pairs, reusing the AffinePerms in ``known``."""
+    perms = {w.window: w for w in known}
     out = HeckeElt.__new__(HeckeElt)
     out.n = n
     out.terms = {
         perms.get(t) or AffinePerm._trusted(n, t): kronecker_unpack(p, base, width)
-        for t, p in terms.items()
+        for t, p in pairs
         if p
     }
     return out
 
 
-def _letter_steps(a: HeckeElt, letters: Iterable, step) -> HeckeElt:
-    """a times T (``step=_step``) or T^-1 (``_step_inverse``) of each letter in turn."""
-    letters = tuple(letters)
-    n = a.n
-    coxeter = _coxeter_count(letters)
-    height = max((c.height() for c in a.terms.values()), default=0)
-    width = slot_width(3**coxeter * height)
-    base = _valuation(a) if a.terms else 0
-    terms = _pack(a, base, width)
+BAR_TABLE_CAP = 1 << 15  # the most (window, int) pairs the shared inverse table holds
+
+
+class _InverseTable:
+    """The packed inverses (T_{u^-1})^-1 that ``invert_t`` and ``bar_involution`` share.
+
+    ``buckets[n, width]`` maps the window of u to the inverse packed at that
+    slot width, base 0, as parallel tuples (windows, ints); ``windows[n]``
+    keeps one tuple per window met at rank n, so every inverse refers to the
+    same window objects.  ``terms`` counts the stored (window, int) pairs
+    and never passes ``BAR_TABLE_CAP``: an inverse that would pass it first
+    clears the whole table, and one larger than the cap is not stored.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.buckets: dict = {}
+        self.windows: dict = {}
+        self.terms = 0
+
+    def store(self, n: int, width: int, u: tuple, inv: dict) -> tuple:
+        """Keep the packed inverse ``inv`` for the window u, first clearing the
+        whole table if it would pass the cap (an inverse larger than the cap
+        is not kept); returns it as (windows, ints)."""
+        size = len(inv)
+        if size > BAR_TABLE_CAP:
+            return tuple(inv), tuple(inv.values())
+        if self.terms + size > BAR_TABLE_CAP:
+            self.clear()
+        windows = self.windows.setdefault(n, {})
+        entry = tuple(map(windows.setdefault, inv, inv)), tuple(inv.values())
+        self.buckets.setdefault((n, width), {})[windows.setdefault(u, u)] = entry
+        self.terms += size
+        return entry
+
+
+_TABLE = _InverseTable()
+
+
+def clear_bar_table() -> None:
+    """Free the inverses ``invert_t`` and ``bar_involution`` keep between calls."""
+    _TABLE.clear()
+
+
+def _bucket_width(bound: int) -> int:
+    """The slot width for coefficients up to ``bound``, rounded up to a power
+    of two: the table's bucket."""
+    return 1 << (slot_width(bound) - 1).bit_length()
+
+
+def _inverse(w: AffinePerm, width: int) -> tuple:
+    """The packed (T_{w^-1})^-1 at ``width``, as (windows, ints).
+
+    With letters the reduced word of w^-1, the suffix letters[j:] is the
+    reduced word of u_j^-1, where u_0 = w and u_{j+1} = u_j letters[j]; its
+    inverse T-product is the stored inverse of u_{j+1} times the inverse of
+    T_{letters[j]}.  Only the steps in front of the longest stored suffix
+    run, and each stores its result.
+    """
+    n = w.n
+    table = _TABLE.buckets.get((n, width), {})
+    letters = _reduced_letters(w.inverse())
+    path = []
+    t = w.window
     for letter in letters:
-        terms = step(terms, n, letter, 2 * width)
-    if step is _step:
-        base -= 2 * coxeter
-    return _unpack(n, terms, base, width, a)
+        if t in table:
+            break
+        path.append(t)
+        t = _window_step(n, letter)[0](t)
+    entry = table.get(t) or ((t,), (1,))  # only the empty suffix is never stored
+    if path:
+        inv = dict(zip(*entry))
+        shift = 2 * width
+        for j in range(len(path) - 1, -1, -1):
+            inv = _step_inverse(inv, n, letters[j], shift)
+            entry = _TABLE.store(n, width, path[j], inv)
+    return entry
+
+
+def bar_involution(a: HeckeElt) -> HeckeElt:
+    """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1.
+
+    Each term c T_w adds bar(c) (T_{w^-1})^-1, read from the shared table
+    (see the module docstring).  The inverse for w has coefficients at most
+    3^l(w); with the 1-norms of the coefficients that bounds the result and
+    sets the slot width, rounded up to a power of two to pick the table's
+    bucket.  A stored inverse is the exact value of its polynomials at
+    v = 2^width, so reading the result back needs only that bound.
+    """
+    n = a.n
+    if not a.terms:
+        return HeckeElt(n)
+    width = _bucket_width(sum(3 ** w.length() * c.norm1() for w, c in a.terms.items()))
+    top = max(c.degree() for c in a.terms.values())
+    table = _TABLE.buckets.setdefault((n, width), {})
+    out: dict[tuple, int] = {}
+    get = out.get
+    for w, c in a.terms.items():
+        windows, ints = table.get(w.window) or _inverse(w, width)
+        factor = kronecker_pack_bar(c, top, width)
+        for t, p in zip(windows, ints):
+            out[t] = get(t, 0) + p * factor
+    return _unpack(n, out.items(), -top, width, a.terms)
 
 
 # -- basis elements ------------------------------------------------------------
@@ -431,8 +537,9 @@ def t_tilde(w: AffinePerm) -> HeckeElt:
 
 
 def invert_t(w: AffinePerm) -> HeckeElt:
-    """The inverse of T_w: one inverse letter step per letter of a reduced word."""
-    return _letter_steps(one(w.n), reversed(_reduced_letters(w)), _step_inverse)
+    """The inverse of T_w from the shared table; its coefficients are at most 3^l(w)."""
+    width = _bucket_width(3 ** w.length())
+    return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, (w,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,8 +548,7 @@ def x_element(n: int, i: int) -> HeckeElt:
     if not 1 <= i <= n:
         raise IndexError("X index %d out of range [1,%d]" % (i, n))
     if i == 1:
-        out = _letter_steps(one(n), [*range(1, n), RHO_INV], _step)
-        return out.scale(v_power(1 - n))
+        return HeckeElt(n, {Word(n, [*range(1, n), RHO_INV]).to_perm(): v_power(1 - n)})
     prev = x_element(n, i - 1)
     t_inv = invert_t(AffinePerm.s(n, i - 1))
     return (t_inv * prev * t_inv).scale(V2)
@@ -454,8 +560,8 @@ def x_element_inverse(n: int, i: int) -> HeckeElt:
     if not 1 <= i <= n:
         raise IndexError("X index %d out of range [1,%d]" % (i, n))
     if i == 1:
-        out = _letter_steps(t_basis(AffinePerm.rho(n)), range(n - 1, 0, -1), _step_inverse)
-        return out.scale(v_power(n - 1))
+        (w,) = x_element(n, 1).terms
+        return invert_t(w).scale(v_power(n - 1))
     prev = x_element_inverse(n, i - 1)
     ti = t_basis(AffinePerm.s(n, i - 1))
     return (ti * prev * ti).scale(Q)

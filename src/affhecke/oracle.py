@@ -18,7 +18,9 @@ call.  Before a context is built or looked up, the largest
 structure-constant table a check builds is bounded from the closed-form
 point counts: a table on (left, mid, right) visits |left|·|mid|·|right|
 middle points, and above MAX_TABLE_VISITS the check raises
-ResourceLimitError without enumerating anything.
+ResourceLimitError without enumerating anything.  ``bicommutant_check``
+bounds its dense commutator systems the same way, from closed-form
+dimensions.
 
 The checks exercised here: the orbit algebra on pairs of complete flags
 multiplies like the generic positive algebra with the parameter set to
@@ -34,6 +36,7 @@ by a triangular recursion over descent classes.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from operator import mul
 
@@ -46,8 +49,9 @@ from .errors import (
 )
 from .flags import FlagContext, point_counts, shared_context
 
-# Admits every rank-4 setting over F_2 up to d = 3, whose largest table
-# (Y x Y x X at d = 3) visits about 8.3e7 middle points.
+# Admits the tables of every rank-4 setting over F_2 up to d = 3, whose
+# largest table (Y x Y x X at d = 3) visits about 8.3e7 middle points, and
+# bicommutant_check's commutator systems up to (n, d) = (3, 3) and (4, 2).
 MAX_TABLE_VISITS = 100_000_000
 
 
@@ -254,12 +258,12 @@ def _finish(claim: str, dims: dict, mismatches: list) -> Report:
     return Report(claim=claim, status="pass" if not mismatches else "fail", dims=dims, mismatches=mismatches)
 
 
-def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
-    """The shared context of (n, q, d), once every structure-constant table
-    the caller builds is under MAX_TABLE_VISITS.  ``triples`` names the
-    (left, mid, right) spaces of those tables by "X" and "Y"; a component
-    counts as "Y", whose points it is a subset of.  The test suite records
-    the tables each check builds and holds them to these names."""
+def _check_tables(n: int, q: int, d: int, triples: tuple) -> None:
+    """ResourceLimitError unless every structure-constant table the caller
+    builds is under MAX_TABLE_VISITS.  ``triples`` names the (left, mid,
+    right) spaces of those tables by "X" and "Y"; a component counts as
+    "Y", whose points it is a subset of.  The test suite records the tables
+    each check builds and holds them to these names."""
     size = dict(zip("XY", point_counts(n, q, d)))
     visits = max(size[a] * size[b] * size[c] for a, b, c in triples)
     if visits > MAX_TABLE_VISITS:
@@ -267,6 +271,11 @@ def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
             "oracle tables at n=%d, q=%d, d=%d may visit %d middle points, above the cap %d"
             % (n, q, d, visits, MAX_TABLE_VISITS)
         )
+
+
+def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
+    """The shared context of (n, q, d), once its tables pass ``_check_tables``."""
+    _check_tables(n, q, d, triples)
     return shared_context(n, q, d)
 
 
@@ -319,8 +328,18 @@ def bicommutant_check(n: int, d: int, q: int) -> Report:
     """Compare both convolution actions on the mixed space with each
     other's centralizer.  At d >= n both actions fill their centralizer
     exactly; at d < n the right action is checked to surject with a
-    nonzero kernel."""
-    ctx = _context(n, q, d, ("YYX", "YXX"))
+    nonzero kernel.  Its dense commutator systems, (operators) * (d^n)^4
+    entries for C(d^2+n-1, n) left and n! right operators, are bounded by
+    MAX_TABLE_VISITS before any table is built."""
+    triples = ("YYX", "YXX")
+    _check_tables(n, q, d, triples)  # first: it also rejects (n, q, d) out of range
+    entries = max(math.comb(d * d + n - 1, n), math.factorial(n)) * d ** (4 * n)
+    if entries > MAX_TABLE_VISITS:
+        raise ResourceLimitError(
+            "commutator systems at n=%d, d=%d may hold %d entries, above the cap %d"
+            % (n, d, entries, MAX_TABLE_VISITS)
+        )
+    ctx = _context(n, q, d, triples)
     dim_a = len(basis_labels(ctx, "Y", "Y"))
     dim_b = len(basis_labels(ctx, "X", "X"))
     dim_c = len(basis_labels(ctx, "Y", "X"))

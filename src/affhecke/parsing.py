@@ -23,11 +23,12 @@ A negative power's basis inverse is charged the coarse estimate of the
 product 1*T_w, or the same dry run along the inverse letter steps it
 takes (``hecke.inverse_steps``).  The charges of one request add up, and
 the product that would take the total above MAX_PRODUCT_WORK raises
-ResourceLimitError before it starts.  So does a
+ResourceLimitError before it starts.  Walking or printing a reduced word
+is charged l(w) letter steps first (``WorkBudget.charge_words``).  A
 product whose packed coefficients (exponent span times the kernel's slot
-width, see ``hecke``) could pass MAX_COEFFICIENT_BITS: that keeps every
-int step cheap and every coefficient printable.  Library products, such
-as the canonical-basis recursion, are not budgeted.
+width, see ``hecke``) could pass MAX_COEFFICIENT_BITS raises too: that
+keeps every int step cheap and every coefficient printable.  Library
+products, such as the canonical-basis recursion, are not budgeted.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ class WorkBudget:
         """Add the work of ``hecke.invert_t(w)``, bounded like the product 1*T_w."""
         work, bits = hecke.product_cost(hecke.one(w.n), hecke.t_basis(w))
         self._add(work, bits, lambda cap: hecke.inverse_steps(w, cap))
+
+    def charge_words(self, perms) -> None:
+        """Add l(w) letter steps for each w in ``perms``: the work of walking
+        or printing its reduced word."""
+        work = sum(w.length() for w in perms)
+        self._add(work, 0, lambda cap: work)
 
     def _add(self, work: int, bits: int, dry_run) -> None:
         """Charge ``work`` steps, or, where that coarse estimate would not fit

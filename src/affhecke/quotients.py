@@ -22,7 +22,7 @@ from .errors import (
 )
 from .hecke import HeckeElt, t_basis, x_monomial
 from .laurent import V2, V2_MINUS_ONE
-from .weyl import RHO_INV, AffinePerm, check_partition, dom
+from .weyl import RHO_INV, AffinePerm, Word, check_partition, dom
 
 
 class IdealSpec:
@@ -201,7 +201,7 @@ def generated_span_check(lam: Sequence[int], max_length: int) -> bool:
     for w in slice_elements:
         tw = t_basis(w)
         for a in letters:
-            left = _letter_elt(n, a) * tw
+            left = t_basis(Word(n, (a,)).to_perm()) * tw
             right = tw.right_letter(a)
             for u in left.support() | right.support():
                 if not in_ideal(u, spec):
@@ -243,12 +243,6 @@ def double_coset_span_check(w: AffinePerm) -> bool:
                 return False
     certified: set[AffinePerm] = set()
     return _certify_reachable(w, certified) and certified == coset
-
-
-def _letter_elt(n: int, a) -> HeckeElt:
-    if a == RHO_INV:
-        return t_basis(AffinePerm.rho(n, -1))
-    return t_basis(AffinePerm.s(n, a))
 
 
 def _certify_reachable(seed: AffinePerm, certified: set) -> bool:

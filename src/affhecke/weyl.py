@@ -29,7 +29,7 @@ MAX_POSITIVE_CANDIDATES = 100_000
 class AffinePerm:
     """Window-notation element of the extended affine Weyl group."""
 
-    __slots__ = ("n", "window", "_hash")
+    __slots__ = ("n", "window", "_hash", "_length")
 
     def __init__(self, n: int, window: Sequence[int]):
         if n < 1:
@@ -42,6 +42,7 @@ class AffinePerm:
         self.n = n
         self.window = window
         self._hash = None
+        self._length = None
 
     # -- constructors -----------------------------------------------------
 
@@ -52,6 +53,7 @@ class AffinePerm:
         out.n = n
         out.window = window
         out._hash = None
+        out._length = None
         return out
 
     @staticmethod
@@ -147,6 +149,8 @@ class AffinePerm:
 
     def length(self) -> int:
         """Number of inversions (i, j), 1 <= i <= n, i < j in Z, w(i) > w(j)."""
+        if self._length is not None:
+            return self._length
         n = self.n
         total = 0
         for i in range(1, n + 1):
@@ -158,6 +162,7 @@ class AffinePerm:
                 count = -((-diff) // n) - (1 if r < i else 0)
                 if count > 0:
                     total += count
+        self._length = total
         return total
 
     def degree(self) -> int:
@@ -213,16 +218,16 @@ class AffinePerm:
             raise NotPositiveError("%s has a window value above n" % self)
         n = self.n
         cur = self
-        suffix: list[object] = []
+        stripped: list[object] = []  # the suffix, read from its end
         while True:
             for i in range(1, n):
                 if cur.has_right_descent(i):
-                    suffix.insert(0, i)
+                    stripped.append(i)
                     cur = cur.compose(AffinePerm.s(n, i))
                     break
             else:
                 if cur.has_right_descent(0):
-                    suffix[:0] = [n - 1, RHO_INV]
+                    stripped += [RHO_INV, n - 1]
                     cur = cur.compose(AffinePerm.s(n, 0)).compose(AffinePerm.rho(n))
                 else:
                     break
@@ -231,7 +236,7 @@ class AffinePerm:
             raise InternalInvariantError(
                 "positive decomposition of %s ended at rho^%d" % (self, z)
             )
-        return Word(n, [RHO_INV] * (-z) + suffix)
+        return Word(n, [RHO_INV] * (-z) + stripped[::-1])
 
     # -- Bruhat order -----------------------------------------------------------
 

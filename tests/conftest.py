@@ -2,7 +2,7 @@
 
 import pytest
 
-from affhecke.canonical import clear_bar_table
+from affhecke.hecke import clear_bar_table
 from affhecke.flags import shared_context
 
 
@@ -17,7 +17,7 @@ def fresh_shared_contexts():
 
 @pytest.fixture
 def fresh_bar_table():
-    """The bar involution's shared inverse table starts empty and is freed
+    """The shared table of packed inverses starts empty and is freed
     after the test, so test order cannot hide a stale entry."""
     clear_bar_table()
     yield

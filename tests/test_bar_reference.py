@@ -1,12 +1,12 @@
-"""Inverse letter steps and the bar involution with its shared inverse
-table against the product-based reference forms in hecke_reference."""
+"""Inverse letter steps, invert_t and the bar involution with their shared
+inverse table against the product-based reference forms in hecke_reference."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affhecke import AffinePerm, HeckeElt, LaurentPoly, bar_involution, canonical, hecke, invert_t, t_basis
+from affhecke import HeckeElt, LaurentPoly, bar_involution, hecke, invert_t, t_basis
 from affhecke.weyl import RHO, RHO_INV, Word
 from weyl_helpers import elements_ball
 from hecke_reference import bar_involution_reference, invert_t_reference
@@ -71,7 +71,7 @@ def test_bar_matches_reference_on_a_whole_ball(fresh_bar_table):
 def test_bar_call_sequences_match_reference(seq):
     # ranks 2, 3 and 4 interleave, and a wide call may open a wide bucket
     # between narrow ones; every call reads what the earlier ones stored
-    canonical.clear_bar_table()
+    hecke.clear_bar_table()
     for a in seq:
         assert bar_involution(a) == bar_involution_reference(a)
 
@@ -83,17 +83,8 @@ def test_wide_coefficients_open_a_wide_bucket(fresh_bar_table):
     wide = HeckeElt(3, [(w, LaurentPoly({0: BIG, 1: -BIG})) for w in ball[::2]])
     for a in (wide, small, wide.scale(-1), small + t_basis(ball[-1]), small):
         assert bar_involution(a) == bar_involution_reference(a)
-    widths = sorted(width for n, width in canonical._TABLE.buckets)
+    widths = sorted(width for n, width in hecke._TABLE.buckets)
     assert widths[0] <= 32 and widths[-1] >= 64
-
-
-def test_stored_lengths_are_the_lengths(fresh_bar_table):
-    # the slot width rests on l(u) read from the table; the bound is loose
-    # enough that a short length would rarely show in an output
-    for n in (2, 3, 4):
-        bar_involution(HeckeElt(n, [(w, LaurentPoly({0: 1})) for w in elements_ball(n, 4, 1)]))
-        lengths = canonical._TABLE.lengths[n]
-        assert lengths and all(AffinePerm(n, t).length() == k for t, k in lengths.items())
 
 
 def test_repeated_bar_takes_no_letter_steps(fresh_bar_table, monkeypatch):
@@ -110,10 +101,10 @@ def test_repeated_bar_takes_no_letter_steps(fresh_bar_table, monkeypatch):
 
 @pytest.mark.parametrize("cap", [2, 40, 300])
 def test_a_small_cap_clears_the_table_and_keeps_the_outputs(fresh_bar_table, monkeypatch, cap):
-    monkeypatch.setattr(canonical, "BAR_TABLE_CAP", cap)
+    monkeypatch.setattr(hecke, "BAR_TABLE_CAP", cap)
     clears = []
-    clear = canonical._TABLE.clear
-    monkeypatch.setattr(canonical._TABLE, "clear", lambda: clears.append(clear()))
+    clear = hecke._TABLE.clear
+    monkeypatch.setattr(hecke._TABLE, "clear", lambda: clears.append(clear()))
     rng = random.Random(cap)
     balls = {n: elements_ball(n, 4, 1) for n in (2, 3, 4)}
     for _ in range(12):
@@ -121,5 +112,9 @@ def test_a_small_cap_clears_the_table_and_keeps_the_outputs(fresh_bar_table, mon
         terms = rng.sample(balls[n], min(6, len(balls[n])))
         a = HeckeElt(n, [(w, LaurentPoly({rng.randint(-3, 3): rng.choice((1, -2, BIG))})) for w in terms])
         assert bar_involution(a) == bar_involution_reference(a)
-        assert canonical._TABLE.terms <= cap
+        assert hecke._TABLE.terms <= cap
+        # invert_t reads and fills the same table between the bar calls
+        w = rng.choice(balls[n])
+        assert invert_t(w) == invert_t_reference(w)
+        assert hecke._TABLE.terms <= cap
     assert clears

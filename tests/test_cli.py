@@ -165,6 +165,36 @@ def test_oracle_work_guard_exits_3_before_any_enumeration(capsys, argv):
     assert time.perf_counter() - start < 5
 
 
+def test_commutator_guard_exits_3_before_any_enumeration(capsys):
+    # the tables fit (8.3e7 middle points), but 495 left operators on the
+    # 81-dimensional mixed space make commutator systems of 2.1e10 entries
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "bicommutant", "--n", "4", "--d", "3", "--q", "2")
+    assert (code, out) == (3, "")
+    assert "commutator systems" in err
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce-word", "--n", "2", "w[100000001,-100000000]"),
+    ("positive-word", "--n", "2", "w[-199999998,1]"),
+    ("mul", "--n", "2", "T(w[100000001,-100000000])"),
+])
+def test_long_reduced_words_exit_3_before_the_walk(capsys, argv):
+    # each reduced word has about 10^8 letters
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "letter steps" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_long_product_in_json_names_no_word(capsys):
+    code, out, err = run(capsys, "mul", "--n", "2", "--json", "T(w[100000001,-100000000])")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"coeffs": {"0": 1}, "window": [100000001, -100000000]}]
+
+
 def test_failed_verification_exits_1(capsys, monkeypatch):
     bad = oracle.Report(claim="demo", status="fail", dims={},
                         mismatches=[{"where": "demo"}])

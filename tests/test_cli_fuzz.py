@@ -9,7 +9,8 @@ windows, partitions and small bounds, mostly well formed, with or without
 word or given an unknown flag.  Every call keeps the command line
 contract: exit code 0, 2 or 3, nothing on stdout after an error, no
 traceback, and an answer within LIMIT_S seconds.  (``oracle`` is left
-out: its commutator system has no work guard yet.)
+out: settings its guards admit, such as ``oracle lift --n 4 --d 3 --q 2``
+or ``oracle bicommutant --n 3 --d 3 --q 2``, take about LIMIT_S each.)
 """
 
 import io

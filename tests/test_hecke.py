@@ -127,6 +127,16 @@ def test_x_frozen_values():
     assert x_element(n, 1) == t_basis(AffinePerm(2, (-1, 2))).scale(LaurentPoly({-1: 1}))
     assert x_monomial(n, (0, 0)) == one(n)
     assert x_monomial(n, (1, 1)) == t_basis(AffinePerm.translation((-1, -1)))
+    for n in range(2, 6):
+        # X_1 = v^{1-n} T_1 T_2 ... T_{n-1} T_{rho^-1} is a single term
+        product = one(n)
+        for i in range(1, n):
+            product = product * t_basis(AffinePerm.s(n, i))
+        product = product * t_basis(AffinePerm.rho(n, -1))
+        assert len(product.terms) == 1
+        assert x_element(n, 1) == product.scale(LaurentPoly({1 - n: 1}))
+        assert x_element_inverse(n, 1) * x_element(n, 1) == one(n)
+        assert x_element(n, 1) * x_element_inverse(n, 1) == one(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
