@@ -5,10 +5,11 @@ involution of ``hecke`` with
 
     b_w = v^{l(w)} T_w + sum_{x < w} c_x T_x,   c_x in v^{l(x)+1} Z[v],
 
-computed by the classical recursion on length within the degree-0 coset and
-extended to all degrees by b_{w rho^z} = b_{w rho^-z rho^z ...} twisting with
-T_{rho^z}.  Every output is re-verified against the defining conditions,
-bar-invariance included.
+computed by the classical recursion on length within the degree-0 coset,
+one ``hecke.kl_step`` per element, and extended to all degrees by
+b_{w rho^z} = b_w T_{rho^z}, which moves every window and keeps the
+coefficients.  Every output is re-verified against the defining
+conditions, bar-invariance included (``hecke.is_bar_invariant``).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import functools
 
 from . import hecke, quotients
 from .errors import InternalInvariantError, ResourceLimitError
-from .hecke import HeckeElt, bar_involution, t_basis
-from .laurent import v_power
+from .hecke import HeckeElt, bar_involution, is_bar_invariant, kl_step  # noqa: F401 (re-exported)
+from .laurent import LaurentPoly, v_power
 from .quotients import IdealSpec, QuotientElt, in_ideal
 from .weyl import AffinePerm, positive_elements
 
@@ -60,41 +61,33 @@ def canonical_basis(w: AffinePerm, max_length: int = DEFAULT_LENGTH_CAP) -> Cano
     return CanonicalElt(w, value)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _canonical_value(w: AffinePerm) -> HeckeElt:
     n = w.n
     z = w.degree()
     if z:
+        rho = AffinePerm.rho(n, z)
         base = _canonical_value(w.compose(AffinePerm.rho(n, -z)))
-        return base * t_basis(AffinePerm.rho(n, z))
+        return HeckeElt(n, {x.compose(rho): c for x, c in base.terms.items()})
     if w.length() == 0:
         return hecke.one(n)
     i = next(i for i in range(n) if w.has_right_descent(i))
-    si = AffinePerm.s(n, i)
-    u = w.compose(si)
-    bu = _canonical_value(u)
-    bs = (t_basis(si) + hecke.one(n)).scale(v_power(1))
-    out = bu * bs
-    for x, cx in bu.terms.items():
-        if not x.has_right_descent(i):
-            continue
-        mu = cx.coeff(x.length() + 1)
-        if mu:
-            out = out - _canonical_value(x).scale(mu)
-    return out
+    bu = _canonical_value(w.compose(AffinePerm.s(n, i)))
+    mus = [(x, cx.coeff(x.length() + 1)) for x, cx in bu.terms.items() if x.has_right_descent(i)]
+    return kl_step(bu, i, [(_canonical_value(x), mu) for x, mu in mus if mu])
 
 
 def _verify(w: AffinePerm, value: HeckeElt) -> None:
     if value.coeff(w) != v_power(w.length()):
         raise InternalInvariantError("b_%s has a wrong leading term" % w)
-    for x, cx in value.terms.items():
-        if x == w:
-            continue
-        if cx.valuation() < x.length() + 1:
+    terms = value.terms
+    lows = map(LaurentPoly.valuation, terms.values())
+    for x, low, length in zip(terms, lows, map(AffinePerm.length, terms)):
+        if low <= length and x != w:
             raise InternalInvariantError(
                 "b_%s coefficient at %s violates the valuation bound" % (w, x)
             )
-    if bar_involution(value) != value:
+    if not is_bar_invariant(value):
         raise InternalInvariantError("b_%s is not bar-invariant" % w)
 
 

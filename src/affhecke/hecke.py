@@ -53,6 +53,14 @@ inverse is the exact value of its polynomials at v = 2^B whichever call
 computed it, so a result reads back exactly once its coefficients fit
 B-bit slots; the bounds in ``bar_involution`` and ``invert_t`` guarantee
 that for the call's width, and the bucket's B is at least as wide.
+
+The canonical basis runs on the same form.  ``kl_step`` packs b and each
+correction b_x once, at one base and a width from the bound 4 height(b) +
+sum |mu| height(b_x), takes one letter step, subtracts the corrections as
+ints and unpacks once, reusing the operands' AffinePerm objects.
+``is_bar_invariant`` compares the bar loop's packed sum with the element
+packed at the same base -top and width.  That is exact: bar(a) has no
+exponent below -top, and the bound covers every coefficient of a.
 """
 
 from __future__ import annotations
@@ -76,7 +84,7 @@ from .laurent import (
 from .weyl import RHO, RHO_INV, AffinePerm, Word
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _reduced_letters(w: AffinePerm) -> tuple:
     return w.reduced_word().letters
 
@@ -263,7 +271,7 @@ def _raw(n: int, terms: dict[AffinePerm, LaurentPoly]) -> HeckeElt:
 # -- the packed kernel -----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _window_step(n: int, letter) -> tuple:
     """(move, descent) for one letter at rank n.
 
@@ -330,8 +338,7 @@ def _coxeter_count(letters: tuple) -> int:
 
 def _product_bound(a: HeckeElt, b: HeckeElt, lengths: list[int]) -> int:
     """A bound on every coefficient of a*b, given l(w) for w in supp b in order."""
-    height = max(c.height() for c in a.terms.values())
-    return height * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
+    return _height(a) * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
 
 
 def product_cost(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
@@ -394,7 +401,11 @@ def inverse_steps(w: AffinePerm, cap: int) -> int:
 
 
 def _valuation(a: HeckeElt) -> int:
-    return min(c.valuation() for c in a.terms.values())
+    return min((c.valuation() for c in a.terms.values()), default=0)
+
+
+def _height(a: HeckeElt) -> int:
+    return max((c.height() for c in a.terms.values()), default=0)
 
 
 def _unpack(n: int, pairs: Iterable, base: int, width: int, known: Iterable[AffinePerm]) -> HeckeElt:
@@ -408,6 +419,27 @@ def _unpack(n: int, pairs: Iterable, base: int, width: int, known: Iterable[Affi
         if p
     }
     return out
+
+
+def kl_step(b: HeckeElt, i: int, corrections: Sequence[tuple[HeckeElt, int]]) -> HeckeElt:
+    """v b (T_{s_i} + 1) - sum of mu b_x over the pairs (b_x, mu), packed once
+    (see the module docstring)."""
+    n = b.n
+    width = slot_width(4 * _height(b) + sum(abs(mu) * _height(x) for x, mu in corrections))
+    shift = 2 * width
+    base = min([_valuation(b) - 1] + [_valuation(x) for x, _ in corrections])
+    packed = {w.window: kronecker_pack(c, base + 1, width) for w, c in b.terms.items()}
+    out = _step(packed, n, i, shift)  # read at base - 1, so at base after the factor v
+    get = out.get
+    for t, p in packed.items():
+        out[t] = get(t, 0) + (p << shift)
+    known = list(b.terms)
+    for x, mu in corrections:
+        known += x.terms
+        for w, c in x.terms.items():
+            t = w.window
+            out[t] = get(t, 0) - mu * kronecker_pack(c, base, width)
+    return _unpack(n, out.items(), base, width, known)
 
 
 BAR_TABLE_CAP = 1 << 15  # the most (window, int) pairs the shared inverse table holds
@@ -491,8 +523,8 @@ def _inverse(w: AffinePerm, width: int) -> tuple:
     return entry
 
 
-def bar_involution(a: HeckeElt) -> HeckeElt:
-    """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1.
+def _bar_packed(a: HeckeElt) -> tuple[dict, int, int]:
+    """bar(a) packed as (window -> int, top, width), at base -top.
 
     Each term c T_w adds bar(c) (T_{w^-1})^-1, read from the shared table
     (see the module docstring).  The inverse for w has coefficients at most
@@ -502,10 +534,8 @@ def bar_involution(a: HeckeElt) -> HeckeElt:
     v = 2^width, so reading the result back needs only that bound.
     """
     n = a.n
-    if not a.terms:
-        return HeckeElt(n)
     width = _bucket_width(sum(3 ** w.length() * c.norm1() for w, c in a.terms.items()))
-    top = max(c.degree() for c in a.terms.values())
+    top = max((c.degree() for c in a.terms.values()), default=0)
     table = _TABLE.buckets.setdefault((n, width), {})
     out: dict[tuple, int] = {}
     get = out.get
@@ -514,7 +544,22 @@ def bar_involution(a: HeckeElt) -> HeckeElt:
         factor = kronecker_pack_bar(c, top, width)
         for t, p in zip(windows, ints):
             out[t] = get(t, 0) + p * factor
-    return _unpack(n, out.items(), -top, width, a.terms)
+    return out, top, width
+
+
+def bar_involution(a: HeckeElt) -> HeckeElt:
+    """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1."""
+    out, top, width = _bar_packed(a)
+    return _unpack(a.n, out.items(), -top, width, a.terms)
+
+
+def is_bar_invariant(a: HeckeElt) -> bool:
+    """Whether bar(a) == a, compared packed (see the module docstring)."""
+    out, top, width = _bar_packed(a)
+    get = out.get
+    return _valuation(a) >= -top and sum(map(bool, out.values())) == len(a.terms) and all(
+        get(w.window) == kronecker_pack(c, -top, width) for w, c in a.terms.items()
+    )
 
 
 # -- basis elements ------------------------------------------------------------
@@ -542,7 +587,7 @@ def invert_t(w: AffinePerm) -> HeckeElt:
     return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, (w,))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def x_element(n: int, i: int) -> HeckeElt:
     """Bernstein element X_i, 1 <= i <= n."""
     if not 1 <= i <= n:
@@ -554,7 +599,7 @@ def x_element(n: int, i: int) -> HeckeElt:
     return (t_inv * prev * t_inv).scale(V2)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def x_element_inverse(n: int, i: int) -> HeckeElt:
     """X_i^-1 (leaves the positive subalgebra; used by the presentation audit)."""
     if not 1 <= i <= n:
@@ -567,7 +612,7 @@ def x_element_inverse(n: int, i: int) -> HeckeElt:
     return (ti * prev * ti).scale(Q)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def x_monomial(n: int, mu: tuple) -> HeckeElt:
     """The product X_1^{mu_1} ... X_n^{mu_n} for a nonnegative composition mu."""
     mu = tuple(mu)

@@ -221,7 +221,6 @@ class LaurentPoly:
 
 
 ONE = LaurentPoly({0: 1})
-V = LaurentPoly({1: 1})
 Q = LaurentPoly({-2: 1})            # the Hecke parameter q = v^-2
 V2 = LaurentPoly({2: 1})            # q^-1 = v^2
 V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
@@ -244,13 +243,19 @@ def slot_width(bound: int) -> int:
 
 def kronecker_pack(p: LaurentPoly, base: int, width: int) -> int:
     """sum_e c_e 2^(width (e - base)); every exponent must be >= base."""
-    return sum(c << (width * (e - base)) for e, c in p._c.items())
+    out = 0
+    for e, c in p._c.items():  # a loop: most coefficients have a term or two
+        out += c << (width * (e - base))
+    return out
 
 
 def kronecker_pack_bar(p: LaurentPoly, top: int, width: int) -> int:
     """``kronecker_pack(p.bar(), -top, width)`` without building p.bar();
     every exponent must be <= top."""
-    return sum(c << (width * (top - e)) for e, c in p._c.items())
+    out = 0
+    for e, c in p._c.items():
+        out += c << (width * (top - e))
+    return out
 
 
 def kronecker_unpack(value: int, base: int, width: int) -> LaurentPoly:

@@ -148,22 +148,13 @@ class AffinePerm:
     # -- length, degree, descents -------------------------------------------
 
     def length(self) -> int:
-        """Number of inversions (i, j), 1 <= i <= n, i < j in Z, w(i) > w(j)."""
+        """Number of inversions (i, j), 1 <= i <= n, i < j in Z, w(i) > w(j);
+        it is the sum over 1 <= i < j <= n of |floor((w(j) - w(i)) / n)| (Shi)."""
         if self._length is not None:
             return self._length
         n = self.n
-        total = 0
-        for i in range(1, n + 1):
-            wi = self.window[i - 1]
-            for r in range(1, n + 1):
-                if r == i:
-                    continue
-                diff = wi - self.window[r - 1]
-                count = -((-diff) // n) - (1 if r < i else 0)
-                if count > 0:
-                    total += count
-        self._length = total
-        return total
+        self._length = sum(abs((b - a) // n) for a, b in itertools.combinations(self.window, 2))
+        return self._length
 
     def degree(self) -> int:
         n = self.n
@@ -190,49 +181,53 @@ class AffinePerm:
     # -- words ------------------------------------------------------------------
 
     def reduced_word(self) -> "Word":
-        """A word s_{i_1} ... s_{i_k} rho^z composing to w, k = l(w), z = degree(w)."""
-        cur = self
+        """A word s_{i_1} ... s_{i_k} rho^z composing to w, k = l(w), z = degree(w).
+
+        Strips left descents of w as right descents on the window of w^-1.
+        """
+        n = self.n
+        t = list(self.inverse().window)
+        off = [n] + [0] * (n - 1)  # at i = 0, t[i-1] - n is w^-1(0)
         letters: list[object] = []
         while True:
-            inv = cur.inverse()
-            for i in range(cur.n):
-                if inv.has_right_descent(i):
+            for i in range(n):
+                if t[i - 1] - off[i] > t[i]:
+                    t[i - 1], t[i] = t[i] + off[i], t[i - 1] - off[i]
                     letters.append(i)
-                    cur = AffinePerm.s(cur.n, i).compose(cur)
                     break
             else:
                 break
-        z = cur.degree()
-        if cur != AffinePerm.rho(self.n, z):
+        z = (n * (n + 1) // 2 - sum(t)) // n
+        if t != list(range(1 - z, n + 1 - z)):
             raise InternalInvariantError("descent stripping did not end at a rho power")
         letters.extend([RHO] * z if z >= 0 else [RHO_INV] * (-z))
-        return Word(self.n, letters)
+        return Word(n, letters)
 
     def positive_reduced_word(self) -> "Word":
         """A word over {s_1..s_{n-1}, rho^-1} only, with l(w) Coxeter letters.
 
-        Repeatedly strips right descents; a sole descent at 0 is traded for
-        a trailing [s_{n-1}, rho^-1] via s_0 = rho s_{n-1} rho^-1.
+        Repeatedly strips right descents on the window; a sole descent at 0
+        is traded for a trailing [s_{n-1}, rho^-1] via s_0 = rho s_{n-1} rho^-1.
         """
         if not self.is_positive():
             raise NotPositiveError("%s has a window value above n" % self)
         n = self.n
-        cur = self
+        t = list(self.window)
         stripped: list[object] = []  # the suffix, read from its end
         while True:
             for i in range(1, n):
-                if cur.has_right_descent(i):
+                if t[i - 1] > t[i]:
+                    t[i - 1], t[i] = t[i], t[i - 1]
                     stripped.append(i)
-                    cur = cur.compose(AffinePerm.s(n, i))
                     break
             else:
-                if cur.has_right_descent(0):
+                if t[-1] - n > t[0]:
                     stripped += [RHO_INV, n - 1]
-                    cur = cur.compose(AffinePerm.s(n, 0)).compose(AffinePerm.rho(n))
+                    t = t[1:-1] + [t[0] + n, t[-1]]  # the window of w s_0 rho
                 else:
                     break
-        z = cur.degree()
-        if z > 0 or cur != AffinePerm.rho(n, z):
+        z = (sum(t) - n * (n + 1) // 2) // n
+        if z > 0 or t != list(range(1 + z, n + 1 + z)):
             raise InternalInvariantError(
                 "positive decomposition of %s ended at rho^%d" % (self, z)
             )
@@ -251,7 +246,7 @@ class AffinePerm:
         return _bruhat_leq_coxeter(self.compose(shift), other.compose(shift))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _bruhat_leq_coxeter(x: AffinePerm, w: AffinePerm) -> bool:
     # lifting property on degree-0 (Coxeter) elements: strip a left descent
     # s of w each step, from x too where it is a descent of x
@@ -318,7 +313,9 @@ class Word:
         return hash((self.n, self.letters))
 
     def __str__(self):
-        return " ".join("s%d" % a if isinstance(a, int) else a for a in self.letters)
+        names = {a: "s%d" % a for a in range(self.n)}
+        names.update({RHO: RHO, RHO_INV: RHO_INV})
+        return " ".join(map(names.__getitem__, self.letters))
 
     def __repr__(self):
         return "Word(%d, %r)" % (self.n, list(self.letters))
@@ -396,7 +393,7 @@ def finite_permutations(n: int) -> Iterator[AffinePerm]:
         yield AffinePerm(n, sigma)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def coxeter_ball(n: int, max_length: int) -> tuple[AffinePerm, ...]:
     """All degree-0 elements of length <= max_length (BFS over s_0..s_{n-1})."""
     seen = {AffinePerm.identity(n)}

@@ -1,13 +1,14 @@
 """Reference implementations of the T-basis letter steps, the product, the
-inverse T_w^-1 and the bar involution.
+inverse T_w^-1, the bar involution and the canonical-basis recursion.
 
 These are the straightforward per-term forms over AffinePerm keys and
 LaurentPoly coefficients: a letter step composes every window with the
 letter and multiplies its coefficient by a LaurentPoly, a product runs one
 such step per letter of a reduced word of each right-hand term, an inverse
 costs one product per letter, and the bar involution re-adds the whole
-running sum per term.  The package computes the same values in its packed
-kernel; the differential tests compare the two.
+running sum per term; the canonical recursion combines whole elements by
+product, scaling and subtraction.  The package computes the same values in
+its packed kernel; the differential tests compare the two.
 """
 
 from affhecke import HeckeElt, LaurentPoly, one
@@ -98,4 +99,35 @@ def bar_involution_reference(a: HeckeElt) -> HeckeElt:
     out = HeckeElt(a.n)
     for w, c in a.terms.items():
         out = out + invert_t_reference(w.inverse()).scale(c.bar())
+    return out
+
+
+def canonical_value_reference(w: AffinePerm, memo: dict) -> HeckeElt:
+    """b_w by the Kazhdan-Lusztig recursion in HeckeElt arithmetic.
+
+    b_{w rho^z} = b_w T_{rho^z}; for a right descent s of w = u s,
+    b_w = b_u v (T_s + 1) - sum of mu(x, u) b_x over x < u with x s < x,
+    mu(x, u) the coefficient of v^{l(x)+1} in the T_x coordinate of b_u.
+    ``memo`` keeps every b_x computed.
+    """
+    if w in memo:
+        return memo[w]
+    n = w.n
+    z = w.degree()
+    if z:
+        base = canonical_value_reference(w.compose(AffinePerm.rho(n, -z)), memo)
+        out = base * HeckeElt(n, {AffinePerm.rho(n, z): 1})
+    elif w.length() == 0:
+        out = one(n)
+    else:
+        i = next(i for i in range(n) if w.has_right_descent(i))
+        si = AffinePerm.s(n, i)
+        bu = canonical_value_reference(w.compose(si), memo)
+        out = bu * (HeckeElt(n, {si: 1}) + one(n)).scale(LaurentPoly({1: 1}))
+        for x, cx in bu.terms.items():
+            if x.has_right_descent(i):
+                mu = cx.coeff(x.length() + 1)
+                if mu:
+                    out = out - canonical_value_reference(x, memo).scale(mu)
+    memo[w] = out
     return out

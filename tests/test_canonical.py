@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affhecke import (
     AffinePerm,
@@ -23,6 +24,8 @@ from affhecke import canonical, hecke
 from affhecke.errors import ResourceLimitError
 from affhecke.laurent import v_power
 from affhecke.weyl import coxeter_ball, finite_permutations
+from hecke_reference import canonical_value_reference
+from test_kernel import RANKS, element
 from weyl_helpers import elements_ball
 
 V = LaurentPoly({1: 1})
@@ -105,6 +108,71 @@ def test_self_check_bites_on_a_warm_table(fresh_bar_table, monkeypatch):
     with pytest.raises(InternalInvariantError, match="not bar-invariant"):
         canonical_basis(w)
     assert hecke._TABLE.terms <= 600
+
+
+def test_packed_recursion_matches_the_reference():
+    memo = {}
+    twisted = [w for w in elements_ball(3, max_length=4, max_height=2) if w.degree()]
+    for w in (*coxeter_ball(3, 7), *coxeter_ball(4, 5), *twisted):
+        assert canonical_basis(w).value == canonical_value_reference(w, memo)
+    for b in positive_canonical_basis(2, 3, 2):
+        assert b.value == canonical_value_reference(b.index, memo)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_packed_invariance_test_matches_the_bar(data):
+    n = data.draw(RANKS)
+    a = data.draw(element(n))
+    invariant = a + bar_involution(a)
+    assert hecke.is_bar_invariant(invariant)
+    for elt in (a, invariant + data.draw(element(n, max_terms=1))):
+        assert hecke.is_bar_invariant(elt) == (bar_involution(elt) == elt)
+
+
+def test_packed_invariance_test_on_edge_cases():
+    # exponents of bar(a) start at -top = -1, and a has one at -3
+    e = AffinePerm.identity(2)
+    a = t_basis(e).scale(LaurentPoly({-3: 1, 1: 1}))
+    assert not hecke.is_bar_invariant(a)
+    assert bar_involution(a) != a
+    assert not hecke.is_bar_invariant(t_basis(e).scale(v_power(-2)))
+    assert hecke.is_bar_invariant(t_basis(e).scale(LaurentPoly({-3: 1, 3: 1})))
+    assert hecke.is_bar_invariant(t_basis(e) - t_basis(e))
+    # bar(v T_s) = v T_s + (v - v^-1) T_e agrees with v T_s on its support
+    s1 = AffinePerm.s(2, 1)
+    assert not hecke.is_bar_invariant(t_basis(s1).scale(V))
+
+
+@pytest.mark.parametrize("at_w, message", [(False, "valuation bound"), (True, "wrong leading term")])
+def test_self_check_bites_on_an_added_low_term(monkeypatch, at_w, message):
+    # adding v^l(x) to c_x breaks c_w = v^l(w) at x = w, the valuation bound elsewhere
+    w = AffinePerm.from_pair((3, 2, 1), (0, 0, 0))
+    value = canonical._canonical_value(w)  # the cached object canonical_basis reads
+    x = w if at_w else next(x for x in value.terms if x != w)
+    monkeypatch.setattr(value, "terms", dict(value.terms))
+    value.terms[x] = value.terms[x] + v_power(x.length())
+    with pytest.raises(InternalInvariantError, match=message):
+        canonical_basis(w)
+
+
+def test_bounded_caches_stay_at_their_bound(fresh_bar_table):
+    # short elements twisted by rho powers have distinct windows and cheap
+    # canonical elements, so a sweep past the bound evicts the first ones
+    n = 2
+    caches = (canonical._canonical_value, hecke._reduced_letters)
+    bound = max(cache.cache_info().maxsize for cache in caches)
+    sweep = [c.compose(AffinePerm.rho(n, z)) for z in range(-300, 300) for c in coxeter_ball(n, 3)]
+    assert len(sweep) > bound
+    first = {w: canonical_basis(w).value for w in sweep[:20]}
+    for w in sweep[20:]:
+        canonical_basis(w)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+    for w, value in first.items():
+        assert canonical._canonical_value(w) is not value  # evicted, so recomputed
+        assert canonical_basis(w).value == value == canonical_value_reference(w, {})
 
 
 def test_rho_twist_compatibility():

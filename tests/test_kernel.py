@@ -1,6 +1,7 @@
 """The packed T-basis kernel against the per-term references in hecke_reference.
 
-Letter steps, inverse steps, products and the bar involution are compared
+Letter steps, inverse steps, products, the bar involution and the step of
+the canonical-basis recursion are compared
 on random elements at n in {2, 3, 4} with rho letters, negative
 coefficients and coefficients of +-2^40, which need slots wider than 40
 bits (test_bar_reference compares invert_t).  The Kronecker codec is
@@ -65,6 +66,22 @@ def test_bar_matches_reference(data):
     a = data.draw(element(n))
     assert bar_involution(a) == bar_involution_reference(a)
     assert bar_involution(bar_involution(a)) == a
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_kl_step_matches_reference(data):
+    # v b (T_s + 1) - sum mu b_x, zero operands and corrections of any sign included
+    n = data.draw(RANKS)
+    b = data.draw(element(n))
+    i = data.draw(st.integers(0, n - 1))
+    pairs = data.draw(st.lists(st.tuples(element(n, max_terms=3), COEFFS.filter(bool)), max_size=3))
+    s_i = AffinePerm.s(n, i)
+    factor = HeckeElt(n, {s_i: LaurentPoly({1: 1}), AffinePerm.identity(n): LaurentPoly({1: 1})})
+    expected = mul_reference(b, factor)
+    for x, mu in pairs:
+        expected = expected - x.scale(mu)
+    assert hecke.kl_step(b, i, pairs) == expected
 
 
 def test_repeated_products_pack_wider_as_coefficients_grow(monkeypatch):

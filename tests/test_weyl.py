@@ -18,6 +18,7 @@ from affhecke.weyl import (
     reverse,
 )
 from weyl_helpers import coxeter_count, elements_ball, rho_inv_count
+from weyl_reference import length_reference, positive_reduced_word_reference, reduced_word_reference
 
 
 def perms(n, spread=2):
@@ -143,6 +144,24 @@ def test_positive_word_exhaustive(n):
         assert coxeter_count(word) == w.length()
         assert rho_inv_count(word) == -w.degree()
         assert word.alphabet() <= set(range(1, n)) | {RHO_INV}
+
+
+@pytest.mark.parametrize("n, max_length", [(2, 6), (3, 5), (4, 4)])
+def test_walks_match_the_per_letter_references(n, max_length):
+    for w in elements_ball(n, max_length, max_height=3):
+        assert w.length() == length_reference(w)
+        assert w.reduced_word() == reduced_word_reference(w)
+    for w in positive_elements(n, max_length, min_degree=-3):
+        assert w.positive_reduced_word() == positive_reduced_word_reference(w)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda n: perms(n, spread=40)))
+def test_long_walks_match_the_per_letter_references(w):
+    assert w.length() == length_reference(w)
+    assert w.reduced_word() == reduced_word_reference(w)
+    positive = AffinePerm(w.n, [x - w.n * (max(w.window) // w.n + 1) for x in w.window])
+    assert positive.positive_reduced_word() == positive_reduced_word_reference(positive)
 
 
 def test_positive_word_rejects_outside_cone():
