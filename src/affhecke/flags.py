@@ -107,6 +107,7 @@ class FlagContext:
         self.q = q
         self.d = d
         self._cache: dict = {}
+        self._ids: dict = {}
 
     def _memo(self, key, build):
         """The value built once per key; a build that raises stores nothing,
@@ -229,22 +230,26 @@ class FlagContext:
         raise ValueError(f"unknown point space {key!r}")
 
     def space_id(self, key):
-        """Canonical identity of a point space; equal ids mean equal point
-        sets, e.g. the nothing-forgotten component at d = n is the complete
-        flag variety itself."""
-        if key == "X":
-            return ("D", tuple(range(1, self.n + 1)))
-        if key == "Y":
-            return ("Y",)
-        if isinstance(key, tuple) and len(key) == 2 and key[0] == "YI":
-            return ("D", self.component_dims(key[1]))
-        raise ValueError(f"unknown point space {key!r}")
+        """Canonical identity of a point space, once per key; equal ids mean
+        equal point sets, e.g. the nothing-forgotten component at d = n is
+        the complete flag variety itself."""
+        sid = self._ids.get(key)
+        if sid is None:
+            if key == "X":
+                sid = ("D", tuple(range(1, self.n + 1)))
+            elif key == "Y":
+                sid = ("Y",)
+            elif isinstance(key, tuple) and len(key) == 2 and key[0] == "YI":
+                sid = ("D", self.component_dims(key[1]))
+            else:
+                raise ValueError(f"unknown point space {key!r}")
+            self._ids[key] = sid
+        return sid
 
     # -- components of the multistep family --------------------------------
 
     def component_dims(self, forgotten) -> tuple:
-        """Step dimensions of the component forgetting the given steps;
-        memoised, since every ``space_id`` of a component asks for them."""
+        """Step dimensions of the component forgetting the given steps."""
         forgotten = tuple(forgotten)
 
         def build():
@@ -286,7 +291,7 @@ class FlagContext:
         def build():
             sizes = {len(fiber) for fiber in self.fibers(forgotten).values()}
             if len(sizes) != 1:
-                raise ValueError(f"uneven fibers for component {forgotten}: {sorted(sizes)}")
+                raise InternalInvariantError(f"uneven fibers for component {forgotten}: {sorted(sizes)}")
             return sizes.pop()
 
         return self._memo(("fibersize", tuple(sorted(forgotten))), build)
@@ -366,32 +371,83 @@ class FlagContext:
 
         return self._memo(("constants", self.space_id(left), self.space_id(mid), self.space_id(right)), build)
 
-    def forget_graph(self, source, forgotten, transpose=False) -> tuple:
-        """Labels of the pairs (x, phi(x)) of the map forgetting steps from
-        source onto a component, or of the pairs (phi(x), x) when transposed.
-        Tested at every pair: a label both on and off the graph raises
-        InternalInvariantError."""
-        forgotten = tuple(sorted(forgotten))
-        target = ("YI", forgotten)
+    def _image(self, source, forgotten) -> list:
+        """Per point x of source, the position of phi(x) among the points
+        of the component forgetting the given (sorted) steps."""
 
         def build():
             points = self.space_points(source)
             dims = tuple(len(s) for s in points[0])
             pick = [dims.index(c) for c in self.component_dims(forgotten)]
-            where = {p: j for j, p in enumerate(self.space_points(target))}
-            image = [where[tuple(x[k] for k in pick)] for x in points]
-            labels, _, index = self.label_table(*((target, source) if transpose else (source, target)))
-            hits: list = [None] * len(labels)
-            for i, row in enumerate(index):
-                for j, k in enumerate(row):
-                    hit = image[j] == i if transpose else image[i] == j
-                    if hits[k] is None:
-                        hits[k] = hit
-                    elif hits[k] != hit:
-                        raise InternalInvariantError(f"forgetting map straddles label {labels[k]}")
-            return tuple(lab for lab, hit in zip(labels, hits) if hit)
+            where = {p: j for j, p in enumerate(self.space_points(("YI", forgotten)))}
+            return [where[tuple(x[k] for k in pick)] for x in points]
 
-        return self._memo(("graph", self.space_id(source), forgotten, transpose), build)
+        return self._memo(("image", self.space_id(source), forgotten), build)
+
+    def forget_graph(self, source, forgotten) -> tuple:
+        """Labels of the pairs (x, phi(x)) of the map forgetting steps from
+        source onto a component.  Tested at every pair: a label both on and
+        off the graph raises InternalInvariantError."""
+        forgotten = tuple(sorted(forgotten))
+
+        def build():
+            labels, _, index = self.label_table(source, ("YI", forgotten))
+            on, off = set(), set()
+            for row, j in zip(index, self._image(source, forgotten)):
+                on.add(row[j])
+                off.update(row[:j], row[j + 1:])
+            if on & off:
+                raise InternalInvariantError(f"forgetting map straddles label {labels[min(on & off)]}")
+            return tuple(labels[k] for k in sorted(on))
+
+        return self._memo(("graph", self.space_id(source), forgotten), build)
+
+    def pushforward(self, left, source, forgotten) -> dict:
+        """The map phi forgetting steps from source onto a component, read
+        on (left, source) pairs: each label c of (left, component) pairs ->
+        the labels a of (left, source) pairs over it, each with its count
+        of points x in the fiber of p such that (l, x) has label a, at any
+        pair (l, p) of label c.  The pushforward of f takes the value
+        sum(m * f(a)) at c, and the pullback of g the value g(c) at each a
+        over c.
+
+        Built from the label rows alone, |left|·|source| visits: each left
+        row is permuted so that every fiber is contiguous, and each fiber
+        slice is sorted in C.  Audited at every pair: the graph of phi
+        must not straddle a label (``forget_graph``), each fiber's
+        multiset must be constant on its label, and each label a must lie
+        over one label c, else InternalInvariantError."""
+        forgotten = tuple(sorted(forgotten))
+
+        def build():
+            self.forget_graph(source, forgotten)
+            labels_ls, _, ls = self.label_table(left, source)
+            labels_lt, _, lt = self.label_table(left, ("YI", forgotten))
+            image = self._image(source, forgotten)
+            order = sorted(range(len(image)), key=image.__getitem__)
+            sizes = Counter(image)
+            ends = itertools.accumulate((sizes[j] for j in range(len(lt[0]))), initial=0)
+            fibers = list(itertools.starmap(slice, itertools.pairwise(ends)))
+            found: list = [None] * len(labels_lt)
+            for ls_row, lt_row in zip(ls, lt):
+                row = list(map(ls_row.__getitem__, order))
+                for c, fiber in zip(lt_row, fibers):
+                    multiset = sorted(row[fiber])
+                    if found[c] is None:
+                        found[c] = multiset
+                    elif found[c] != multiset:
+                        raise InternalInvariantError(f"forgetting map not constant on label {labels_lt[c]}")
+            over: dict = {}
+            for c, multiset in enumerate(found):
+                for a in set(multiset):
+                    if over.setdefault(a, c) != c:
+                        raise InternalInvariantError(f"forgetting map sends label {labels_ls[a]} to two labels")
+            return {
+                labels_lt[c]: tuple((labels_ls[a], m) for a, m in Counter(multiset).items())
+                for c, multiset in enumerate(found)
+            }
+
+        return self._memo(("pushforward", self.space_id(left), self.space_id(source), forgotten), build)
 
     # -- distinguished flags -----------------------------------------------
 

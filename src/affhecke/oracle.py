@@ -4,10 +4,11 @@ Functions invariant under simultaneous change of basis live on orbit
 labels (intersection-dimension matrices) of pairs of flags.  Convolution
 reads the structure constants of its triple of spaces: counts of middle
 flags by their labels with both ends.  The pushforward, the pullback and
-the fiber indicator are convolutions with the graph of a forgetting map.
-Both tables are audited once per context at every pair, which must be
-constant on each label, so a wrong label scheme fails loudly instead of
-silently.
+the fiber indicator follow their definitions along a forgetting map phi:
+each reads ``FlagContext.pushforward``, the label rows permuted through
+phi, with no middle point.  Both tables are audited once per context at
+every pair, which must be constant on each label, so a wrong label
+scheme fails loudly instead of silently.
 
 The four checks below take their context from ``flags.shared_context``:
 one per (n, q, d) per process, at most eight alive, so a repeated setting
@@ -127,19 +128,18 @@ class OrbitFunction:
 # -- pushforward / pullback along forgetting steps ------------------------------
 
 
-def _graph(ctx: FlagContext, source, forgotten, transpose=False) -> OrbitFunction:
-    """Indicator of the map forgetting steps from source onto a component,
-    on (source, component) pairs, or on (component, source) when transposed."""
-    pair = (source, ("YI", tuple(sorted(forgotten))))
-    left, right = pair[::-1] if transpose else pair
-    return OrbitFunction(ctx, left, right, {lab: 1 for lab in ctx.forget_graph(source, forgotten, transpose)})
+def _push(f: OrbitFunction, source, forgotten) -> OrbitFunction:
+    """f pushed along the map forgetting steps from its right factor."""
+    value, over = f.values.get, f.ctx.pushforward(f.left, source, forgotten)
+    out = {c: sum(m * value(a, 0) for a, m in terms) for c, terms in over.items()}
+    return OrbitFunction(f.ctx, f.left, ("YI", tuple(sorted(forgotten))), out)
 
 
 def theta(f: OrbitFunction, forgotten) -> OrbitFunction:
     """Sum f over complete flags refining each partial flag (right factor)."""
     if f.ctx.space_id(f.right) != f.ctx.space_id("X"):
         raise DomainMismatchError("theta expects a function with complete right factor")
-    return f.convolve(_graph(f.ctx, "X", forgotten))
+    return _push(f, "X", forgotten)
 
 
 def theta_between(g: OrbitFunction, forgotten_i, forgotten_j) -> OrbitFunction:
@@ -149,19 +149,22 @@ def theta_between(g: OrbitFunction, forgotten_i, forgotten_j) -> OrbitFunction:
         raise DomainMismatchError("function does not live on the named component")
     if not set(forgotten_i) <= set(forgotten_j):
         raise DomainMismatchError("target component must forget at least as much")
-    return g.convolve(_graph(g.ctx, ("YI", forgotten_i), forgotten_j))
+    return _push(g, ("YI", forgotten_i), forgotten_j)
 
 
 def psi(g: OrbitFunction, forgotten) -> OrbitFunction:
-    """Pull a partial-flag function back along the forgetting map."""
+    """Pull a partial-flag function back along phi: g(l, phi(x)) at (l, x)."""
     if g.ctx.space_id(g.right) != g.ctx.space_id(("YI", tuple(sorted(forgotten)))):
         raise DomainMismatchError("function does not live on the named component")
-    return g.convolve(_graph(g.ctx, "X", forgotten, transpose=True))
+    over = g.ctx.pushforward(g.left, "X", forgotten)
+    return OrbitFunction(g.ctx, g.left, "X", {a: g.value(c) for c, terms in over.items() for a, _ in terms})
 
 
 def fiber_indicator(ctx: FlagContext, forgotten) -> OrbitFunction:
-    """Indicator of pairs of complete flags with the same partial image."""
-    return _graph(ctx, "X", forgotten).convolve(_graph(ctx, "X", forgotten, transpose=True))
+    """Indicator of pairs of complete flags with the same partial image:
+    phi(x) = phi(x') exactly when (x, phi(x')) lies on the graph of phi."""
+    over = ctx.pushforward("X", "X", forgotten)
+    return OrbitFunction(ctx, "X", "X", {a: 1 for c in ctx.forget_graph("X", forgotten) for a, _ in over[c]})
 
 
 # -- matrices of convolution operators ------------------------------------------
@@ -283,8 +286,8 @@ def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
 
 
 def perm_label(ctx: FlagContext, w: weyl.AffinePerm):
-    """Orbit label of (standard flag, flag permuted by w)."""
-    return ctx.pair_label(ctx.standard_flag(), ctx.perm_flag(w.window))
+    """Orbit label of (standard flag, flag permuted by w), once per window."""
+    return ctx._memo(("permlabel", w.window), lambda: ctx.pair_label(ctx.standard_flag(), ctx.perm_flag(w.window)))
 
 
 def verify_hecke_iso(n: int, q: int) -> Report:
@@ -394,7 +397,8 @@ def im_psi_check(n: int, d: int, q: int) -> Report:
     """On every component: pullbacks from the partial factor are exactly
     the eigenspace of right convolution by the fiber indicator."""
     ctx = _context(n, q, d, ("XYX", "YXX", "YYX"))
-    dim_c = len(basis_labels(ctx, "Y", "X"))
+    column = {a: j for j, a in enumerate(basis_labels(ctx, "Y", "X"))}
+    dim_c = len(column)
     mismatches: list = []
     dims: dict = {"dim mixed space": dim_c}
     for forgotten in ctx.valid_components():
@@ -405,16 +409,17 @@ def im_psi_check(n: int, d: int, q: int) -> Report:
         if m_fiber != poincare:
             mismatches.append({"kind": "fiber size", "component": name, "got": m_fiber, "expected": poincare})
         rmat = operator_matrix(fiber_indicator(ctx, forgotten), "Y", "X", "X")
-        shifted = [
-            [rmat[i][j] - (m_fiber if i == j else 0) for j in range(dim_c)]
-            for i in range(dim_c)
-        ]
+        shifted = [[x - (m_fiber if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(rmat)]
         nullity = dim_c - linalg.int_rank(shifted)
         partial = ("YI", forgotten)
         expected = len(basis_labels(ctx, "Y", partial))
-        # the pullbacks of the indicator basis are the columns of the matrix of psi
-        pmat = operator_matrix(_graph(ctx, "X", forgotten, transpose=True), "Y", partial, "X")
-        pulled = [list(col) for col in zip(*pmat)]
+        # the pullbacks of the indicator basis are the columns of the matrix of
+        # psi: each indicates the labels over one label of the partial factor
+        pulled = []
+        for over in ctx.pushforward("Y", "X", forgotten).values():
+            pulled.append([0] * dim_c)
+            for a, _ in over:
+                pulled[-1][column[a]] = 1
         for h in pulled:
             if [sum(map(mul, row, h)) for row in rmat] != [m_fiber * x for x in h]:
                 mismatches.append({"kind": "pullback not an eigenfunction", "component": name})
@@ -458,23 +463,19 @@ def _finite_descents(w: weyl.AffinePerm) -> tuple:
 
 def _cosets(ctx: FlagContext, forgotten) -> dict:
     """Per orbit on complete-flag pairs: the coset label it pushes forward
-    onto, and that row of the pushforward matrix as {orbit: multiplicity}.
-    Every row must sum to the fiber size, and every orbit's column must have
-    exactly one nonzero entry."""
-    target = ("YI", forgotten)
-    mat = operator_matrix(_graph(ctx, "X", forgotten), "X", "X", target)
-    rows = dict(zip(basis_labels(ctx, "X", target), mat))
+    onto, and that coset's row of the pushforward as {orbit: multiplicity}.
+    Every row must sum to the fiber size, and every orbit must lie in
+    exactly one row."""
+    rows = {c: {a: m for a, m in over if m} for c, over in ctx.pushforward("X", "X", forgotten).items()}
     size = ctx.fiber_size(forgotten)
-    bad = {c: sum(row) for c, row in rows.items() if sum(row) != size}
+    bad = {c: sum(row.values()) for c, row in rows.items() if sum(row.values()) != size}
     if bad:
         raise InternalInvariantError(f"coset multiplicities do not sum to the fiber size {size}: {bad}")
-    if any(sum(map(bool, col)) != 1 for col in zip(*mat)):
-        raise InternalInvariantError(f"an orbit does not push forward onto exactly one coset (component {forgotten})")
-    orbits = basis_labels(ctx, "X", "X")
     out: dict = {}
     for coset, row in rows.items():
-        entries = {a: m for a, m in zip(orbits, row) if m}
-        out.update(dict.fromkeys(entries, (coset, entries)))
+        out.update(dict.fromkeys(row, (coset, row)))
+    if sum(map(len, rows.values())) != len(out) or out.keys() != set(basis_labels(ctx, "X", "X")):
+        raise InternalInvariantError(f"an orbit does not push forward onto exactly one coset (component {forgotten})")
     return out
 
 
@@ -497,20 +498,16 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
             f"family keys {sorted(family)} do not match components {list(valid)}"
         )
     for forg, func in family.items():
-        if ctx.space_id(func.left) != ctx.space_id("X") or ctx.space_id(
-            func.right
-        ) != ctx.space_id(("YI", tuple(sorted(forg)))):
+        sid = ctx.space_id
+        if (sid(func.left), sid(func.right)) != (sid("X"), sid(("YI", tuple(sorted(forg))))):
             raise DomainMismatchError(f"family entry for {forg} lives on the wrong space")
+    cosets = {forg: _cosets(ctx, forg) for forg in valid}
     for fi, fj in itertools.product(valid, valid):
-        if fi != fj and set(fi) <= set(fj):
-            if theta_between(family[fi], fi, fj) != family[fj]:
-                raise IncompatibleFamilyError(
-                    f"pushforwards from component {fi} and component {fj} disagree"
-                )
+        if fi != fj and set(fi) <= set(fj) and theta_between(family[fi], fi, fj) != family[fj]:
+            raise IncompatibleFamilyError(f"pushforwards from component {fi} and component {fj} disagree")
 
     perms = sorted(weyl.finite_permutations(n), key=lambda w: (w.length(), w.window))
     values: dict = {}
-    cosets = {forg: _cosets(ctx, forg) for forg in valid}
     for w in perms:
         descents = _finite_descents(w)
         lab = perm_label(ctx, w)

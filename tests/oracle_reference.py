@@ -4,10 +4,15 @@ exact rank underneath.
 
 These are the per-pair forms: each one sums at every pair of points and
 insists the result is constant on each orbit label.  The package computes
-the same functions from structure constants and from the indicator of the
-forgetting map's graph; the differential tests compare the two.  The
-operator matrix reference applies one convolution per basis label, and the
-coset table reference counts over the fibers of the forgetting map.
+convolution from structure constants and the forgetting maps from its
+audited pushforward operators; the differential tests compare the two.
+The operator matrix reference applies one convolution per basis label, and
+the coset table reference counts over the fibers of the forgetting map.
+
+The forgetting maps also have their former form here: convolution with the
+indicator of the graph of phi, over the structure constants of a triple of
+spaces.  ``pushforward_reference`` reads the package's operators, and so
+its coset rows, off that convolution.
 
 The flag-table references are the per-cell builds: subspaces by one
 row reduction per (subspace, vector) pair, subspace masks by a loop over
@@ -120,6 +125,40 @@ def fiber_indicator_reference(ctx, forgotten):
             hit = 1 if ctx.phi(x2, forgotten) == px else 0
             _put(out, ctx.pair_label(x, x2), hit, "fiber relation")
     return OrbitFunction(ctx, "X", "X", out)
+
+
+def _phi(ctx, source, forgotten):
+    """The map forgetting steps from a point of source."""
+    dims = tuple(range(1, ctx.n + 1)) if source == "X" else ctx.component_dims(source[1])
+    pick = [dims.index(c) for c in ctx.component_dims(forgotten)]
+    return lambda x: tuple(x[k] for k in pick)
+
+
+def graph_reference(ctx, source, forgotten, transpose=False):
+    """Indicator of the graph of phi from source onto a component, on
+    (source, component) pairs, or on (component, source) when transposed,
+    tested at every pair."""
+    target = ("YI", tuple(sorted(forgotten)))
+    phi = _phi(ctx, source, forgotten)
+    out: dict = {}
+    for x in ctx.space_points(source):
+        image = phi(x)
+        for p in ctx.space_points(target):
+            pair = (p, x) if transpose else (x, p)
+            _put(out, ctx.pair_label(*pair), int(p == image), "graph")
+    return OrbitFunction(ctx, *((target, source) if transpose else (source, target)), out)
+
+
+def pushforward_reference(ctx, left, source, forgotten):
+    """``FlagContext.pushforward`` as {label c: {label a: multiplicity}}:
+    the indicator of each label a on (left, source) convolved with the
+    graph of phi.  On complete-flag pairs these are the coset rows."""
+    graph = graph_reference(ctx, source, forgotten)
+    rows: dict = {c: {} for c in ctx.label_table(left, graph.right)[0]}
+    for a in ctx.label_table(left, source)[0]:
+        for c, m in OrbitFunction(ctx, left, source, {a: 1}).convolve(graph).values.items():
+            rows[c][a] = m
+    return rows
 
 
 def operator_matrix_reference(ctx, op, left, right):

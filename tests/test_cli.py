@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from affhecke import HeckeElt, cli, hecke, oracle
+from affhecke.flags import FlagContext
 from affhecke.parsing import parse_element
 from hecke_reference import mul_reference
 
@@ -202,6 +203,25 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "oracle", "hecke", "--n", "2", "--q", "2")
     assert code == 1
     assert "status: fail" in out
+
+
+@pytest.mark.usefixtures("fresh_shared_contexts")
+def test_uneven_fibers_exit_4(capsys, monkeypatch):
+    # a fiber of the forgetting map shortened by one flag: uneven fiber
+    # sizes are an internal invariant, not an input error
+    exact = FlagContext.fibers
+
+    def shortened(self, forgotten):
+        fibers = dict(exact(self, forgotten))
+        first = next(iter(fibers))
+        fibers[first] = fibers[first][1:]
+        return fibers
+
+    monkeypatch.setattr(FlagContext, "fibers", shortened)
+    code, out, err = run(capsys, "oracle", "lift", "--n", "3", "--d", "2", "--q", "2", "--trials", "1")
+    assert code == 4
+    assert out == ""
+    assert "uneven fibers" in err
 
 
 def usage_exit(capsys, *argv):

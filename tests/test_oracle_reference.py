@@ -1,6 +1,6 @@
-"""Convolution by structure constants, the forgetting maps by graph
-convolution, the operator matrices read off the structure constants and
-the flag tables under them, against the reference forms in
+"""Convolution by structure constants, the forgetting maps by their
+pushforward operators, the operator matrices read off the structure
+constants and the flag tables under them, against the reference forms in
 oracle_reference; and the label-constancy and pushforward guards firing."""
 
 import functools
@@ -9,11 +9,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affhecke import OrbitFunction, oracle
+from affhecke import OrbitFunction
 from affhecke.errors import DomainMismatchError, InternalInvariantError
 from affhecke.flags import FlagContext
 from affhecke.oracle import (
-    _graph,
+    _cosets,
     basis_labels,
     fiber_indicator,
     lift_family,
@@ -26,10 +26,12 @@ from affhecke.oracle import (
 from oracle_reference import (
     convolve_reference,
     fiber_indicator_reference,
+    graph_reference,
     intersections_reference,
     label_table_reference,
     operator_matrix_reference,
     psi_reference,
+    pushforward_reference,
     subspaces_reference,
     theta_between_reference,
     theta_reference,
@@ -131,6 +133,7 @@ def test_psi_matches_reference(data):
     forgotten = data.draw(st.sampled_from(ctx.valid_components()))
     g = draw_function(data, ctx, data.draw(st.sampled_from(spaces(ctx))), ("YI", forgotten))
     assert psi(g, forgotten) == psi_reference(g, forgotten)
+    assert psi(g, forgotten) == g.convolve(graph_reference(ctx, "X", forgotten, transpose=True))
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
@@ -138,6 +141,8 @@ def test_fiber_indicator_matches_reference(setting):
     ctx = context(setting)
     for forgotten in ctx.valid_components():
         assert fiber_indicator(ctx, forgotten) == fiber_indicator_reference(ctx, forgotten)
+        by_graph = graph_reference(ctx, "X", forgotten).convolve(graph_reference(ctx, "X", forgotten, transpose=True))
+        assert fiber_indicator(ctx, forgotten) == by_graph
 
 
 # -- operator matrices ---------------------------------------------------------
@@ -164,17 +169,52 @@ def test_operator_matrix_refuses_a_factor_off_the_triple():
         operator_matrix(f, "Y", "Y", "X")
 
 
+# -- the forgetting maps -------------------------------------------------------
+
+
+def forgetting_maps(ctx):
+    """(source, forgotten) for every map forgetting steps onto a component."""
+    valid = ctx.valid_components()
+    return [
+        (source, fj)
+        for fj in valid
+        for source in ["X"] + [("YI", fi) for fi in valid if set(fi) <= set(fj)]
+    ]
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_forget_graph_matches_reference(setting):
+    ctx = context(setting)
+    for source, forgotten in forgetting_maps(ctx):
+        graph = graph_reference(ctx, source, forgotten)
+        assert ctx.forget_graph(source, forgotten) == tuple(sorted(graph.values))
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_pushforward_operators_match_graph_convolution(setting):
+    ctx = context(setting)
+    for left in ("X", "Y"):
+        for source, forgotten in forgetting_maps(ctx):
+            got = ctx.pushforward(left, source, forgotten)
+            assert {c: dict(over) for c, over in got.items()} == pushforward_reference(ctx, left, source, forgotten)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_coset_rows_match_graph_convolution(setting):
+    ctx = context(setting)
+    for forgotten in ctx.valid_components():
+        rows = {coset: row for coset, row in _cosets(ctx, forgotten).values()}
+        assert rows == pushforward_reference(ctx, "X", "X", forgotten)
+
+
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_pushforward_columns_match_theta_table(setting):
     ctx = context(setting)
     for forgotten in ctx.valid_components():
-        target = ("YI", forgotten)
-        mat = operator_matrix(_graph(ctx, "X", forgotten), "X", "X", target)
-        orbits = basis_labels(ctx, "X", "X")
-        cosets = basis_labels(ctx, "X", target)
+        rows = ctx.pushforward("X", "X", forgotten)
         for w, (coset, mult) in theta_table_reference(ctx, forgotten).items():
-            column = [row[orbits.index(perm_label(ctx, w))] for row in mat]
-            assert {cosets[i]: m for i, m in enumerate(column) if m} == {coset: mult}
+            lab = perm_label(ctx, w)
+            assert {c: m for c, over in rows.items() for a, m in over if a == lab} == {coset: mult}
 
 
 # -- the guards ----------------------------------------------------------------
@@ -248,20 +288,94 @@ def test_lift_refuses_rows_off_the_fiber_size(monkeypatch):
 
 
 def test_lift_refuses_an_orbit_on_two_cosets(monkeypatch):
-    # move one unit of a column onto another orbit's column in the same row:
-    # row sums stay, but that orbit now pushes forward onto two cosets
-    def moved(fixed, left, mid, right):
-        mat = exact(fixed, left, mid, right)
-        if len(mat) > 1:
-            first = next(j for j, x in enumerate(mat[0]) if x)
-            k = next(j for j, x in enumerate(mat[1]) if x)
-            mat[0][first] -= 1
-            mat[0][k] += 1
-        return mat
+    # move one unit of the first coset's row onto an orbit of the second
+    # coset's row, in the rows the coset table reads: row sums stay, but
+    # that orbit now pushes forward onto two cosets
+    def moved(self, left, source, forgotten):
+        rows = exact(self, left, source, forgotten)
+        if (left, source) != ("X", "X") or len(rows) < 2:
+            return rows
+        rows = dict(rows)
+        first, second = list(rows)[:2]
+        (a, m), *rest = rows[first]
+        rows[first] = ((a, m - 1), *rest, (rows[second][0][0], 1))
+        return rows
 
     ctx = FlagContext(3, 2, 2)
     family = _pushforward_family(ctx)
-    exact = oracle.operator_matrix
-    monkeypatch.setattr(oracle, "operator_matrix", moved)
+    exact = FlagContext.pushforward
+    monkeypatch.setattr(FlagContext, "pushforward", moved)
     with pytest.raises(InternalInvariantError, match="exactly one coset"):
         lift_family(ctx, family)
+
+
+class LabelMerged(FlagContext):
+    """One pair space whose label ``drop`` reads as its label ``keep``."""
+
+    def __init__(self, n, q, d, spaces, keep, drop):
+        super().__init__(n, q, d)
+        self.spaces, self.keep, self.drop = spaces, keep, drop
+
+    def label_table(self, key_left, key_right):
+        labels, reps, index = super().label_table(key_left, key_right)
+        if (key_left, key_right) != self.spaces:
+            return labels, reps, index
+        drop = labels.index(self.drop)
+        pos = [k - (k > drop) for k in range(len(labels))]
+        pos[drop] = pos[labels.index(self.keep)]
+        merged = labels[:drop] + labels[drop + 1:]
+        return merged, {lab: reps[lab] for lab in merged}, [[pos[k] for k in row] for row in index]
+
+
+def test_pushforward_refuses_a_fiber_multiset_off_its_label():
+    # two labels on (chain, component) pairs merged: their fibers hold
+    # different multisets, and the graph of phi (on complete flags) is intact
+    exact = FlagContext(3, 2, 2)
+    keep, drop = basis_labels(exact, "Y", ("YI", (1,)))[:2]
+    ctx = LabelMerged(3, 2, 2, ("Y", ("YI", (1,))), keep, drop)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="forgetting map not constant"):
+            ctx.pushforward("Y", "X", (1,))
+
+
+def test_pushforward_refuses_a_label_over_two_labels():
+    # two labels on (chain, complete flag) pairs lying over different
+    # labels merged: every fiber multiset stays constant on its label
+    exact = FlagContext(3, 2, 2)
+    (_, first), (_, second) = list(exact.pushforward("Y", "X", (1,)).items())[:2]
+    ctx = LabelMerged(3, 2, 2, ("Y", "X"), first[0][0], second[0][0])
+    g = OrbitFunction(ctx, "Y", ("YI", (1,)), {basis_labels(ctx, "Y", ("YI", (1,)))[0]: 1})
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="forgetting map sends label"):
+            psi(g, (1,))
+
+
+class GraphLabelSpilled(FlagContext):
+    """(complete, component) labels with the graph label of phi copied onto
+    one neighbour of the graph position in each row, on one side only."""
+
+    def __init__(self, n, q, d, forgotten, side):
+        super().__init__(n, q, d)
+        self.forgotten, self.side = forgotten, side
+
+    def label_table(self, key_left, key_right):
+        labels, reps, index = super().label_table(key_left, key_right)
+        target = ("YI", self.forgotten)
+        if (key_left, key_right) != ("X", target):
+            return labels, reps, index
+        where = {p: j for j, p in enumerate(self.space_points(target))}
+        rows = []
+        for x, row in zip(self.space_points("X"), index):
+            row, j = list(row), where[self.phi(x, self.forgotten)]
+            if 0 <= j + self.side < len(row):
+                row[j + self.side] = row[j]
+            rows.append(row)
+        return labels, reps, rows
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_forget_graph_refuses_the_graph_label_on_one_side_of_the_graph(side):
+    ctx = GraphLabelSpilled(3, 2, 2, (1,), side)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="forgetting map straddles"):
+            ctx.forget_graph("X", (1,))

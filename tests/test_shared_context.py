@@ -84,7 +84,7 @@ def _kind(key) -> str:
 ])
 def test_the_guard_names_every_table_a_check_builds(monkeypatch, check, args):
     declared, built = [], set()
-    guard, constants = oracle._context, FlagContext.structure_constants
+    guard, constants, pushforward = oracle._context, FlagContext.structure_constants, FlagContext.pushforward
 
     def recording_guard(n, q, d, triples):
         declared.extend(triples)
@@ -94,8 +94,17 @@ def test_the_guard_names_every_table_a_check_builds(monkeypatch, check, args):
         built.add(_kind(left) + _kind(mid) + _kind(right))
         return constants(self, left, mid, right)
 
+    def recording_pushforward(self, left, source, forgotten):
+        # recorded by the convolution with the graph of phi it replaces: on
+        # (left, source, component) when pushing forward, on (left,
+        # component, source) when pulling back; both visit as many points
+        push, pull = _kind(left) + _kind(source) + "Y", _kind(left) + "Y" + _kind(source)
+        built.add(push if push in declared else pull)
+        return pushforward(self, left, source, forgotten)
+
     monkeypatch.setattr(oracle, "_context", recording_guard)
     monkeypatch.setattr(FlagContext, "structure_constants", recording_constants)
+    monkeypatch.setattr(FlagContext, "pushforward", recording_pushforward)
     getattr(oracle, check)(*args)
     assert built and built <= set(declared)
 
@@ -162,6 +171,8 @@ def test_forgetting_map_audit_fails_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(InternalInvariantError, match="forgetting map"):
             oracle.lift_trials(2, 2, 2, 1, 0)
+        with pytest.raises(InternalInvariantError, match="forgetting map"):
+            oracle.im_psi_check(2, 2, 2)
 
 
 # -- per-call checks: they run against a warm context ----------------------------
@@ -202,17 +213,21 @@ def test_coset_row_audit_runs_on_a_warm_context(monkeypatch):
 
 def test_coset_column_audit_runs_on_a_warm_context(monkeypatch):
     assert oracle.lift_trials(3, 2, 2, 1, 0).ok
-    exact = oracle.operator_matrix
+    exact = FlagContext.pushforward
 
-    def moved(fixed, left, mid, right):
-        mat = exact(fixed, left, mid, right)
-        first = next(j for j, x in enumerate(mat[0]) if x)
-        k = next(j for j, x in enumerate(mat[1]) if x)
-        mat[0][first] -= 1
-        mat[0][k] += 1
-        return mat
+    # one unit of the first coset's row moved onto an orbit of the second
+    # coset's row, in the rows the coset table reads
+    def moved(self, left, source, forgotten):
+        rows = exact(self, left, source, forgotten)
+        if (left, source) != ("X", "X") or len(rows) < 2:
+            return rows
+        rows = dict(rows)
+        first, second = list(rows)[:2]
+        (a, m), *rest = rows[first]
+        rows[first] = ((a, m - 1), *rest, (rows[second][0][0], 1))
+        return rows
 
-    monkeypatch.setattr(oracle, "operator_matrix", moved)
+    monkeypatch.setattr(FlagContext, "pushforward", moved)
     with pytest.raises(InternalInvariantError, match="exactly one coset"):
         oracle.lift_trials(3, 2, 2, 1, 0)
 
