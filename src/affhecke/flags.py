@@ -16,13 +16,15 @@ dimension; a row of a label table is zipped and looked up whole.
 ``point_counts`` gives the sizes of both point families in closed form,
 so a caller can bound its work before any enumeration, and
 ``shared_context`` keeps the audited tables of the most recent settings
-alive across calls.
+alive across calls, and its contexts of one (n, q) share what does not
+depend on d: the subspaces, the complete flags and their labels.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from collections import Counter
 from operator import add, mul
 
@@ -107,19 +109,23 @@ class FlagContext:
         self.q = q
         self.d = d
         self._cache: dict = {}
+        self._field: dict = {}
         self._ids: dict = {}
 
-    def _memo(self, key, build):
+    def _memo(self, key, build, field=False):
         """The value built once per key; a build that raises stores nothing,
-        so a failing audit fails again on every later call."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        so a failing audit fails again on every later call.  A value that
+        depends on (n, q) alone is stored with ``field`` in the field store,
+        which ``shared_context`` shares between the contexts of one (n, q)."""
+        store = self._field if field else self._cache
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     # -- subspaces ---------------------------------------------------------
 
     def vectors(self):
-        return self._memo("vectors", lambda: tuple(itertools.product(range(self.q), repeat=self.n)))
+        return self._memo("vectors", lambda: tuple(itertools.product(range(self.q), repeat=self.n)), True)
 
     def _masks(self) -> dict:
         """Each subspace's canonical basis -> the bit mask of its vectors
@@ -152,10 +158,10 @@ class FlagContext:
                 frontier = nxt
             return {sub: mask for mask, sub in spans.items()}
 
-        return self._memo("masks", build)
+        return self._memo("masks", build, True)
 
     def subspaces(self):
-        return self._memo("subspaces", lambda: tuple(sorted(self._masks())))
+        return self._memo("subspaces", lambda: tuple(sorted(self._masks())), True)
 
     def intersections(self):
         """Position of each subspace, and the table of intersection
@@ -168,7 +174,7 @@ class FlagContext:
             table = [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
             return {sub: i for i, sub in enumerate(self.subspaces())}, table
 
-        return self._memo("intersections", build)
+        return self._memo("intersections", build, True)
 
     def inter_dim(self, a, b) -> int:
         index, table = self.intersections()
@@ -178,7 +184,7 @@ class FlagContext:
         return self.inter_dim(big, small) == len(small)
 
     def full_space(self):
-        return self._memo("full", lambda: span_of(tuple(self.basis_vector(j) for j in range(1, self.n + 1)), self.q))
+        return self._memo("full", lambda: span_of(tuple(self.basis_vector(j) for j in range(1, self.n + 1)), self.q), True)
 
     def basis_vector(self, j: int):
         return tuple(1 if k == j - 1 else 0 for k in range(self.n))
@@ -200,7 +206,7 @@ class FlagContext:
                 ]
             return tuple(sorted(flags))
 
-        return self._memo("X", build)
+        return self._memo("X", build, True)
 
     def multistep_flags(self):
         def build():
@@ -340,7 +346,8 @@ class FlagContext:
             typecode = "H" if len(labels) <= 1 << 16 else "I"
             return tuple(reps), reps, [array(typecode, map(pos.__getitem__, row)) for row in rows]
 
-        return self._memo(("table", self.space_id(key_left), self.space_id(key_right)), build)
+        ids = (self.space_id(key_left), self.space_id(key_right))
+        return self._memo(("table",) + ids, build, ids == (self.space_id("X"),) * 2)
 
     def structure_constants(self, left, mid, right) -> dict:
         """For each label c of (left, right) pairs, the triples (a, b, count)
@@ -459,7 +466,15 @@ class FlagContext:
         window = tuple(window)
         return self._memo(("permflag", window), lambda: tuple(
             span_of([self.basis_vector(j) for j in window[:i]], self.q) for i in range(1, len(window) + 1)
-        ))
+        ), True)
+
+
+class _FieldTables(dict):
+    """A field store, held weakly by ``_FIELD_TABLES``."""
+
+
+# (n, q) -> the field store of the shared contexts of (n, q) still alive
+_FIELD_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @functools.lru_cache(maxsize=8)
@@ -467,6 +482,12 @@ def shared_context(n: int, q: int, d: int) -> FlagContext:
     """The one FlagContext of (n, q, d) in this process, tables and all.
 
     Holds the eight most recently used settings; ``cache_clear()`` frees
-    them.  A direct ``FlagContext(n, q, d)`` still builds a private one.
+    them.  The shared contexts of one (n, q) share one field store (the
+    subspaces, the complete flags and their labels), which lives as long
+    as one of them does, so a first call at a new d builds only what
+    depends on d.  A direct ``FlagContext(n, q, d)`` still builds a
+    private one.
     """
-    return FlagContext(n, q, d)
+    ctx = FlagContext(n, q, d)
+    ctx._field = _FIELD_TABLES.setdefault((n, q), _FieldTables())
+    return ctx

@@ -12,14 +12,15 @@ scheme fails loudly instead of silently.
 
 The four checks below take their context from ``flags.shared_context``:
 one per (n, q, d) per process, at most eight alive, so a repeated setting
-reuses its audited tables; ``flags.shared_context.cache_clear()`` frees
-them.  Every check's own verifications (commutation, ranks, the eigenvalue
-equation, the coset audits, the lift's round trip) still run on every
-call.  Before a context is built or looked up, the largest
-structure-constant table a check builds is bounded from the closed-form
-point counts: a table on (left, mid, right) visits |left|·|mid|·|right|
-middle points, and above MAX_TABLE_VISITS the check raises
-ResourceLimitError without enumerating anything.  ``bicommutant_check``
+reuses its audited tables, and settings of one (n, q) share the tables of
+complete flags; ``flags.shared_context.cache_clear()`` frees them.  Every
+check's own verifications (commutation, ranks, the eigenvalue equation,
+the coset audits, the lift's round trip) still run on every call.
+Before a context is built or looked up, the largest structure-constant
+table a check builds is bounded from the closed-form point counts: a
+table on (left, mid, right) visits |left|·|mid|·|right| middle points,
+and above MAX_TABLE_VISITS the check raises ResourceLimitError without
+enumerating anything.  ``bicommutant_check``
 bounds its dense commutator systems the same way, from closed-form
 dimensions.
 
@@ -286,8 +287,9 @@ def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
 
 
 def perm_label(ctx: FlagContext, w: weyl.AffinePerm):
-    """Orbit label of (standard flag, flag permuted by w), once per window."""
-    return ctx._memo(("permlabel", w.window), lambda: ctx.pair_label(ctx.standard_flag(), ctx.perm_flag(w.window)))
+    """Orbit label of (standard flag, flag permuted by w), once per window
+    in the field store."""
+    return ctx._memo(("permlabel", w.window), lambda: ctx.pair_label(ctx.standard_flag(), ctx.perm_flag(w.window)), True)
 
 
 def verify_hecke_iso(n: int, q: int) -> Report:

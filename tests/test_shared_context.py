@@ -1,4 +1,5 @@
-"""The oracle's shared contexts: one per (n, q, d) per process, bounded.
+"""The oracle's shared contexts: one per (n, q, d) per process, bounded,
+sharing the tables of complete flags within one (n, q).
 
 Reports are byte-identical from a cold and a warm cache.  Every audit of a
 table still fails on every call while it is tripped, since a failed build
@@ -7,10 +8,11 @@ runs against a context whose tables are already built.
 """
 
 import json
+import weakref
 
 import pytest
 
-from affhecke import linalg, oracle
+from affhecke import linalg, oracle, weyl
 from affhecke.errors import IncompatibleFamilyError, InternalInvariantError, ResourceLimitError
 from affhecke.flags import FlagContext, shared_context
 from affhecke.oracle import OrbitFunction, basis_labels, lift_family, theta
@@ -48,6 +50,27 @@ def test_one_context_per_setting_and_a_fixed_bound():
         shared_context(2, 2 + d % 2, (d + 1) // 2)
     assert shared_context.cache_info().currsize == maxsize
     assert shared_context(1, 2, 1) is not first  # the oldest was dropped
+
+
+def test_settings_of_one_field_share_the_complete_flag_tables():
+    a, b = shared_context(3, 2, 2), shared_context(3, 2, 1)
+    assert a.label_table("X", "X") is b.label_table("X", "X")
+    assert a.intersections() is b.intersections()
+    assert oracle.perm_label(a, weyl.AffinePerm.s(3, 1)) is oracle.perm_label(b, weyl.AffinePerm.s(3, 1))
+    assert a.label_table("Y", "X") is not b.label_table("Y", "X")
+    assert shared_context(3, 3, 2).label_table("X", "X") is not a.label_table("X", "X")
+    assert FlagContext(3, 2, 2).label_table("X", "X") is not a.label_table("X", "X")
+    store = weakref.ref(a._field)
+    del a, b
+    shared_context.cache_clear()
+    assert store() is None
+
+
+def test_reports_do_not_depend_on_which_setting_built_the_shared_tables():
+    alone = [_report("bicommutant_check", (3, 1, 2)), _report("lift_trials", (3, 1, 2, 2, 0))]
+    shared_context.cache_clear()
+    _report("lift_trials", (3, 3, 2, 1, 0))
+    assert [_report("bicommutant_check", (3, 1, 2)), _report("lift_trials", (3, 1, 2, 2, 0))] == alone
 
 
 def test_entry_points_share_one_context(monkeypatch):
