@@ -247,6 +247,10 @@ def main(argv=None) -> int:
         parser.error("--n must be at least 1")
     if getattr(args, "trials", 1) < 1:
         parser.error("--trials must be at least 1")
+    if args.n * (args.n - 1) // 2 > parsing.MAX_PRODUCT_WORK:  # the pairs one length visits
+        print("error: rank %d: one length visits more than %d pairs" % (args.n, parsing.MAX_PRODUCT_WORK),
+              file=sys.stderr)
+        return 3
     try:
         lines, code = args.func(args)
     except _INPUT_ERRORS as exc:

@@ -1,16 +1,15 @@
 """Exact linear algebra for the oracle checks.
 
-Matrices are lists of rows of ints, as the oracle's operator matrices are.
-Only what the commutant and rank computations need: an exact integer
-matrix product, and ranks by sparse fraction-free elimination.
+A matrix is a list of sparse rows: row i is a dict {column: int} of its
+nonzero entries (an explicit zero means nothing), as the oracle's operator
+matrices are.  Only what the commutant and rank computations need: an
+exact integer matrix product, and ranks by sparse fraction-free
+elimination.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
 from math import gcd
-from operator import mul
-from typing import Iterable, Sequence
 
 
 def _reduce(vec: dict, col: int, pivot: dict) -> dict:
@@ -29,14 +28,13 @@ def _reduce(vec: dict, col: int, pivot: dict) -> dict:
     return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
-def int_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of integer rows, by sparse elimination: rows
-    are dicts of their nonzero entries, and each pivot row is keyed by its
-    first column, so a row meets only the pivots of its own leading
-    columns."""
+def int_rank(rows: list[dict]) -> int:
+    """Rank over the rationals of sparse integer rows (explicit zeros are
+    ignored), taken shortest first.  Each pivot row is keyed by its first
+    column, so a row meets only the pivots of its own leading columns."""
     pivots: dict = {}
-    for row in rows:
-        vec = dict(zip(compress(count(), row), filter(None, row)))
+    for row in sorted(rows, key=len):
+        vec = {k: x for k, x in row.items() if x}
         while vec:
             col = min(vec)
             pivot = pivots.get(col)
@@ -47,6 +45,13 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+def mat_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """The product a·b, row by row over the nonzeros of a."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out

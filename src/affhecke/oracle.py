@@ -20,9 +20,8 @@ Before a context is built or looked up, the largest structure-constant
 table a check builds is bounded from the closed-form point counts: a
 table on (left, mid, right) visits |left|·|mid|·|right| middle points,
 and above MAX_TABLE_VISITS the check raises ResourceLimitError without
-enumerating anything.  ``bicommutant_check``
-bounds its dense commutator systems the same way, from closed-form
-dimensions.
+enumerating anything.  Operator matrices and the linear systems built
+from them are lists of sparse rows, the matrix form of ``linalg``.
 
 The checks exercised here: the orbit algebra on pairs of complete flags
 multiplies like the generic positive algebra with the parameter set to
@@ -38,9 +37,8 @@ by a triangular recursion over descent classes.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from operator import mul
+from collections import defaultdict
 
 from . import hecke, linalg, weyl
 from .errors import (
@@ -52,9 +50,10 @@ from .errors import (
 from .flags import FlagContext, point_counts, shared_context
 
 # Admits the tables of every rank-4 setting over F_2 up to d = 3, whose
-# largest table (Y x Y x X at d = 3) visits about 8.3e7 middle points, and
-# bicommutant_check's commutator systems up to (n, d) = (3, 3) and (4, 2).
+# largest table (Y x Y x X at d = 3) visits about 8.3e7 middle points.
 MAX_TABLE_VISITS = 100_000_000
+# A warm lift trial at (4, 3, 2), the largest admitted, takes about 1 ms.
+MAX_TRIALS = 10_000
 
 
 class OrbitFunction:
@@ -180,7 +179,8 @@ def operator_matrix(fixed: OrbitFunction, left, mid, right):
     constants of (left, mid, right): on the left of functions on (mid,
     right) if the factor lives on (left, mid), else on the right of
     functions on (left, mid).  Where all three spaces are one it acts on the
-    left.  Rows follow the labels of (left, right), columns the operand's."""
+    left.  Rows follow the labels of (left, right), columns the operand's;
+    each row is a dict of its nonzero entries."""
     ctx, sid = fixed.ctx, fixed.ctx.space_id
     spaces = (sid(fixed.left), sid(fixed.right))
     on_left = spaces == (sid(left), sid(mid))
@@ -188,34 +188,41 @@ def operator_matrix(fixed: OrbitFunction, left, mid, right):
         raise DomainMismatchError(f"factor on {fixed.left!r} x {fixed.right!r} fits neither side of the triple")
     column = {lab: j for j, lab in enumerate(basis_labels(ctx, *((mid, right) if on_left else (left, mid))))}
     consts = ctx.structure_constants(left, mid, right)
+    value = fixed.values.get
     rows = []
     for lab in basis_labels(ctx, left, right):
-        row = [0] * len(column)
+        row: dict = {}
         for a, b, count in consts[lab]:
             fixed_lab, free_lab = (a, b) if on_left else (b, a)
-            row[column[free_lab]] += fixed.value(fixed_lab) * count
-        rows.append(row)
+            x = value(fixed_lab)
+            if x:
+                j = column[free_lab]
+                row[j] = row.get(j, 0) + x * count
+        rows.append({j: x for j, x in row.items() if x})
     return rows
 
 
 def _vec(mat):
-    return tuple(x for row in mat for x in row)
+    """A square matrix flattened to one sparse row: entry (i, j) at i*m + j."""
+    m = len(mat)
+    return {i * m + j: x for i, row in enumerate(mat) for j, x in row.items()}
 
 
 def _commutator_rows(mats, m):
-    """Linear conditions on an m x m matrix commuting with every mat."""
+    """Linear conditions on an m x m matrix X, flattened as by ``_vec``,
+    commuting with every mat P: entry (i, j) of X·P - P·X, once each."""
     rows = set()
     for p in mats:
-        for i in range(m):
-            for j in range(m):
-                row = [0] * (m * m)
-                for l in range(m):
-                    row[i * m + l] += p[l][j]
-                for k in range(m):
-                    row[k * m + j] -= p[i][k]
-                if any(row):
-                    rows.add(tuple(row))
-    return sorted(rows)
+        eqs = defaultdict(dict)  # entry (i, j) at i*m + j
+        for a, p_row in enumerate(p):
+            for b, y in p_row.items():
+                for i in range(m):
+                    eq = eqs[i * m + b]  # X[i][a]·P[a][b] in entry (i, b)
+                    eq[i * m + a] = eq.get(i * m + a, 0) + y
+                    eq = eqs[a * m + i]  # P[a][b]·X[b][i] in entry (a, i)
+                    eq[b * m + i] = eq.get(b * m + i, 0) - y
+        rows.update(tuple(sorted((k, x) for k, x in eq.items() if x)) for eq in eqs.values())
+    return [dict(row) for row in sorted(rows) if row]
 
 
 # -- reports ---------------------------------------------------------------------
@@ -262,12 +269,13 @@ def _finish(claim: str, dims: dict, mismatches: list) -> Report:
     return Report(claim=claim, status="pass" if not mismatches else "fail", dims=dims, mismatches=mismatches)
 
 
-def _check_tables(n: int, q: int, d: int, triples: tuple) -> None:
-    """ResourceLimitError unless every structure-constant table the caller
-    builds is under MAX_TABLE_VISITS.  ``triples`` names the (left, mid,
-    right) spaces of those tables by "X" and "Y"; a component counts as
-    "Y", whose points it is a subset of.  The test suite records the tables
-    each check builds and holds them to these names."""
+def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
+    """The shared context of (n, q, d), once every structure-constant
+    table the caller builds is under MAX_TABLE_VISITS, else
+    ResourceLimitError.  ``triples`` names the (left, mid, right) spaces of
+    those tables by "X" and "Y"; a component counts as "Y", whose points it
+    is a subset of.  The test suite records the tables each check builds
+    and holds them to these names."""
     size = dict(zip("XY", point_counts(n, q, d)))
     visits = max(size[a] * size[b] * size[c] for a, b, c in triples)
     if visits > MAX_TABLE_VISITS:
@@ -275,11 +283,6 @@ def _check_tables(n: int, q: int, d: int, triples: tuple) -> None:
             "oracle tables at n=%d, q=%d, d=%d may visit %d middle points, above the cap %d"
             % (n, q, d, visits, MAX_TABLE_VISITS)
         )
-
-
-def _context(n: int, q: int, d: int, triples: tuple) -> FlagContext:
-    """The shared context of (n, q, d), once its tables pass ``_check_tables``."""
-    _check_tables(n, q, d, triples)
     return shared_context(n, q, d)
 
 
@@ -333,18 +336,8 @@ def bicommutant_check(n: int, d: int, q: int) -> Report:
     """Compare both convolution actions on the mixed space with each
     other's centralizer.  At d >= n both actions fill their centralizer
     exactly; at d < n the right action is checked to surject with a
-    nonzero kernel.  Its dense commutator systems, (operators) * (d^n)^4
-    entries for C(d^2+n-1, n) left and n! right operators, are bounded by
-    MAX_TABLE_VISITS before any table is built."""
-    triples = ("YYX", "YXX")
-    _check_tables(n, q, d, triples)  # first: it also rejects (n, q, d) out of range
-    entries = max(math.comb(d * d + n - 1, n), math.factorial(n)) * d ** (4 * n)
-    if entries > MAX_TABLE_VISITS:
-        raise ResourceLimitError(
-            "commutator systems at n=%d, d=%d may hold %d entries, above the cap %d"
-            % (n, d, entries, MAX_TABLE_VISITS)
-        )
-    ctx = _context(n, q, d, triples)
+    nonzero kernel.  Its systems are sparse rows; the table guard bounds it."""
+    ctx = _context(n, q, d, ("YYX", "YXX"))
     dim_a = len(basis_labels(ctx, "Y", "Y"))
     dim_b = len(basis_labels(ctx, "X", "X"))
     dim_c = len(basis_labels(ctx, "Y", "X"))
@@ -411,20 +404,18 @@ def im_psi_check(n: int, d: int, q: int) -> Report:
         if m_fiber != poincare:
             mismatches.append({"kind": "fiber size", "component": name, "got": m_fiber, "expected": poincare})
         rmat = operator_matrix(fiber_indicator(ctx, forgotten), "Y", "X", "X")
-        shifted = [[x - (m_fiber if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(rmat)]
+        shifted = [{**row, i: row.get(i, 0) - m_fiber} for i, row in enumerate(rmat)]
         nullity = dim_c - linalg.int_rank(shifted)
         partial = ("YI", forgotten)
         expected = len(basis_labels(ctx, "Y", partial))
         # the pullbacks of the indicator basis are the columns of the matrix of
         # psi: each indicates the labels over one label of the partial factor
-        pulled = []
-        for over in ctx.pushforward("Y", "X", forgotten).values():
-            pulled.append([0] * dim_c)
+        pulled: list = [{} for _ in range(dim_c)]
+        for t, over in enumerate(ctx.pushforward("Y", "X", forgotten).values()):
             for a, _ in over:
-                pulled[-1][column[a]] = 1
-        for h in pulled:
-            if [sum(map(mul, row, h)) for row in rmat] != [m_fiber * x for x in h]:
-                mismatches.append({"kind": "pullback not an eigenfunction", "component": name})
+                pulled[column[a]][t] = 1
+        for _ in set().union(*linalg.mat_mul(shifted, pulled)):  # columns off the eigenspace
+            mismatches.append({"kind": "pullback not an eigenfunction", "component": name})
         rank_pulled = linalg.int_rank(pulled)
         dims[f"eigenspace [{name}]"] = nullity
         dims[f"partial orbits [{name}]"] = expected
@@ -532,7 +523,10 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
 
 
 def lift_trials(n: int, d: int, q: int, trials: int, seed: int) -> Report:
-    """Seeded round-trips: random function, push to all components, lift back."""
+    """Seeded round-trips: random function, push to all components, lift
+    back.  More than MAX_TRIALS trials raise ResourceLimitError at once."""
+    if trials > MAX_TRIALS:
+        raise ResourceLimitError("%d lift trials requested, above the cap %d" % (trials, MAX_TRIALS))
     ctx = _context(n, q, d, ("XXY", "XYY"))
     rng = random.Random(seed)
     perms = list(weyl.finite_permutations(n))

@@ -19,11 +19,20 @@ row reduction per (subspace, vector) pair, subspace masks by a loop over
 coefficient tuples, and label positions by one dict lookup per pair of
 points.  ``IntRowSpace``, a dense fraction-free row space, is the
 reference for the sparse ``linalg.int_rank``.
+
+The dense matrix forms the oracle used before its matrices became lists
+of sparse rows are here too: the dense product, the flattening of a
+matrix and the commutator rows as lists of ints, the conversion of a
+dense row into the dict of its nonzeros, and the bound on the dense
+commutator systems that ``bicommutant_check`` was held to.
 """
 
 import itertools
+import math
 from array import array
+from itertools import compress, count
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from affhecke import OrbitFunction
@@ -251,6 +260,51 @@ def label_table_reference(ctx, key_left, key_right):
     reps = {labels[k]: reps[k] for k in order}
     typecode = "H" if len(labels) <= 1 << 16 else "I"
     return tuple(reps), reps, [array(typecode, map(pos.__getitem__, row)) for row in rows]
+
+
+# -- dense matrices ------------------------------------------------------------
+
+
+def dense(rows, ncols):
+    """Sparse rows as lists of ncols ints."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def sparse(rows):
+    """Dense rows as dicts of their nonzero entries."""
+    return [dict(zip(compress(count(), row), filter(None, row))) for row in rows]
+
+
+def mat_mul_reference(a, b):
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def vec_reference(mat):
+    return tuple(x for row in mat for x in row)
+
+
+def commutator_rows_reference(mats, m):
+    """Linear conditions on an m x m matrix commuting with every dense mat,
+    one dense row of m*m ints per condition, each once."""
+    rows = set()
+    for p in mats:
+        for i in range(m):
+            for j in range(m):
+                row = [0] * (m * m)
+                for l in range(m):
+                    row[i * m + l] += p[l][j]
+                for k in range(m):
+                    row[k * m + j] -= p[i][k]
+                if any(row):
+                    rows.add(tuple(row))
+    return sorted(rows)
+
+
+def dense_commutator_entries(n, d):
+    """Entries of the dense commutator systems of bicommutant_check, for
+    C(d^2+n-1, n) left and n! right operators on d^n points."""
+    return max(math.comb(d * d + n - 1, n), math.factorial(n)) * d ** (4 * n)
 
 
 # -- exact rank ----------------------------------------------------------------

@@ -166,14 +166,35 @@ def test_oracle_work_guard_exits_3_before_any_enumeration(capsys, argv):
     assert time.perf_counter() - start < 5
 
 
-def test_commutator_guard_exits_3_before_any_enumeration(capsys):
-    # the tables fit (8.3e7 middle points), but 495 left operators on the
-    # 81-dimensional mixed space make commutator systems of 2.1e10 entries
+def test_lift_trials_above_the_cap_exit_3_before_any_table(capsys):
+    # about 37 hours of trials at this setting
     start = time.perf_counter()
-    code, out, err = run(capsys, "oracle", "bicommutant", "--n", "4", "--d", "3", "--q", "2")
+    code, out, err = run(capsys, "oracle", "lift", "--n", "2", "--d", "2", "--q", "2",
+                         "--trials", "1000000000")
     assert (code, out) == (3, "")
-    assert "commutator systems" in err
+    assert "lift trials" in err
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--n", "1000000", "1"),
+    ("mul", "--n", "100000000", "1"),
+    ("reduce-word", "--n", "1001", "w[1]"),
+    ("canonical", "--n", "1000000", "--max-length", "0"),
+    ("oracle", "hecke", "--n", "1000000", "--q", "2"),
+])
+def test_ranks_past_the_length_budget_exit_3_before_any_work(capsys, argv):
+    # one length at rank n visits n(n-1)/2 pairs; 1001 * 1000 / 2 > 500,000
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "pairs" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_rank_1000_is_admitted(capsys):
+    code, out, err = run(capsys, "mul", "--n", "1000", "1")
+    assert (code, out, err) == (0, "T[]\n", "")
 
 
 @pytest.mark.parametrize("argv", [

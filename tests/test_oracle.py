@@ -1,5 +1,6 @@
 """Convolution algebras over small finite fields against the generic algebra."""
 
+import math
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from affhecke.oracle import (
     theta_between,
 )
 from affhecke.weyl import finite_permutations
+from oracle_reference import dense_commutator_entries
 
 
 def _random_function(ctx, left, right, rng):
@@ -207,6 +209,18 @@ def test_bicommutant_rank_3_square_case():
         "kernel of right action": 0,
     }
     assert elapsed < cap, "runtime %.2fs exceeds the %ds cap" % (elapsed, cap)
+
+
+def test_bicommutant_rank_3_four_steps():
+    # past the cap as dense commutator systems; dim left = C(4^2 + 3 - 1, 3)
+    assert dense_commutator_entries(3, 4) > oracle.MAX_TABLE_VISITS
+    report = bicommutant_check(3, 4, 2)
+    assert report.ok, report.to_json()
+    assert report.dims["dim left algebra"] == 816 == math.comb(18, 3)
+    assert report.dims["dim right algebra"] == 6
+    assert report.dims["dim mixed space"] == 4**3
+    assert report.dims["centralizer of left action"] == 6
+    assert report.dims["centralizer of right action"] == 816
 
 
 def test_bicommutant_truncated_case_has_kernel():

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 from affhecke import OrbitFunction
 from affhecke.errors import DomainMismatchError, InternalInvariantError
 from affhecke.flags import FlagContext
+from affhecke.linalg import int_rank
 from affhecke.oracle import (
+    _commutator_rows,
     _cosets,
+    _vec,
     basis_labels,
     fiber_indicator,
     lift_family,
@@ -24,18 +27,23 @@ from affhecke.oracle import (
     theta_between,
 )
 from oracle_reference import (
+    commutator_rows_reference,
     convolve_reference,
+    dense,
     fiber_indicator_reference,
     graph_reference,
+    int_rank_reference,
     intersections_reference,
     label_table_reference,
     operator_matrix_reference,
     psi_reference,
     pushforward_reference,
+    sparse,
     subspaces_reference,
     theta_between_reference,
     theta_reference,
     theta_table_reference,
+    vec_reference,
 )
 
 # some tests here patch FlagContext
@@ -148,18 +156,43 @@ def test_fiber_indicator_matches_reference(setting):
 # -- operator matrices ---------------------------------------------------------
 
 
+def _dense(ctx, mat):
+    """An operator on functions on (Y, X) as dense rows, once its sparse rows
+    are checked to hold nonzero entries only."""
+    assert all(all(row.values()) for row in mat)
+    return dense(mat, len(basis_labels(ctx, "Y", "X")))
+
+
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_operator_matrices_match_reference(setting):
     ctx = context(setting)
     for a in basis_labels(ctx, "Y", "Y"):
         f = OrbitFunction(ctx, "Y", "Y", {a: 1})
-        assert operator_matrix(f, "Y", "Y", "X") == operator_matrix_reference(ctx, f.convolve, "Y", "X")
+        assert _dense(ctx, operator_matrix(f, "Y", "Y", "X")) == operator_matrix_reference(ctx, f.convolve, "Y", "X")
     for b in basis_labels(ctx, "X", "X"):
         g = OrbitFunction(ctx, "X", "X", {b: 1})
-        assert operator_matrix(g, "Y", "X", "X") == operator_matrix_reference(ctx, lambda c: c.convolve(g), "Y", "X")
+        assert _dense(ctx, operator_matrix(g, "Y", "X", "X")) == operator_matrix_reference(
+            ctx, lambda c: c.convolve(g), "Y", "X")
     for forgotten in ctx.valid_components():
         z = fiber_indicator(ctx, forgotten)
-        assert operator_matrix(z, "Y", "X", "X") == operator_matrix_reference(ctx, lambda c: c.convolve(z), "Y", "X")
+        assert _dense(ctx, operator_matrix(z, "Y", "X", "X")) == operator_matrix_reference(
+            ctx, lambda c: c.convolve(z), "Y", "X")
+
+
+@pytest.mark.parametrize("setting", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
+def test_commutator_rows_match_the_dense_reference(setting):
+    # both actions on the mixed space: the sparse rows, the dense reference
+    # rows and the two together have one rank, and are the same conditions
+    ctx = context(setting)
+    m = len(basis_labels(ctx, "Y", "X"))
+    for left, mid, labels in (("Y", "Y", basis_labels(ctx, "Y", "Y")), ("X", "X", basis_labels(ctx, "X", "X"))):
+        mats = [operator_matrix(OrbitFunction(ctx, left, mid, {lab: 1}), "Y", mid, "X") for lab in labels]
+        rows = _commutator_rows(mats, m)
+        ref = commutator_rows_reference([_dense(ctx, mat) for mat in mats], m)
+        assert int_rank(rows) == int_rank_reference(ref) == int_rank(rows + sparse(ref))
+        assert sorted(map(tuple, dense(rows, m * m))) == ref
+        flat = [vec_reference(_dense(ctx, mat)) for mat in mats]
+        assert dense([_vec(mat) for mat in mats], m * m) == list(map(list, flat))
 
 
 def test_operator_matrix_refuses_a_factor_off_the_triple():

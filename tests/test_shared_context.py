@@ -138,14 +138,13 @@ class _Admitted(Exception):
 
 @pytest.mark.parametrize("check,admitted,refused", [
     ("verify_hecke_iso", (4, 2), (4, 3)),
-    ("bicommutant_check", (4, 2, 2), (4, 3, 2)),
+    ("bicommutant_check", (4, 3, 2), (4, 4, 2)),
     ("im_psi_check", (4, 3, 2), (4, 4, 2)),
     ("lift_trials", (4, 3, 2, 1, 0), (4, 4, 2, 1, 0)),
 ])
 def test_the_guard_admits_rank_4_up_to_3_steps_over_f2(monkeypatch, check, admitted, refused):
-    # the largest table there, Y x Y x X, visits 513 * 513 * 315 middle points;
-    # bicommutant_check's commutator systems at d = 3 hold 495 * 81^4 entries
-    assert 513 * 513 * 315 < oracle.MAX_TABLE_VISITS < 495 * 81**4
+    # the largest table there, Y x Y x X, visits 513 * 513 * 315 middle points
+    assert 513 * 513 * 315 < oracle.MAX_TABLE_VISITS
 
     def reached(n, q, d):
         raise _Admitted
@@ -153,8 +152,7 @@ def test_the_guard_admits_rank_4_up_to_3_steps_over_f2(monkeypatch, check, admit
     monkeypatch.setattr(oracle, "shared_context", reached)
     with pytest.raises(_Admitted):
         getattr(oracle, check)(*admitted)
-    reason = "commutator systems" if check == "bicommutant_check" else "middle points"
-    with pytest.raises(ResourceLimitError, match=reason):
+    with pytest.raises(ResourceLimitError, match="middle points"):
         getattr(oracle, check)(*refused)
 
 
