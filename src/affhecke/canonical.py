@@ -100,13 +100,14 @@ def positive_canonical_basis(
     n: int, max_length: int, max_depth: int
 ) -> list[CanonicalElt]:
     """All b_w with w positive, l(w) <= max_length, degree(w) >= -max_depth.
+    A positive element has degree <= 0, so a negative max_depth gives none.
 
     Asserts the positivity of supports: for positive w the whole support of
-    b_w stays inside the positive cone.  A max_length above
+    b_w stays inside the positive cone.  A max_length below 0 or above
     DEFAULT_LENGTH_CAP raises ResourceLimitError before any enumeration.
     """
-    if max_length < 0 or max_depth < 0:
-        raise ResourceLimitError("bounds must be nonnegative")
+    if max_length < 0:
+        raise ResourceLimitError("length bound must be nonnegative")
     if max_length > DEFAULT_LENGTH_CAP:
         raise ResourceLimitError("length %d exceeds cap %d" % (max_length, DEFAULT_LENGTH_CAP))
     out = []

@@ -43,7 +43,6 @@ _RESOURCE_ERRORS = (ResourceLimitError, UnsupportedParameterError)
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     return common
 
 
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", metavar="EXPR")
     p.set_defaults(func=_cmd_quotient_mul)
 
-    p = sub.add_parser("oracle", parents=[common], help="finite-field convolution checks")
+    p = sub.add_parser("oracle", help="finite-field convolution checks")
     osub = p.add_subparsers(dest="check", required=True)
 
     o = osub.add_parser("hecke", parents=[common], help="orbit algebra vs generic algebra")
@@ -118,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--d", type=int, required=True)
     o.add_argument("--q", type=int, required=True)
     o.add_argument("--trials", type=int, default=20)
+    o.add_argument("--seed", type=int, default=0, help="seed of the random functions")
     o.set_defaults(func=_cmd_oracle_lift)
 
     return parser
@@ -162,7 +162,7 @@ def _spec(args) -> quotients.IdealSpec:
 
 
 def _cmd_canonical(args) -> tuple[list[str], int]:
-    depth = max(0, -args.min_degree)
+    depth = -args.min_degree
     if args.lambdas:
         records = [
             {"window": list(w.window), "terms": image.rep.to_json()}

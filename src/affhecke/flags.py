@@ -280,27 +280,19 @@ class FlagContext:
 
         return self._memo("components", build)
 
-    def phi(self, flag, forgotten):
-        dims = self.component_dims(forgotten)
-        return tuple(flag[c - 1] for c in dims)
-
-    def fibers(self, forgotten) -> dict:
-        def build():
-            out: dict = {}
-            for x in self.complete_flags():
-                out.setdefault(self.phi(x, forgotten), []).append(x)
-            return {p: tuple(v) for p, v in out.items()}
-
-        return self._memo(("fibers", tuple(sorted(forgotten))), build)
-
     def fiber_size(self, forgotten) -> int:
+        """The number of complete flags over each point of the component
+        forgetting the given steps, counted off ``_image``; fibers of
+        unequal sizes raise InternalInvariantError."""
+        forgotten = tuple(sorted(forgotten))
+
         def build():
-            sizes = {len(fiber) for fiber in self.fibers(forgotten).values()}
+            sizes = set(Counter(self._image("X", forgotten)).values())
             if len(sizes) != 1:
                 raise InternalInvariantError(f"uneven fibers for component {forgotten}: {sorted(sizes)}")
             return sizes.pop()
 
-        return self._memo(("fibersize", tuple(sorted(forgotten))), build)
+        return self._memo(("fibersize", forgotten), build)
 
     # -- labels ------------------------------------------------------------
 

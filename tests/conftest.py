@@ -3,7 +3,7 @@
 import pytest
 
 from affhecke.hecke import clear_bar_table
-from affhecke.flags import shared_context
+from affhecke.flags import FlagContext, shared_context
 
 
 @pytest.fixture
@@ -22,3 +22,17 @@ def fresh_bar_table():
     clear_bar_table()
     yield
     clear_bar_table()
+
+
+@pytest.fixture
+def one_flag_moved(monkeypatch):
+    """``FlagContext._image`` with its first point moved into the fiber of
+    another point of the component, for every source and component."""
+    exact = FlagContext._image
+
+    def moved(self, source, forgotten):
+        image = list(exact(self, source, forgotten))
+        image[0] = next(j for j in image if j != image[0])
+        return image
+
+    monkeypatch.setattr(FlagContext, "_image", moved)

@@ -8,6 +8,8 @@ convolution from structure constants and the forgetting maps from its
 audited pushforward operators; the differential tests compare the two.
 The operator matrix reference applies one convolution per basis label, and
 the coset table reference counts over the fibers of the forgetting map.
+``phi`` and ``fibers`` give that map on flag tuples, apart from the
+package's positions (``FlagContext._image``).
 
 The forgetting maps also have their former form here: convolution with the
 indicator of the graph of phi, over the structure constants of a triple of
@@ -83,6 +85,19 @@ def convolve_reference(f, g):
     return OrbitFunction(ctx, f.left, g.right, out)
 
 
+def phi(ctx, flag, forgotten):
+    """The complete flag's steps at the dimensions of the component."""
+    return tuple(flag[c - 1] for c in ctx.component_dims(forgotten))
+
+
+def fibers(ctx, forgotten) -> dict:
+    """Each point of the component hit by phi -> the complete flags over it."""
+    out: dict = {}
+    for x in ctx.space_points("X"):
+        out.setdefault(phi(ctx, x, forgotten), []).append(x)
+    return out
+
+
 def _fiber_sums(func, fibers, target):
     ctx = func.ctx
     pairs = _pairs(ctx, func.left, func.right)
@@ -97,7 +112,7 @@ def _fiber_sums(func, fibers, target):
 def theta_reference(f, forgotten):
     """Sum f over the complete flags refining each partial flag."""
     forgotten = tuple(sorted(forgotten))
-    return _fiber_sums(f, f.ctx.fibers(forgotten), ("YI", forgotten))
+    return _fiber_sums(f, fibers(f.ctx, forgotten), ("YI", forgotten))
 
 
 def theta_between_reference(g, forgotten_i, forgotten_j):
@@ -107,11 +122,11 @@ def theta_between_reference(g, forgotten_i, forgotten_j):
     forgotten_j = tuple(sorted(forgotten_j))
     dims_i = ctx.component_dims(forgotten_i)
     dims_j = ctx.component_dims(forgotten_j)
-    fibers: dict = {}
+    parts: dict = {}
     for p in ctx.space_points(("YI", forgotten_i)):
         image = tuple(p[dims_i.index(c)] for c in dims_j)
-        fibers.setdefault(image, []).append(p)
-    return _fiber_sums(g, fibers, ("YI", forgotten_j))
+        parts.setdefault(image, []).append(p)
+    return _fiber_sums(g, parts, ("YI", forgotten_j))
 
 
 def psi_reference(g, forgotten):
@@ -120,7 +135,7 @@ def psi_reference(g, forgotten):
     out: dict = {}
     for fl in ctx.space_points(g.left):
         for x in ctx.space_points("X"):
-            val = g.value(ctx.pair_label(fl, ctx.phi(x, forgotten)))
+            val = g.value(ctx.pair_label(fl, phi(ctx, x, forgotten)))
             _put(out, ctx.pair_label(fl, x), val, "pullback")
     return OrbitFunction(ctx, g.left, "X", out)
 
@@ -129,9 +144,9 @@ def fiber_indicator_reference(ctx, forgotten):
     """Indicator of pairs of complete flags with the same partial image."""
     out: dict = {}
     for x in ctx.space_points("X"):
-        px = ctx.phi(x, forgotten)
+        px = phi(ctx, x, forgotten)
         for x2 in ctx.space_points("X"):
-            hit = 1 if ctx.phi(x2, forgotten) == px else 0
+            hit = 1 if phi(ctx, x2, forgotten) == px else 0
             _put(out, ctx.pair_label(x, x2), hit, "fiber relation")
     return OrbitFunction(ctx, "X", "X", out)
 
@@ -182,13 +197,14 @@ def theta_table_reference(ctx, forgotten):
     multiplicity there, counted over the fiber of the pushed flag.  Coset
     multiplicities must sum to the fiber size."""
     e_flag = ctx.standard_flag()
+    over = fibers(ctx, forgotten)
     table: dict = {}
     sums: dict = {}
     for w in finite_permutations(ctx.n):
-        part = ctx.phi(ctx.perm_flag(w.window), forgotten)
+        part = phi(ctx, ctx.perm_flag(w.window), forgotten)
         out_lab = ctx.pair_label(e_flag, part)
         w_lab = perm_label(ctx, w)
-        mult = sum(1 for x in ctx.fibers(forgotten)[part] if ctx.pair_label(e_flag, x) == w_lab)
+        mult = sum(1 for x in over[part] if ctx.pair_label(e_flag, x) == w_lab)
         table[w] = (out_lab, mult)
         sums[out_lab] = sums.get(out_lab, 0) + mult
     bad = {lab: s for lab, s in sums.items() if s != ctx.fiber_size(forgotten)}

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from affhecke import HeckeElt, cli, hecke, oracle
-from affhecke.flags import FlagContext
 from affhecke.parsing import parse_element
 from hecke_reference import mul_reference
 
@@ -130,6 +129,42 @@ def test_oracle_lift(capsys):
     assert out.splitlines()[1] == "status: pass"
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--json", "hecke", "--n", "2", "--q", "2"),
+    ("oracle", "--seed", "5", "lift", "--n", "2", "--d", "2", "--q", "2"),
+    ("mul", "--n", "2", "--seed", "3", "1"),
+])
+def test_flags_off_their_subcommand_exit_2(capsys, argv):
+    # --json belongs to each subcommand, --seed to oracle lift alone; the
+    # oracle group takes neither, so no check runs with a flag dropped
+    code, out, err = usage_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+def test_lift_seed_reaches_the_trials(capsys, monkeypatch):
+    seeds = []
+
+    def recording(n, d, q, trials, seed):
+        seeds.append(seed)
+        return oracle.Report(claim="demo", status="pass", dims={}, mismatches=[])
+
+    monkeypatch.setattr(oracle, "lift_trials", recording)
+    for seed in ((), ("--seed", "7")):
+        assert run(capsys, "oracle", "lift", "--n", "2", "--d", "2", "--q", "2", *seed)[0] == 0
+    assert seeds == [0, 7]
+
+
+@pytest.mark.parametrize("extra,out", [((), ""), (("--json",), "[]\n"), (("--tsv",), ""),
+                                      (("--json", "--lambda", "1,0"), "[]\n")])
+def test_canonical_above_degree_0_prints_no_record(capsys, extra, out):
+    # every positive element has degree <= 0
+    assert run(capsys, "canonical", "--n", "2", "--max-length", "1", "--min-degree", "1", *extra) == (0, out, "")
+    code, out, err = run(capsys, "canonical", "--n", "2", "--max-length", "-1", "--min-degree", "1", *extra)
+    assert (code, out) == (3, "")
+    assert "nonnegative" in err
+
+
 def test_bad_expression_exits_2(capsys):
     code, out, err = run(capsys, "mul", "--json", "--n", "2", "T[junk]")
     assert code == 2
@@ -226,23 +261,14 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     assert "status: fail" in out
 
 
-@pytest.mark.usefixtures("fresh_shared_contexts")
-def test_uneven_fibers_exit_4(capsys, monkeypatch):
-    # a fiber of the forgetting map shortened by one flag: uneven fiber
-    # sizes are an internal invariant, not an input error
-    exact = FlagContext.fibers
-
-    def shortened(self, forgotten):
-        fibers = dict(exact(self, forgotten))
-        first = next(iter(fibers))
-        fibers[first] = fibers[first][1:]
-        return fibers
-
-    monkeypatch.setattr(FlagContext, "fibers", shortened)
+@pytest.mark.usefixtures("fresh_shared_contexts", "one_flag_moved")
+def test_uneven_fibers_exit_4(capsys):
+    # a broken forgetting map is an internal invariant, not an input error;
+    # the graph audit of the pushforward sees it before the fiber sizes
     code, out, err = run(capsys, "oracle", "lift", "--n", "3", "--d", "2", "--q", "2", "--trials", "1")
     assert code == 4
     assert out == ""
-    assert "uneven fibers" in err
+    assert "forgetting map" in err
 
 
 def usage_exit(capsys, *argv):

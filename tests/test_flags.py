@@ -5,8 +5,9 @@ from array import array
 
 import pytest
 
-from affhecke.errors import ResourceLimitError, UnsupportedParameterError
+from affhecke.errors import InternalInvariantError, ResourceLimitError, UnsupportedParameterError
 from affhecke.flags import FlagContext, point_counts, rref_fq, span_of
+from oracle_reference import fibers, phi
 
 
 # -- enumeration counts ---------------------------------------------------------
@@ -191,22 +192,27 @@ def test_component_dims():
 
 
 def test_forgetting_map_lands_in_the_component():
+    # _image names, per complete flag, the point phi(x) of the component
     ctx = FlagContext(3, 2, 2)
+    flags = ctx.space_points("X")
     for forgotten in ctx.valid_components():
+        points = ctx.space_points(("YI", forgotten))
         dims = ctx.component_dims(forgotten)
-        for flag in ctx.space_points("X"):
-            image = ctx.phi(flag, forgotten)
-            assert tuple(len(s) for s in image) == dims
+        image = ctx._image("X", forgotten)
+        assert len(image) == len(flags)
+        for flag, j in zip(flags, image):
+            assert points[j] == phi(ctx, flag, forgotten)
+            assert tuple(len(s) for s in points[j]) == dims
 
 
 def test_fibers_partition_the_flag_variety():
     ctx = FlagContext(3, 2, 2)
     flags = ctx.space_points("X")
     for forgotten in ctx.valid_components():
-        fibers = ctx.fibers(forgotten)
-        assert sum(len(f) for f in fibers.values()) == len(flags)
-        sizes = {len(f) for f in fibers.values()}
-        assert sizes == {ctx.fiber_size(forgotten)}
+        parts = fibers(ctx, forgotten)
+        assert sum(len(f) for f in parts.values()) == len(flags)
+        assert set(parts) == set(ctx.space_points(("YI", forgotten)))  # phi is onto
+        assert {len(f) for f in parts.values()} == {ctx.fiber_size(forgotten)}
 
 
 def test_fiber_sizes_are_parabolic_sums():
@@ -217,6 +223,15 @@ def test_fiber_sizes_are_parabolic_sums():
     assert ctx.fiber_size((1,)) == 1 + q
     assert ctx.fiber_size((2,)) == 1 + q
     assert ctx.fiber_size((1, 2)) == 1 + 2 * q + 2 * q ** 2 + q ** 3
+    assert ctx.fiber_size((2, 1)) == ctx.fiber_size((1, 2))
+
+
+@pytest.mark.usefixtures("one_flag_moved")
+def test_uneven_fibers_raise_on_every_call():
+    ctx = FlagContext(3, 2, 2)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="uneven fibers"):
+            ctx.fiber_size((1,))
 
 
 def test_context_memoization_is_per_parameter():

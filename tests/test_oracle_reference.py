@@ -36,6 +36,7 @@ from oracle_reference import (
     intersections_reference,
     label_table_reference,
     operator_matrix_reference,
+    phi,
     psi_reference,
     pushforward_reference,
     sparse,
@@ -399,7 +400,7 @@ class GraphLabelSpilled(FlagContext):
         where = {p: j for j, p in enumerate(self.space_points(target))}
         rows = []
         for x, row in zip(self.space_points("X"), index):
-            row, j = list(row), where[self.phi(x, self.forgotten)]
+            row, j = list(row), where[phi(self, x, self.forgotten)]
             if 0 <= j + self.side < len(row):
                 row[j + self.side] = row[j]
             rows.append(row)
