@@ -17,7 +17,9 @@ dimension; a row of a label table is zipped and looked up whole.
 so a caller can bound its work before any enumeration, and
 ``shared_context`` keeps the audited tables of the most recent settings
 alive across calls, and its contexts of one (n, q) share what does not
-depend on d: the subspaces, the complete flags and their labels.
+depend on d: the subspaces, the complete flags and their labels.  A
+repeated call of ``label_table``, ``structure_constants`` or
+``pushforward`` is one lookup on its own arguments.
 """
 
 from __future__ import annotations
@@ -111,6 +113,16 @@ class FlagContext:
         self._cache: dict = {}
         self._field: dict = {}
         self._ids: dict = {}
+        self._hits: dict = {}
+
+    def _hit(self, raw, key, build, field=False):
+        """The value ``_memo`` keeps under key, also entered in the hit map
+        under ``raw``, the caller's own arguments, which the caller looks up
+        first.  The entry is a reference to what ``_memo`` owns, written only
+        after ``_memo`` returned, so a build that raises leaves none."""
+        value = self._memo(key, build, field)
+        self._hits[raw] = value
+        return value
 
     def _memo(self, key, build, field=False):
         """The value built once per key; a build that raises stores nothing,
@@ -308,6 +320,10 @@ class FlagContext:
         ``array``, 2 bytes an entry up to 65,536 labels and 4 beyond.
         A label is keyed by the codes of its columns; only a row with an
         unseen key walks its pairs, to record each new label's first pair."""
+        raw = ("table", key_left, key_right)
+        hit = self._hits.get(raw)
+        if hit is not None:
+            return hit
 
         def build():
             from array import array
@@ -339,7 +355,7 @@ class FlagContext:
             return tuple(reps), reps, [array(typecode, map(pos.__getitem__, row)) for row in rows]
 
         ids = (self.space_id(key_left), self.space_id(key_right))
-        return self._memo(("table",) + ids, build, ids == (self.space_id("X"),) * 2)
+        return self._hit(raw, ("table",) + ids, build, ids == (self.space_id("X"),) * 2)
 
     def structure_constants(self, left, mid, right) -> dict:
         """For each label c of (left, right) pairs, the triples (a, b, count)
@@ -347,6 +363,10 @@ class FlagContext:
         label(m, r) = b at a pair (l, r) with label c.  Counted at every
         pair: where two pairs of one label disagree, the labels are too
         coarse and InternalInvariantError is raised."""
+        raw = ("constants", left, mid, right)
+        hit = self._hits.get(raw)
+        if hit is not None:
+            return hit
 
         def build():
             labels_lm, _, lm = self.label_table(left, mid)
@@ -368,7 +388,8 @@ class FlagContext:
                 for lab, found in zip(labels_lr, counts)
             }
 
-        return self._memo(("constants", self.space_id(left), self.space_id(mid), self.space_id(right)), build)
+        ids = (self.space_id(left), self.space_id(mid), self.space_id(right))
+        return self._hit(raw, ("constants",) + ids, build)
 
     def _image(self, source, forgotten) -> list:
         """Per point x of source, the position of phi(x) among the points
@@ -416,6 +437,10 @@ class FlagContext:
         must not straddle a label (``forget_graph``), each fiber's
         multiset must be constant on its label, and each label a must lie
         over one label c, else InternalInvariantError."""
+        raw = ("pushforward", left, source, tuple(forgotten))
+        hit = self._hits.get(raw)
+        if hit is not None:
+            return hit
         forgotten = tuple(sorted(forgotten))
 
         def build():
@@ -446,7 +471,7 @@ class FlagContext:
                 for c, multiset in enumerate(found)
             }
 
-        return self._memo(("pushforward", self.space_id(left), self.space_id(source), forgotten), build)
+        return self._hit(raw, ("pushforward", self.space_id(left), self.space_id(source), forgotten), build)
 
     # -- distinguished flags -----------------------------------------------
 

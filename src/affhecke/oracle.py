@@ -13,9 +13,19 @@ scheme fails loudly instead of silently.
 The four checks below take their context from ``flags.shared_context``:
 one per (n, q, d) per process, at most eight alive, so a repeated setting
 reuses its audited tables, and settings of one (n, q) share the tables of
-complete flags; ``flags.shared_context.cache_clear()`` frees them.  Every
-check's own verifications (commutation, ranks, the eigenvalue equation,
-the coset audits, the lift's round trip) still run on every call.
+complete flags; ``flags.shared_context.cache_clear()`` frees them.
+
+Memoised per context, so built once: the label tables, the structure
+constants and the pushforward operators, each with its audit (a repeated
+call with the same arguments is one dict lookup); the fiber sizes; the
+labels of permuted flags; and the lift plan of ``_lift_plan`` (the labels
+a trial draws, the zeroed orbits and the triangular order).  The
+parabolic subgroups are cached per (n, steps).  Still run on every call:
+the domain checks of ``theta``, ``psi`` and ``OrbitFunction``, the coset
+row and column audits of ``_cosets`` with their fiber-size comparison,
+the operator matrices, commutation, ranks, the eigenvalue equation and
+the lift's round trip.
+
 Before a context is built or looked up, the largest structure-constant
 table a check builds is bounded from the closed-form point counts: a
 table on (left, mid, right) visits |left|·|mid|·|right| middle points,
@@ -39,6 +49,7 @@ by a triangular recursion over descent classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import defaultdict
@@ -55,7 +66,8 @@ from .flags import FlagContext, point_counts, shared_context
 # Admits the tables of every rank-4 setting over F_2 up to d = 3, whose
 # largest table (Y x Y x X at d = 3) visits about 8.3e7 middle points.
 MAX_TABLE_VISITS = 100_000_000
-# A warm lift trial takes about 1.5 ms at the largest settings, (4, 4, q).
+# A warm lift trial takes about 1.2 ms at (4, 4, 2) and 1.4 ms at (4, 4, 3)
+# (Python 3.11, 2 vCPUs), so the cap stands for about 15 s of trials.
 MAX_TRIALS = 10_000
 
 
@@ -435,8 +447,10 @@ def im_psi_check(n: int, d: int, q: int) -> Report:
 # -- check 4: lifting compatible families ----------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _parabolic(n: int, gens) -> tuple:
-    """Subgroup of finite permutations generated by the named swaps."""
+    """Subgroup of finite permutations generated by the named swaps, once
+    per (n, gens) among the 64 most recent."""
     base = [weyl.AffinePerm.s(n, i) for i in gens] if gens else []
     seen = {weyl.AffinePerm.identity(n)}
     frontier = list(seen)
@@ -454,6 +468,27 @@ def _parabolic(n: int, gens) -> tuple:
 
 def _finite_descents(w: weyl.AffinePerm) -> tuple:
     return tuple(i for i in range(1, w.n) if w.has_right_descent(i))
+
+
+def _lift_plan(ctx: FlagContext) -> tuple:
+    """What a lift reads of its context, built once per context: the
+    labels that draw a random value in a trial, in ``finite_permutations``
+    order; the count of zeroed orbits, those whose permutation has fewer
+    than n - d descents; and the triangular order, by (length, window),
+    as (label, descents), with descents None on a zeroed orbit."""
+
+    def build():
+        perms = list(weyl.finite_permutations(ctx.n))
+        descents = {w: _finite_descents(w) for w in perms}
+        kept = {w: ds for w, ds in descents.items() if len(ds) >= ctx.n - ctx.d}
+        order = sorted(perms, key=lambda w: (w.length(), w.window))
+        return (
+            tuple(perm_label(ctx, w) for w in kept),
+            len(perms) - len(kept),
+            tuple((perm_label(ctx, w), kept.get(w)) for w in order),
+        )
+
+    return ctx._memo("lift plan", build)
 
 
 def _cosets(ctx: FlagContext, forgotten) -> dict:
@@ -486,7 +521,6 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
     """
     from fractions import Fraction
 
-    n, d = ctx.n, ctx.d
     valid = ctx.valid_components()
     if set(family) != set(valid):
         raise IncompatibleFamilyError(
@@ -501,15 +535,13 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
         if fi != fj and set(fi) <= set(fj) and theta_between(family[fi], fi, fj) != family[fj]:
             raise IncompatibleFamilyError(f"pushforwards from component {fi} and component {fj} disagree")
 
-    perms = sorted(weyl.finite_permutations(n), key=lambda w: (w.length(), w.window))
     values: dict = {}
-    for w in perms:
-        descents = _finite_descents(w)
-        lab = perm_label(ctx, w)
-        if len(descents) < n - d:
+    for lab, descents in _lift_plan(ctx)[2]:
+        if descents is None:
             values[lab] = 0
             continue
-        # w is longest in its coset, so the rest of the row is already solved
+        # the orbit's permutation is longest in its coset, so the rest of
+        # the row is already solved
         coset, row = cosets[descents][lab]
         total = family[descents].value(coset) - sum(m * values[a] for a, m in row.items() if a != lab)
         quotient, remainder = divmod(total, row[lab])
@@ -526,21 +558,19 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
 
 def lift_trials(n: int, d: int, q: int, trials: int, seed: int) -> Report:
     """Seeded round-trips: random function, push to all components, lift
-    back.  More than MAX_TRIALS trials raise ResourceLimitError at once.
-    No structure-constant table is built, so no table guard runs."""
+    back.  Fewer than one trial raise ValueError, and more than MAX_TRIALS
+    ResourceLimitError, both at once.  No structure-constant table is
+    built, so no table guard runs."""
+    if trials < 1:
+        raise ValueError("%d lift trials requested; at least one is needed" % trials)
     if trials > MAX_TRIALS:
         raise ResourceLimitError("%d lift trials requested, above the cap %d" % (trials, MAX_TRIALS))
     ctx = shared_context(n, q, d)
     rng = random.Random(seed)
-    perms = list(weyl.finite_permutations(n))
-    zeroed = [w for w in perms if len(_finite_descents(w)) < n - d]
+    drawn, zeroed, _ = _lift_plan(ctx)
     mismatches: list = []
     for trial in range(trials):
-        vals = {
-            perm_label(ctx, w): rng.randint(-9, 9)
-            for w in perms
-            if len(_finite_descents(w)) >= n - d
-        }
+        vals = {lab: rng.randint(-9, 9) for lab in drawn}
         original = OrbitFunction(ctx, "X", "X", vals)
         family = {forg: theta(original, forg) for forg in ctx.valid_components()}
         try:
@@ -552,7 +582,7 @@ def lift_trials(n: int, d: int, q: int, trials: int, seed: int) -> Report:
             mismatches.append({"kind": "round trip", "trial": trial})
     dims = {
         "trials": trials,
-        "zeroed orbits": len(zeroed),
+        "zeroed orbits": zeroed,
         "components": len(ctx.valid_components()),
     }
     return _finish(f"pushforward family lifts round-trip (n={n}, d={d}, q={q}, {trials} trials)", dims, mismatches)

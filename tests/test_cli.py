@@ -293,6 +293,13 @@ def test_negative_trials_exit_2(capsys):
     assert "error: --trials must be at least 1" in err
 
 
+def test_an_expression_starting_with_a_minus_needs_a_double_dash(capsys):
+    # argparse reads a leading "-" as an option; "--" ends the options
+    code, out, _ = usage_exit(capsys, "mul", "--n", "2", "-T[s1]")
+    assert (code, out) == (2, "")
+    assert run(capsys, "mul", "--n", "2", "--", "-T[s1]") == (0, "-T[s1]\n", "")
+
+
 def test_huge_exponent_exits_3(capsys):
     code, out, err = run(capsys, "mul", "--n", "2", "T[s1]^99999999")
     assert (code, out) == (3, "")

@@ -237,6 +237,16 @@ def test_lift_round_trip_seeded():
     assert report.ok, report.to_json()
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_lift_trials_below_one_raise_before_any_context(monkeypatch, trials):
+    def reached(n, q, d):
+        raise AssertionError("a context was looked up")
+
+    monkeypatch.setattr(oracle, "shared_context", reached)
+    with pytest.raises(ValueError, match="at least one"):
+        lift_trials(3, 2, 2, trials, 0)
+
+
 def test_lift_of_pushforward_family():
     ctx = FlagContext(3, 2, 2)
     rng = random.Random(43)
