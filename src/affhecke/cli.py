@@ -202,8 +202,7 @@ def _cmd_quotient_mul(args) -> tuple[list[str], int]:
     budget = parsing.WorkBudget()
     left = quotients.reduce(parsing.parse_element(args.n, args.left, budget), spec)
     right = quotients.reduce(parsing.parse_element(args.n, args.right, budget), spec)
-    budget.charge(left.rep, right.rep)
-    product = quotients.quotient_mul(left, right)
+    product = quotients.quotient_mul(left, right, budget.charge)
     if args.json:
         return [_dump(product.to_json())], 0
     budget.charge_words(product.rep.terms)

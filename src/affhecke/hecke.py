@@ -35,6 +35,19 @@ slots packs wider; nothing is ever truncated.  Packing is a ring map
 Z[v] -> Z, so the ints stay exact however large intermediate digits grow,
 and only the result has to fit its slots to read back exactly.
 
+``product`` plans a*b once: the reduced words of supp b, their Coxeter
+lengths, the valuations and the slot width.  A request budget is charged
+from that plan, before any letter step, with two bounds.  Steps: the l(w)
+letters of w at most double the terms each, so a*b takes at most
+|supp a| * sum over w in supp b of 2^(l(w)+1) letter-term steps.  Bits: a
+packed coefficient of a*b spans the exponents of a and b widened by 2 per
+letter, 1 + 2 max l(w) + (deg - val)(a) + (deg - val)(b) slots of the
+plan's width.  Where the step bound does not fit the budget, a dry run on
+windows alone counts the letter steps instead, stopped once it passes the
+rest of the budget.  ``invert_t`` charges T_w^-1 as the product 1*T_w:
+2^(l(w)+1) steps, 1 + 2 l(w) slots of the width for 3^l(w), and a dry run
+along the inverse letter steps it takes.
+
 The bar involution (semilinear over v -> v^-1, T_w -> (T_{w^-1})^-1) and
 ``invert_t`` (T_w^-1 = (T_{x^-1})^-1 at x = w^-1) share those inverse
 steps.  The partial product for a suffix of the reduced word of x^-1 does
@@ -181,43 +194,12 @@ class HeckeElt:
         """Multiply on the right by T of a single generator letter."""
         return self * t_basis(Word(self.n, (letter,)).to_perm())
 
-    def right_letter_inverse(self, letter) -> "HeckeElt":
-        """Multiply on the right by the inverse of T of a single generator letter.
-
-        T_w T_{s_i}^-1 = T_{w s_i} if l(w s_i) < l(w), and otherwise
-        v^2 T_{w s_i} + (v^2-1) T_w, from T_{s_i}^-1 = v^2 T_{s_i} + (v^2-1).
-        """
-        return self * invert_t(Word(self.n, (letter,)).to_perm())
-
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
         if not isinstance(other, HeckeElt):
             return NotImplemented
-        if self.n != other.n:
-            raise RankMismatchError("ranks differ: %d vs %d" % (self.n, other.n))
-        n = self.n
-        if not self.terms or not other.terms:
-            return HeckeElt(n)
-        # self T_w runs the letters of w from the packed self; every result
-        # is brought to the common base by shifting its coefficient factor
-        words = [_reduced_letters(w) for w in other.terms]
-        lengths = [_coxeter_count(letters) for letters in words]
-        top = max(lengths)
-        width = slot_width(_product_bound(self, other, lengths))
-        shift = 2 * width
-        base_a, base_b = _valuation(self), _valuation(other)
-        packed = {w.window: kronecker_pack(c, base_a, width) for w, c in self.terms.items()}
-        total: dict[tuple, int] = {}
-        get = total.get
-        for letters, c, k in zip(words, other.terms.values(), lengths):
-            cur = packed
-            for letter in letters:
-                cur = _step(cur, n, letter, shift)
-            factor = kronecker_pack(c, base_b, width) << (shift * (top - k))
-            for t, p in cur.items():
-                total[t] = get(t, 0) + p * factor
-        return _unpack(n, total.items(), base_a + base_b - 2 * top, width, self.terms)
+        return product(self, other)
 
     # -- rendering -----------------------------------------------------------------
 
@@ -336,72 +318,74 @@ def _coxeter_count(letters: tuple) -> int:
     return len(letters) - letters.count(RHO) - letters.count(RHO_INV)
 
 
-def _product_bound(a: HeckeElt, b: HeckeElt, lengths: list[int]) -> int:
-    """A bound on every coefficient of a*b, given l(w) for w in supp b in order."""
-    return _height(a) * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
+def _dry_run(n: int, windows: set, words: Iterable[tuple], cap: int) -> int:
+    """A bound on the letter-term steps of running each of ``words`` by T or
+    by T^-1 from terms on ``windows``, or a count above ``cap`` once it
+    passes it; coefficients are never formed.  Every Coxeter letter keeps
+    both the moved and the unmoved windows, a superset of what either kernel
+    keeps; by the subword property the windows after a prefix of a reduced
+    word stay in windows·[e, prefix], so the count grows like the lower
+    Bruhat intervals, not like 2^l."""
+    steps = 0
+    for letters in words:
+        cur = windows
+        last = len(letters) - 1
+        for i, letter in enumerate(letters):
+            steps += len(cur)
+            # a next letter steps at least as many windows, so stop before building them
+            ahead = len(cur) if i < last else 0
+            if steps + ahead > cap:
+                return steps + ahead
+            move, descent = _window_step(n, letter)
+            moved = set(map(move, cur))
+            if descent is not None:
+                moved |= cur
+            cur = moved
+    return steps
 
 
-def product_cost(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
-    """Bounds (letter-term steps, bits of one packed coefficient) for a*b.
-
-    Running the l(w) letters of w at most doubles the terms at each step,
-    so a*b takes at most |supp a| * sum over w in supp b of 2^(l(w)+1)
-    steps.  A packed coefficient of a*b spans the exponents of a and b
-    widened by 2 per letter, in slots of the width the product packs with.
-    """
+def product(a: HeckeElt, b: HeckeElt, charge=None) -> HeckeElt:
+    """a*b, planned once: the reduced words of supp b, their lengths, the
+    valuations and the slot width.  ``charge(steps, bits, dry_run)``, if
+    given, receives the plan's cost (see the module docstring) before any
+    letter step runs."""
+    if a.n != b.n:
+        raise RankMismatchError("ranks differ: %d vs %d" % (a.n, b.n))
+    n = a.n
     if not a.terms or not b.terms:
-        return 0, 0
-    lengths = [w.length() for w in b.terms]
-    steps = len(a.terms) * sum(2 ** (k + 1) for k in lengths)
-    span = 1 + 2 * max(lengths)
-    for elt in (a, b):
-        span += max(c.degree() for c in elt.terms.values()) - _valuation(elt)
-    return steps, span * slot_width(_product_bound(a, b, lengths))
-
-
-def _window_steps(n: int, windows: set, letters: tuple, cap: int) -> int:
-    """A bound on the letter-term steps of running ``letters`` by T or by
-    T^-1 from terms on ``windows``, or a count above ``cap`` once it passes
-    it.  Every Coxeter letter keeps both the moved and the unmoved windows,
-    a superset of what either kernel keeps; by the subword property the
-    windows after a prefix of a reduced word stay in windows·[e, prefix],
-    so the count grows like the lower Bruhat intervals, not like 2^l."""
-    steps = 0
-    last = len(letters) - 1
-    for i, letter in enumerate(letters):
-        steps += len(windows)
-        # a next letter steps at least as many windows, so stop before building them
-        ahead = len(windows) if i < last else 0
-        if steps + ahead > cap:
-            return steps + ahead
-        move, descent = _window_step(n, letter)
-        moved = set(map(move, windows))
-        if descent is not None:
-            moved |= windows
-        windows = moved
-    return steps
-
-
-def product_steps(a: HeckeElt, b: HeckeElt, cap: int) -> int:
-    """At least the letter-term steps a*b takes, or a count above ``cap``
-    once it passes it; a dry run on windows alone, coefficients never formed."""
-    start = {w.window for w in a.terms}
-    steps = 0
-    for w in b.terms:
-        steps += _window_steps(a.n, start, _reduced_letters(w), cap - steps)
-        if steps > cap:
-            break
-    return steps
-
-
-def inverse_steps(w: AffinePerm, cap: int) -> int:
-    """As ``product_steps``, for the inverse letter steps of ``invert_t(w)``."""
-    letters = tuple(reversed(_reduced_letters(w)))
-    return _window_steps(w.n, {AffinePerm.identity(w.n).window}, letters, cap)
+        return HeckeElt(n)
+    words = [_reduced_letters(w) for w in b.terms]
+    lengths = [_coxeter_count(letters) for letters in words]
+    top = max(lengths)
+    bound = _height(a) * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
+    width = slot_width(bound)
+    base_a, base_b = _valuation(a), _valuation(b)
+    if charge is not None:
+        steps = len(a.terms) * sum(2 ** (k + 1) for k in lengths)
+        span = 1 + 2 * top + _degree(a) - base_a + _degree(b) - base_b
+        charge(steps, span * width, lambda cap: _dry_run(n, {w.window for w in a.terms}, words, cap))
+    # a T_w runs the letters of w from the packed a; every result is brought
+    # to the common base by shifting its coefficient factor
+    shift = 2 * width
+    packed = {w.window: kronecker_pack(c, base_a, width) for w, c in a.terms.items()}
+    total: dict[tuple, int] = {}
+    get = total.get
+    for letters, c, k in zip(words, b.terms.values(), lengths):
+        cur = packed
+        for letter in letters:
+            cur = _step(cur, n, letter, shift)
+        factor = kronecker_pack(c, base_b, width) << (shift * (top - k))
+        for t, p in cur.items():
+            total[t] = get(t, 0) + p * factor
+    return _unpack(n, total.items(), base_a + base_b - 2 * top, width, a.terms)
 
 
 def _valuation(a: HeckeElt) -> int:
     return min((c.valuation() for c in a.terms.values()), default=0)
+
+
+def _degree(a: HeckeElt) -> int:
+    return max(c.degree() for c in a.terms.values())
 
 
 def _height(a: HeckeElt) -> int:
@@ -581,9 +565,15 @@ def t_tilde(w: AffinePerm) -> HeckeElt:
     return HeckeElt(w.n, {w: v_power(-w.length())})
 
 
-def invert_t(w: AffinePerm) -> HeckeElt:
-    """The inverse of T_w from the shared table; its coefficients are at most 3^l(w)."""
-    width = _bucket_width(3 ** w.length())
+def invert_t(w: AffinePerm, charge=None) -> HeckeElt:
+    """The inverse of T_w from the shared table; its coefficients are at most
+    3^l(w).  ``charge``, if given, receives its cost first, as for a product."""
+    k = w.length()
+    if charge is not None:
+        identity = AffinePerm.identity(w.n).window
+        charge(2 ** (k + 1), (1 + 2 * k) * slot_width(3**k),
+               lambda cap: _dry_run(w.n, {identity}, [_reduced_letters(w)[::-1]], cap))
+    width = _bucket_width(3**k)
     return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, (w,))
 
 
@@ -601,7 +591,8 @@ def x_element(n: int, i: int) -> HeckeElt:
 
 @functools.lru_cache(maxsize=256)
 def x_element_inverse(n: int, i: int) -> HeckeElt:
-    """X_i^-1 (leaves the positive subalgebra; used by the presentation audit)."""
+    """X_i^-1; it leaves the positive subalgebra (the presentation audit in
+    tests/test_acceptance.py checks it)."""
     if not 1 <= i <= n:
         raise IndexError("X index %d out of range [1,%d]" % (i, n))
     if i == 1:

@@ -13,22 +13,16 @@ basis inverse is expanded exactly.  Exponents larger than MAX_EXPONENT in
 absolute value raise ResourceLimitError before any multiplication, as do
 integers too long for int() to convert.
 
-Before every product an expression (or a command line request) builds,
-a ``WorkBudget`` estimates the work of a*b as |supp a| * sum over w in
-supp b of 2^(l(w)+1) letter-term steps (``hecke.product_cost``).  Where
-that coarse estimate would not fit the rest of the budget, the product's
-letter steps are bounded instead by a dry run on windows alone
-(``hecke.product_steps``), stopped once it passes the rest of the budget.
-A negative power's basis inverse is charged the coarse estimate of the
-product 1*T_w, or the same dry run along the inverse letter steps it
-takes (``hecke.inverse_steps``).  The charges of one request add up, and
-the product that would take the total above MAX_PRODUCT_WORK raises
-ResourceLimitError before it starts.  Walking or printing a reduced word
-is charged l(w) letter steps first (``WorkBudget.charge_words``).  A
-product whose packed coefficients (exponent span times the kernel's slot
-width, see ``hecke``) could pass MAX_COEFFICIENT_BITS raises too: that
-keeps every int step cheap and every coefficient printable.  Library
-products, such as the canonical-basis recursion, are not budgeted.
+Every product an expression (or a command line request) builds, and
+every negative power's basis inverse, is charged to the request's
+``WorkBudget`` before it runs, by the cost ``hecke`` plans for it (see
+that module's docstring).  The charges of one request add up, and the
+product that would take the total above MAX_PRODUCT_WORK letter steps
+raises ResourceLimitError before it starts.  Walking or printing a reduced
+word is charged l(w) letter steps first (``WorkBudget.charge_words``).  A
+product whose packed coefficients could pass MAX_COEFFICIENT_BITS raises
+too: that keeps every int step cheap and every coefficient printable.
+Library products, such as the canonical-basis recursion, are not budgeted.
 """
 
 from __future__ import annotations
@@ -90,26 +84,17 @@ class WorkBudget:
     def __init__(self):
         self.spent = 0
 
-    def charge(self, a: hecke.HeckeElt, b: hecke.HeckeElt) -> None:
-        """Add the work of a*b; ResourceLimitError if the total would pass
-        MAX_PRODUCT_WORK or a packed coefficient MAX_COEFFICIENT_BITS."""
-        work, bits = hecke.product_cost(a, b)
-        self._add(work, bits, lambda cap: hecke.product_steps(a, b, cap))
-
-    def charge_inverse(self, w: weyl.AffinePerm) -> None:
-        """Add the work of ``hecke.invert_t(w)``, bounded like the product 1*T_w."""
-        work, bits = hecke.product_cost(hecke.one(w.n), hecke.t_basis(w))
-        self._add(work, bits, lambda cap: hecke.inverse_steps(w, cap))
-
     def charge_words(self, perms) -> None:
         """Add l(w) letter steps for each w in ``perms``: the work of walking
         or printing its reduced word."""
         work = sum(w.length() for w in perms)
-        self._add(work, 0, lambda cap: work)
+        self.charge(work, 0, lambda cap: work)
 
-    def _add(self, work: int, bits: int, dry_run) -> None:
+    def charge(self, work: int, bits: int, dry_run) -> None:
         """Charge ``work`` steps, or, where that coarse estimate would not fit
-        the rest of the budget, the count of ``dry_run`` capped at the rest."""
+        the rest of the budget, the count of ``dry_run`` capped at the rest;
+        ResourceLimitError if the total would pass MAX_PRODUCT_WORK or
+        ``bits`` MAX_COEFFICIENT_BITS."""
         remaining = MAX_PRODUCT_WORK - self.spent
         if work > remaining and bits <= MAX_COEFFICIENT_BITS:
             work = dry_run(remaining)
@@ -125,8 +110,7 @@ class WorkBudget:
         self.spent += work
 
     def mul(self, a: hecke.HeckeElt, b: hecke.HeckeElt) -> hecke.HeckeElt:
-        self.charge(a, b)
-        return a * b
+        return hecke.product(a, b, self.charge)
 
 
 class _Parser:
@@ -237,8 +221,7 @@ def _invert(n: int, elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
     if len(items) != 1 or items[0][1] not in (1, -1):
         raise ElementParseError("negative powers need a unit coefficient")
     exp, coef = items[0]
-    budget.charge_inverse(w)
-    return hecke.invert_t(w).scale(LaurentPoly.monomial(-exp, coef))
+    return hecke.invert_t(w, budget.charge).scale(LaurentPoly.monomial(-exp, coef))
 
 
 def _power(n: int, base: hecke.HeckeElt, k: int, budget: WorkBudget) -> hecke.HeckeElt:

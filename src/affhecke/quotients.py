@@ -142,10 +142,11 @@ def reduce(a: HeckeElt, spec: IdealSpec) -> QuotientElt:
     return QuotientElt(spec, HeckeElt(a.n, kept))
 
 
-def quotient_mul(a: QuotientElt, b: QuotientElt) -> QuotientElt:
+def quotient_mul(a: QuotientElt, b: QuotientElt, charge=None) -> QuotientElt:
+    """The image of a.rep * b.rep; ``charge`` as for ``hecke.product``."""
     if a.spec != b.spec:
         raise SpecMismatchError("ideal specs differ: %s vs %s" % (a.spec, b.spec))
-    return reduce(a.rep * b.rep, a.spec)
+    return reduce(hecke.product(a.rep, b.rep, charge), a.spec)
 
 
 # -- generators ---------------------------------------------------------------------

@@ -276,7 +276,7 @@ class Word:
         letters = tuple(letters)
         for a in letters:
             if isinstance(a, int):
-                if not 0 <= a <= n - 1:
+                if n < 2 or not 0 <= a <= n - 1:  # no simple reflections for n < 2
                     raise ValueError("letter s%d out of range for n=%d" % (a, n))
             elif a not in (RHO, RHO_INV):
                 raise ValueError("unknown letter %r" % (a,))
@@ -344,10 +344,6 @@ def dom(mu: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(mu, reverse=True))
 
 
-def reverse(lam: Sequence[int]) -> tuple[int, ...]:
-    return tuple(reversed(tuple(lam)))
-
-
 def is_partition(lam: Sequence[int]) -> bool:
     lam = tuple(lam)
     return all(x >= 0 for x in lam) and all(
@@ -362,27 +358,6 @@ def check_partition(lam: Sequence[int]) -> tuple[int, ...]:
     if not is_partition(lam):
         raise NonDominantError("parts must be weakly decreasing: %r" % (lam,))
     return lam
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to `total` (the set Lambda)."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def omega(n: int, d: int) -> tuple[int, ...]:
-    """The composition (1,...,1,0,...,0) of n with d parts; needs d >= n."""
-    if d < n:
-        raise ValueError("omega(n,d) requires d >= n")
-    return (1,) * n + (0,) * (d - n)
 
 
 # -- small enumerations (exhaustive test fodder) -------------------------------

@@ -1,5 +1,6 @@
 """Reference implementations of the T-basis letter steps, the product, the
-inverse T_w^-1, the bar involution and the canonical-basis recursion.
+inverse T_w^-1, the bar involution, the canonical-basis recursion and the
+cost a request budget charges for a product or an inverse.
 
 These are the straightforward per-term forms over AffinePerm keys and
 LaurentPoly coefficients: a letter step composes every window with the
@@ -12,7 +13,8 @@ its packed kernel; the differential tests compare the two.
 """
 
 from affhecke import HeckeElt, LaurentPoly, one
-from affhecke.weyl import RHO, RHO_INV, AffinePerm
+from affhecke.laurent import slot_width
+from affhecke.weyl import RHO, RHO_INV, AffinePerm, Word
 
 Q = LaurentPoly({-2: 1})
 Q_MINUS_ONE = LaurentPoly({-2: 1, 0: -1})
@@ -131,3 +133,54 @@ def canonical_value_reference(w: AffinePerm, memo: dict) -> HeckeElt:
                     out = out - canonical_value_reference(x, memo).scale(mu)
     memo[w] = out
     return out
+
+
+def product_cost_reference(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
+    """Bounds (letter-term steps, bits of one packed coefficient) for a*b.
+
+    Running the l(w) letters of w at most doubles the terms at each step,
+    so a*b takes at most |supp a| * sum over w in supp b of 2^(l(w)+1)
+    steps.  A packed coefficient of a*b spans the exponents of a and b
+    widened by 2 per letter, in slots of the width the product packs with:
+    the height of a times the sum of 3^l(w) |c_w|_1 over supp b.
+    """
+    if not a.terms or not b.terms:
+        return 0, 0
+    lengths = [w.length() for w in b.terms]
+    steps = len(a.terms) * sum(2 ** (k + 1) for k in lengths)
+    span = 1 + 2 * max(lengths)
+    for elt in (a, b):
+        coeffs = elt.terms.values()
+        span += max(c.degree() for c in coeffs) - min(c.valuation() for c in coeffs)
+    height = max(c.height() for c in a.terms.values())
+    bound = height * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
+    return steps, span * slot_width(bound)
+
+
+def _dry_run_reference(n: int, start: set, words: list, cap: int) -> int:
+    """Each letter of each word, run from ``start``, steps every element met
+    so far, and a Coxeter letter keeps w as well as w s; the count stops as
+    soon as it, with the next letter's steps, passes ``cap``."""
+    steps = 0
+    for letters in words:
+        cur = set(start)
+        for i, letter in enumerate(letters):
+            steps += len(cur)
+            ahead = len(cur) if i < len(letters) - 1 else 0
+            if steps + ahead > cap:
+                return steps + ahead
+            step = Word(n, (letter,)).to_perm()
+            moved = {w.compose(step) for w in cur}
+            cur = moved if letter in (RHO, RHO_INV) else moved | cur
+    return steps
+
+
+def product_steps_reference(a: HeckeElt, b: HeckeElt, cap: int) -> int:
+    """The dry-run count a budget charges for a*b when its coarse bound does not fit."""
+    return _dry_run_reference(a.n, set(a.terms), [w.reduced_word().letters for w in b.terms], cap)
+
+
+def inverse_steps_reference(w: AffinePerm, cap: int) -> int:
+    """The dry-run count a budget charges for T_w^-1, along the reduced word of w reversed."""
+    letters = tuple(reversed(w.reduced_word().letters))
+    return _dry_run_reference(w.n, {AffinePerm.identity(w.n)}, [letters], cap)

@@ -286,6 +286,18 @@ def test_rank_below_one_exits_2(capsys):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("mul", "--n", "1", "T[s0]"),
+    ("mul", "--n", "1", "T[s0]^-1"),
+    ("mul", "--n", "1", "X1*T[s0]"),
+    ("quotient-mul", "--n", "1", "--lambda", "1", "T[s0]", "X1"),
+])
+def test_rank_one_has_no_coxeter_letters(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "s0" in err and "Traceback" not in err
+
+
 def test_negative_trials_exit_2(capsys):
     code, out, err = usage_exit(capsys, "oracle", "lift", "--n", "2", "--d", "2",
                                 "--q", "2", "--trials", "-1")

@@ -56,7 +56,7 @@ def expressions(n, positive=False):
 
 @st.composite
 def requests(draw):
-    n = draw(st.sampled_from((2, 3)))
+    n = draw(st.sampled_from((1, 2, 3)))
     if draw(st.booleans()):
         exprs = draw(st.lists(expressions(n), min_size=1, max_size=3))
         return ["mul", "--n", str(n), *exprs]

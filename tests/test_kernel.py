@@ -4,8 +4,9 @@ Letter steps, inverse steps, products, the bar involution and the step of
 the canonical-basis recursion are compared
 on random elements at n in {2, 3, 4} with rho letters, negative
 coefficients and coefficients of +-2^40, which need slots wider than 40
-bits (test_bar_reference compares invert_t).  The Kronecker codec is
-checked at the edges of a slot.
+bits (test_bar_reference compares invert_t).  The cost a budget is
+charged for a product or an inverse is compared at n in {1, 2, 3, 4}.
+The Kronecker codec is checked at the edges of a slot.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,10 @@ from affhecke.laurent import kronecker_pack, kronecker_unpack, slot_width
 from affhecke.weyl import RHO, RHO_INV, AffinePerm, Word
 from hecke_reference import (
     bar_involution_reference,
+    inverse_steps_reference,
     mul_reference,
+    product_cost_reference,
+    product_steps_reference,
     right_letter_inverse_reference,
     right_letter_reference,
 )
@@ -27,7 +31,7 @@ COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from((BIG, -BIG, BIG - 1, 1 - 
 
 
 def alphabet(n):
-    return list(range(n)) + [RHO, RHO_INV]
+    return (list(range(n)) if n > 1 else []) + [RHO, RHO_INV]
 
 
 def element(n, max_word=6, max_terms=4):
@@ -47,7 +51,7 @@ def test_letter_steps_match_reference(data):
     a = data.draw(element(n))
     for letter in alphabet(n):
         assert a.right_letter(letter) == right_letter_reference(a, letter)
-        assert a.right_letter_inverse(letter) == right_letter_inverse_reference(a, letter)
+        assert a * hecke.invert_t(Word(n, (letter,)).to_perm()) == right_letter_inverse_reference(a, letter)
 
 
 @settings(deadline=None, max_examples=60)
@@ -57,6 +61,29 @@ def test_products_match_reference(data):
     a = data.draw(element(n))
     b = data.draw(element(n, max_word=5, max_terms=3))
     assert a * b == mul_reference(a, b)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_charges_match_the_reference_cost(data):
+    # a product is charged once, before it runs, with the reference (steps,
+    # bits) and the reference dry run; a zero operand charges nothing
+    n = data.draw(st.sampled_from((1, 2, 3, 4)))
+    a = data.draw(element(n))
+    b = data.draw(element(n, max_word=5, max_terms=3))
+    charged = []
+    assert hecke.product(a, b, lambda *cost: charged.append(cost)) == mul_reference(a, b)
+    ((steps, bits, dry_run),) = charged or [(0, 0, lambda cap: 0)]
+    assert (steps, bits) == product_cost_reference(a, b)
+    for cap in (steps, steps // 3, 1):
+        assert dry_run(cap) == product_steps_reference(a, b, cap)
+    for w in a.terms:
+        charged.clear()
+        hecke.invert_t(w, lambda *cost: charged.append(cost))
+        ((steps, bits, dry_run),) = charged
+        assert (steps, bits) == product_cost_reference(hecke.one(n), hecke.t_basis(w))
+        for cap in (steps, steps // 3, 1):
+            assert dry_run(cap) == inverse_steps_reference(w, cap)
 
 
 @settings(deadline=None, max_examples=60)

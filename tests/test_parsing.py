@@ -145,12 +145,19 @@ def test_str_round_trip():
     assert parsing.parse_element(2, str(hecke.one(2).scale(0))).is_zero
 
 
+def _charged(run):
+    """The result of ``run(charge)`` and the (steps, bits, dry_run) charges it made."""
+    charged = []
+    return run(lambda *cost: charged.append(cost)), charged
+
+
 def test_product_cost_bounds():
     s1 = hecke.t_basis(weyl.AffinePerm.s(2, 1))
     # one term times one letter: at most 2^2 steps; coefficients within 3 over
     # exponents 0..-2, so three slots of 3 bits
-    assert hecke.product_cost(s1, s1) == (4, 9)
-    assert hecke.product_cost(s1, hecke.zero(2)) == (0, 0)
+    _, ((steps, bits, _),) = _charged(lambda charge: hecke.product(s1, s1, charge))
+    assert (steps, bits) == (4, 9)
+    assert _charged(lambda charge: hecke.product(s1, hecke.zero(2), charge)) == (hecke.zero(2), [])
 
 
 def _counting(monkeypatch, name):
@@ -174,11 +181,11 @@ def _counting(monkeypatch, name):
 def test_product_dry_run_bounds_the_kernel_steps(monkeypatch, a, b):
     a, b = parsing.parse_element(3, a), parsing.parse_element(3, b)
     taken = _counting(monkeypatch, "_step")
-    a * b
-    dry = hecke.product_steps(a, b, hecke.product_cost(a, b)[0])
-    assert sum(taken) <= dry <= hecke.product_cost(a, b)[0]
-    assert hecke.product_steps(a, b, dry) == dry
-    assert hecke.product_steps(a, b, dry - 1) > dry - 1
+    _, ((coarse, _, dry_run),) = _charged(lambda charge: hecke.product(a, b, charge))
+    dry = dry_run(coarse)
+    assert sum(taken) <= dry <= coarse
+    assert dry_run(dry) == dry
+    assert dry_run(dry - 1) > dry - 1
 
 
 @pytest.mark.parametrize("n,word", [
@@ -192,36 +199,38 @@ def test_inverse_dry_run_bounds_the_inverse_steps(monkeypatch, n, word):
     w = parsing.parse_element(n, "T[%s]" % word)
     (perm,) = w.terms
     taken = _counting(monkeypatch, "_step_inverse")
-    inverse = hecke.invert_t(perm)
+    inverse, ((coarse, _, dry_run),) = _charged(lambda charge: hecke.invert_t(perm, charge))
     assert inverse * w == hecke.one(n)
-    dry = hecke.inverse_steps(perm, hecke.product_cost(hecke.one(n), w)[0])
-    assert sum(taken) <= dry <= hecke.product_cost(hecke.one(n), w)[0]
+    dry = dry_run(coarse)
+    assert sum(taken) <= dry <= coarse
 
 
 def test_budget_falls_back_to_the_dry_run(monkeypatch):
     a = parsing.parse_element(3, "T[s0 s1 s2 s0 s1 s2 s0 s1]")
-    coarse = hecke.product_cost(a, a)[0]
-    dry = hecke.product_steps(a, a, coarse)
+    _, ((coarse, _, dry_run),) = _charged(lambda charge: hecke.product(a, a, charge))
+    dry = dry_run(coarse)
     assert dry < coarse
     monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", dry)
     budget = parsing.WorkBudget()
-    budget.charge(a, a)
+    budget.mul(a, a)
     assert budget.spent == dry
     with pytest.raises(ResourceLimitError, match="letter steps"):
-        parsing.WorkBudget().charge(a, a * hecke.t_basis(weyl.AffinePerm.s(3, 0)))
+        parsing.WorkBudget().mul(a, a * hecke.t_basis(weyl.AffinePerm.s(3, 0)))
 
 
 def test_budget_charges_an_inverse_its_own_dry_run(monkeypatch):
-    (perm,) = parsing.parse_element(3, "T[s0 s1 s2 s0 s1 s2 s0 s1]").terms
-    dry = hecke.inverse_steps(perm, 1 << 20)
-    assert dry < hecke.product_cost(hecke.one(3), hecke.t_basis(perm))[0]
+    text = "T[s0 s1 s2 s0 s1 s2 s0 s1]^-1"
+    (perm,) = parsing.parse_element(3, text[:-3]).terms
+    _, ((coarse, _, dry_run),) = _charged(lambda charge: hecke.invert_t(perm, charge))
+    dry = dry_run(1 << 20)
+    assert dry < coarse
     monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", dry)
     budget = parsing.WorkBudget()
-    budget.charge_inverse(perm)
+    parsing.parse_element(3, text, budget)
     assert budget.spent == dry
     monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", dry - 1)
     with pytest.raises(ResourceLimitError, match="letter steps"):
-        parsing.parse_element(3, "T[s0 s1 s2 s0 s1 s2 s0 s1]^-1")
+        parsing.parse_element(3, text)
 
 
 def test_one_budget_covers_a_whole_request(monkeypatch):

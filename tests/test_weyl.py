@@ -9,13 +9,10 @@ from affhecke import AffinePerm, Word
 from affhecke.errors import NotPositiveError, RankMismatchError, NegativeEntryError
 from affhecke.weyl import (
     RHO_INV,
-    compositions,
     coxeter_ball,
     dom,
     finite_permutations,
-    omega,
     positive_elements,
-    reverse,
 )
 from weyl_helpers import coxeter_count, elements_ball, rho_inv_count
 from weyl_reference import length_reference, positive_reduced_word_reference, reduced_word_reference
@@ -237,18 +234,11 @@ def test_bruhat_on_long_elements_does_not_recurse():
 
 # -- compositions and partitions ---------------------------------------------
 
-def test_dom_and_reverse():
+def test_dom():
     assert dom((0, 2, 1)) == (2, 1, 0)
     assert dom((2, 1, 0)) == (2, 1, 0)
-    assert reverse((2, 1, 0)) == (0, 1, 2)
     with pytest.raises(NegativeEntryError):
         dom((-1, 2))
-
-
-def test_composition_utilities():
-    assert omega(2, 3) == (1, 1, 0)
-    assert set(compositions(2, 2)) == {(2, 0), (1, 1), (0, 2)}
-    assert all(sum(c) == 3 for c in compositions(3, 2))
 
 
 def test_word_parse_round_trip():
@@ -256,3 +246,12 @@ def test_word_parse_round_trip():
     assert str(word) == "s1 s0 r-"
     assert coxeter_count(word) == 2 and rho_inv_count(word) == 1
     assert Word.parse(3, str(word)) == word
+
+
+def test_rank_one_words_have_no_coxeter_letters():
+    # at n = 1 there is no simple reflection, only rho and its inverse
+    assert Word(1, ["r", RHO_INV]).to_perm() == AffinePerm.identity(1)
+    with pytest.raises(ValueError):
+        Word(1, [0])
+    with pytest.raises(ValueError):
+        Word.parse(1, "s0 r")
