@@ -21,7 +21,7 @@ from .errors import InternalInvariantError, ResourceLimitError
 from .hecke import HeckeElt, bar_involution, is_bar_invariant, kl_step  # noqa: F401 (re-exported)
 from .laurent import LaurentPoly, v_power
 from .quotients import IdealSpec, QuotientElt, in_ideal
-from .weyl import AffinePerm, positive_elements
+from .weyl import AffinePerm, letter_action, positive_elements
 
 DEFAULT_LENGTH_CAP = 24
 
@@ -72,8 +72,10 @@ def _canonical_value(w: AffinePerm) -> HeckeElt:
     if w.length() == 0:
         return hecke.one(n)
     i = next(i for i in range(n) if w.has_right_descent(i))
-    bu = _canonical_value(w.compose(AffinePerm.s(n, i)))
-    mus = [(x, cx.coeff(x.length() + 1)) for x, cx in bu.terms.items() if x.has_right_descent(i)]
+    move, (a, b, off) = letter_action(n, i)
+    bu = _canonical_value(AffinePerm._trusted(n, move(w.window)))
+    mus = [(x, cx.coeff(x.length() + 1)) for x, cx in bu.terms.items()
+           if x.window[a] - off > x.window[b]]
     return kl_step(bu, i, [(_canonical_value(x), mu) for x, mu in mus if mu])
 
 

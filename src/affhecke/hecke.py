@@ -20,10 +20,9 @@ Letter steps in both directions, products, inverses and the bar involution
 all run in one packed kernel.  An operation packs its operands once, as
 dicts from window tuple to one int per coefficient, sum_e c_e 2^(B (e - e0))
 with balanced digits (``laurent.kronecker_pack``), and unpacks its result
-once.  On windows, s_i (i >= 1) swaps two slots,
-s_0 and rho^{+-1} move one value by +-n, and a descent is one comparison.
-On coefficients, v^2 and v^2 - 1 are a shift and a shift with a
-subtraction, and a coefficient product is one int product.  The base e0
+once.  Windows move by ``weyl.letter_action``.  On coefficients, v^2 and
+v^2 - 1 are a shift and a shift with a subtraction, and a coefficient
+product is one int product.  The base e0
 is the lowest exponent of the operands; a step by T_{s_i} lowers it by 2,
 so the kernel only ever shifts left and never divides.  The slot width B
 comes from a bound on every coefficient the operation can produce,
@@ -79,7 +78,6 @@ exponent below -top, and the bound covers every coefficient of a.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NegativeEntryError, RankMismatchError
@@ -94,7 +92,7 @@ from .laurent import (
     slot_width,
     v_power,
 )
-from .weyl import RHO, RHO_INV, AffinePerm, Word
+from .weyl import RHO, RHO_INV, AffinePerm, Word, letter_action
 
 
 @functools.lru_cache(maxsize=4096)
@@ -253,25 +251,6 @@ def _raw(n: int, terms: dict[AffinePerm, LaurentPoly]) -> HeckeElt:
 # -- the packed kernel -----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _window_step(n: int, letter) -> tuple:
-    """(move, descent) for one letter at rank n.
-
-    ``move`` sends the window of w to the window of w*letter.  For a Coxeter
-    letter, ``descent`` is (a, b, off): the letter is a right descent of w
-    iff window[a] - off > window[b]; for a rho letter it is None.
-    """
-    if letter == RHO:
-        return (lambda t: t[1:] + (t[0] + n,)), None
-    if letter == RHO_INV:
-        return (lambda t: (t[-1] - n,) + t[:-1]), None
-    if letter == 0:
-        return (lambda t: (t[-1] - n,) + t[1:-1] + (t[0] + n,)), (n - 1, 0, n)
-    order = list(range(n))
-    order[letter - 1], order[letter] = letter, letter - 1
-    return operator.itemgetter(*order), (letter - 1, letter, 0)
-
-
 def _step(terms: dict, n: int, letter, shift: int) -> dict:
     """Packed terms times T_letter; a Coxeter letter lowers the base by 2.
 
@@ -279,7 +258,7 @@ def _step(terms: dict, n: int, letter, shift: int) -> dict:
     T_w T_s = (q-1) T_w + q T_ws at a descent gives p - (p << shift) at w
     and p at ws, and T_w T_s = T_ws elsewhere gives p << shift at ws.
     """
-    move, descent = _window_step(n, letter)
+    move, descent = letter_action(n, letter)
     if descent is None:
         return {move(t): p for t, p in terms.items()}
     a, b, off = descent
@@ -300,7 +279,7 @@ def _step_inverse(terms: dict, n: int, letter, shift: int) -> dict:
     else v^2 T_ws + (v^2-1) T_w, i.e. p << shift at ws and (p << shift) - p at w."""
     if letter == RHO or letter == RHO_INV:
         return _step(terms, n, RHO_INV if letter == RHO else RHO, shift)
-    move, (a, b, off) = _window_step(n, letter)
+    move, (a, b, off) = letter_action(n, letter)
     out: dict[tuple, int] = {}
     get = out.get
     for t, p in terms.items():
@@ -336,7 +315,7 @@ def _dry_run(n: int, windows: set, words: Iterable[tuple], cap: int) -> int:
             ahead = len(cur) if i < last else 0
             if steps + ahead > cap:
                 return steps + ahead
-            move, descent = _window_step(n, letter)
+            move, descent = letter_action(n, letter)
             moved = set(map(move, cur))
             if descent is not None:
                 moved |= cur
@@ -496,7 +475,7 @@ def _inverse(w: AffinePerm, width: int) -> tuple:
         if t in table:
             break
         path.append(t)
-        t = _window_step(n, letter)[0](t)
+        t = letter_action(n, letter)[0](t)
     entry = table.get(t) or ((t,), (1,))  # only the empty suffix is never stored
     if path:
         inv = dict(zip(*entry))

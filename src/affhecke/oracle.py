@@ -49,7 +49,6 @@ by a triangular recursion over descent classes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import defaultdict
@@ -413,7 +412,7 @@ def im_psi_check(n: int, d: int, q: int) -> Report:
     for forgotten in ctx.valid_components():
         name = ",".join(map(str, forgotten)) or "none"
         m_fiber = ctx.fiber_size(forgotten)
-        group = _parabolic(n, forgotten)
+        group = weyl.coxeter_ball(n, n * (n - 1) // 2, forgotten)
         poincare = sum(q ** w.length() for w in group)
         if m_fiber != poincare:
             mismatches.append({"kind": "fiber size", "component": name, "got": m_fiber, "expected": poincare})
@@ -445,25 +444,6 @@ def im_psi_check(n: int, d: int, q: int) -> Report:
 
 
 # -- check 4: lifting compatible families ----------------------------------------
-
-
-@functools.lru_cache(maxsize=64)
-def _parabolic(n: int, gens) -> tuple:
-    """Subgroup of finite permutations generated by the named swaps, once
-    per (n, gens) among the 64 most recent."""
-    base = [weyl.AffinePerm.s(n, i) for i in gens] if gens else []
-    seen = {weyl.AffinePerm.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in base:
-                u = w.compose(g)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
 
 
 def _finite_descents(w: weyl.AffinePerm) -> tuple:

@@ -10,7 +10,6 @@ representative with ideal-supported terms dropped.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 from . import hecke
@@ -22,7 +21,16 @@ from .errors import (
 )
 from .hecke import HeckeElt, t_basis, x_monomial
 from .laurent import V2, V2_MINUS_ONE
-from .weyl import RHO_INV, AffinePerm, Word, check_partition, dom
+from .weyl import (
+    RHO_INV,
+    AffinePerm,
+    Word,
+    check_partition,
+    dom,
+    finite_permutations,
+    letter_action,
+    positive_elements,
+)
 
 
 class IdealSpec:
@@ -162,18 +170,9 @@ def ideal_generator(lam: Sequence[int]) -> HeckeElt:
 
 
 def ideal_slice(spec: IdealSpec, max_length: int, min_degree: int) -> list[AffinePerm]:
-    """Ideal support elements with l <= max_length and degree >= min_degree."""
-    n = spec.n
-    depth = -min_degree
-    out = []
-    for sigma in itertools.permutations(range(1, n + 1)):
-        for mu in itertools.product(range(depth + 1), repeat=n):
-            if sum(mu) > depth:
-                continue
-            w = AffinePerm.from_pair(sigma, tuple(-m for m in mu))
-            if w.length() <= max_length and in_ideal(w, spec):
-                out.append(w)
-    return out
+    """Ideal support elements with l <= max_length and degree >= min_degree,
+    in ``positive_elements`` order and under its candidate guard."""
+    return [w for w in positive_elements(spec.n, max_length, min_degree) if in_ideal(w, spec)]
 
 
 def generated_span_check(lam: Sequence[int], max_length: int) -> bool:
@@ -231,11 +230,7 @@ def double_coset_span_check(w: AffinePerm) -> bool:
     reached from w by one-letter left/right steps, each solved exactly in the
     T-basis, so each T_{u w u'} lies in the two-sided span of T_w.
     """
-    n = w.n
-    finite = [
-        AffinePerm.from_pair(sigma, (0,) * n)
-        for sigma in itertools.permutations(range(1, n + 1))
-    ]
+    finite = list(finite_permutations(w.n))
     coset = {u.compose(w).compose(v) for u in finite for v in finite}
     for u in finite:
         uw = t_basis(u) * t_basis(w)
@@ -255,8 +250,8 @@ def _certify_reachable(seed: AffinePerm, certified: set) -> bool:
     while frontier:
         w = frontier.pop()
         for i in range(1, n):
-            si = AffinePerm.s(n, i)
-            for target, left in ((si.compose(w), True), (w.compose(si), False)):
+            right = AffinePerm._trusted(n, letter_action(n, i)[0](w.window))
+            for target, left in ((AffinePerm.s(n, i).compose(w), True), (right, False)):
                 if target not in certified:
                     if not _certify_step(w, target, i, left):
                         return False

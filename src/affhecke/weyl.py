@@ -3,12 +3,19 @@
 An element w is stored by its window (w(1), ..., w(n)) and extended to all
 of Z by w(i + kn) = w(i) + kn.  Composition is functional: (u w)(x) = u(w(x)).
 Under this convention rho^-1 s_i rho = s_{i-1} (indices mod n).
+
+Every walk over letters reads one letter action, ``letter_action``: on a
+window, s_i (i >= 1) swaps two slots, s_0 swaps the end slots and moves
+both values by +-n, rho^{+-1} rotates the window and moves one value by
++-n, and a right descent is one comparison.  Left steps walk the window of
+the inverse, where a left descent of w is a right descent of w^-1.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -67,15 +74,7 @@ class AffinePerm:
             raise ValueError("no simple reflections for n < 2")
         if not 0 <= i <= n - 1:
             raise IndexError("reflection index %d out of range [0,%d]" % (i, n - 1))
-        window = []
-        for j in range(1, n + 1):
-            if j % n == i % n:
-                window.append(j + 1)
-            elif j % n == (i + 1) % n:
-                window.append(j - 1)
-            else:
-                window.append(j)
-        return AffinePerm(n, window)
+        return AffinePerm(n, letter_action(n, i)[0](tuple(range(1, n + 1))))
 
     @staticmethod
     def rho(n: int, z: int = 1) -> "AffinePerm":
@@ -165,12 +164,8 @@ class AffinePerm:
         n = self.n
         if not 0 <= i <= n - 1:
             raise IndexError("descent index %d out of range [0,%d]" % (i, n - 1))
-        if i == 0:
-            return self.window[n - 1] - n > self.window[0]
-        return self.window[i - 1] > self.window[i]
-
-    def has_left_descent(self, i: int) -> bool:
-        return self.inverse().has_right_descent(i)
+        a, b, off = letter_action(n, i)[1]
+        return self.window[a] - off > self.window[b]
 
     # -- positivity -----------------------------------------------------------
 
@@ -186,19 +181,19 @@ class AffinePerm:
         Strips left descents of w as right descents on the window of w^-1.
         """
         n = self.n
-        t = list(self.inverse().window)
-        off = [n] + [0] * (n - 1)  # at i = 0, t[i-1] - n is w^-1(0)
+        t = self.inverse().window
+        steps = [(i, *letter_action(n, i)) for i in range(n)]
         letters: list[object] = []
         while True:
-            for i in range(n):
-                if t[i - 1] - off[i] > t[i]:
-                    t[i - 1], t[i] = t[i] + off[i], t[i - 1] - off[i]
+            for i, move, (a, b, off) in steps:
+                if t[a] - off > t[b]:
+                    t = move(t)
                     letters.append(i)
                     break
             else:
                 break
         z = (n * (n + 1) // 2 - sum(t)) // n
-        if t != list(range(1 - z, n + 1 - z)):
+        if t != tuple(range(1 - z, n + 1 - z)):
             raise InternalInvariantError("descent stripping did not end at a rho power")
         letters.extend([RHO] * z if z >= 0 else [RHO_INV] * (-z))
         return Word(n, letters)
@@ -207,27 +202,30 @@ class AffinePerm:
         """A word over {s_1..s_{n-1}, rho^-1} only, with l(w) Coxeter letters.
 
         Repeatedly strips right descents on the window; a sole descent at 0
-        is traded for a trailing [s_{n-1}, rho^-1] via s_0 = rho s_{n-1} rho^-1.
+        is traded for a trailing [s_{n-1}, rho^-1] via s_0 = rho s_{n-1} rho^-1,
+        that is, the s_0 move followed by the rho move.
         """
         if not self.is_positive():
             raise NotPositiveError("%s has a window value above n" % self)
         n = self.n
-        t = list(self.window)
+        t = self.window
+        rho = letter_action(n, RHO)[0]
+        steps = [(i, *letter_action(n, i)) for i in (*range(1, n), 0)]
         stripped: list[object] = []  # the suffix, read from its end
         while True:
-            for i in range(1, n):
-                if t[i - 1] > t[i]:
-                    t[i - 1], t[i] = t[i], t[i - 1]
-                    stripped.append(i)
+            for i, move, (a, b, off) in steps:
+                if t[a] - off > t[b]:
+                    t = move(t)
+                    if i:
+                        stripped.append(i)
+                    else:
+                        stripped += [RHO_INV, n - 1]
+                        t = rho(t)  # the window of w s_0 rho
                     break
             else:
-                if t[-1] - n > t[0]:
-                    stripped += [RHO_INV, n - 1]
-                    t = t[1:-1] + [t[0] + n, t[-1]]  # the window of w s_0 rho
-                else:
-                    break
+                break
         z = (sum(t) - n * (n + 1) // 2) // n
-        if z > 0 or t != list(range(1 + z, n + 1 + z)):
+        if z > 0 or t != tuple(range(1 + z, n + 1 + z)):
             raise InternalInvariantError(
                 "positive decomposition of %s ended at rho^%d" % (self, z)
             )
@@ -249,19 +247,43 @@ class AffinePerm:
 @functools.lru_cache(maxsize=4096)
 def _bruhat_leq_coxeter(x: AffinePerm, w: AffinePerm) -> bool:
     # lifting property on degree-0 (Coxeter) elements: strip a left descent
-    # s of w each step, from x too where it is a descent of x
+    # s of w each step, from x too where it is a descent of x; s u is read
+    # as the right step u^-1 s on inverse windows
     n = w.n
-    while x != w:
-        if x.length() >= w.length():
+    steps = [letter_action(n, i) for i in range(n)]
+    xs, ws = x.inverse().window, w.inverse().window
+    lx, lw = x.length(), w.length()
+    while xs != ws:
+        if lx >= lw:
             return False
-        i = next((i for i in range(n) if w.has_left_descent(i)), None)
-        if i is None:
+        for move, (a, b, off) in steps:
+            if ws[a] - off > ws[b]:
+                break
+        else:
             raise InternalInvariantError("positive-length element without left descent")
-        si = AffinePerm.s(n, i)
-        if x.has_left_descent(i):
-            x = si.compose(x)
-        w = si.compose(w)
+        if xs[a] - off > xs[b]:
+            xs, lx = move(xs), lx - 1
+        ws, lw = move(ws), lw - 1
     return True
+
+
+@functools.lru_cache(maxsize=256)
+def letter_action(n: int, letter) -> tuple:
+    """(move, descent) for one letter at rank n (n >= 2 for a Coxeter letter).
+
+    ``move`` sends the window tuple of w to the window tuple of w*letter.
+    For a Coxeter letter, ``descent`` is (a, b, off): the letter is a right
+    descent of w iff window[a] - off > window[b]; for a rho letter it is None.
+    """
+    if letter == RHO:
+        return (lambda t: t[1:] + (t[0] + n,)), None
+    if letter == RHO_INV:
+        return (lambda t: (t[-1] - n,) + t[:-1]), None
+    if letter == 0:
+        return (lambda t: (t[-1] - n,) + t[1:-1] + (t[0] + n,)), (n - 1, 0, n)
+    order = list(range(n))
+    order[letter - 1], order[letter] = letter, letter - 1
+    return operator.itemgetter(*order), (letter - 1, letter, 0)
 
 
 class Word:
@@ -284,16 +306,10 @@ class Word:
         self.letters = letters
 
     def to_perm(self) -> AffinePerm:
-        out = AffinePerm.identity(self.n)
+        t = tuple(range(1, self.n + 1))
         for a in self.letters:
-            if a == RHO:
-                step = AffinePerm.rho(self.n)
-            elif a == RHO_INV:
-                step = AffinePerm.rho(self.n, -1)
-            else:
-                step = AffinePerm.s(self.n, a)
-            out = out.compose(step)
-        return out
+            t = letter_action(self.n, a)[0](t)
+        return AffinePerm(self.n, t)
 
     def alphabet(self) -> set:
         return set(self.letters)
@@ -369,22 +385,29 @@ def finite_permutations(n: int) -> Iterator[AffinePerm]:
 
 
 @functools.lru_cache(maxsize=32)
-def coxeter_ball(n: int, max_length: int) -> tuple[AffinePerm, ...]:
-    """All degree-0 elements of length <= max_length (BFS over s_0..s_{n-1})."""
-    seen = {AffinePerm.identity(n)}
-    frontier = list(seen)
-    gens = [AffinePerm.s(n, i) for i in range(n)]
+def coxeter_ball(n: int, max_length: int, letters=None) -> tuple[AffinePerm, ...]:
+    """All elements of length <= max_length generated by ``letters`` (a tuple
+    of Coxeter letters, by default s_0..s_{n-1}: the degree-0 elements), by
+    (length, window).  A BFS that steps each window along the letters that
+    are not right descents, so layer k holds the elements of length k."""
+    e = AffinePerm.identity(n)
+    if letters is None:
+        letters = range(n) if n > 1 else ()
+    steps = [letter_action(n, i) for i in letters]
+    layers = [[e.window]]
+    seen = {e.window}
     for _ in range(max_length):
         nxt = []
-        for w in frontier:
-            lw = w.length()
-            for g in gens:
-                u = w.compose(g)
-                if u not in seen and u.length() == lw + 1:
+        for t in layers[-1]:
+            for move, (a, b, off) in steps:
+                if t[a] - off > t[b]:
+                    continue
+                u = move(t)
+                if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
+        layers.append(nxt)
+    return tuple(AffinePerm._trusted(n, t) for layer in layers for t in sorted(layer))
 
 
 def positive_elements(n: int, max_length: int, min_degree: int) -> list[AffinePerm]:

@@ -4,7 +4,8 @@ cost a request budget charges for a product or an inverse.
 
 These are the straightforward per-term forms over AffinePerm keys and
 LaurentPoly coefficients: a letter step composes every window with the
-letter and multiplies its coefficient by a LaurentPoly, a product runs one
+letter of ``weyl_reference``, decides a descent by a drop in length and
+multiplies its coefficient by a LaurentPoly, a product runs one
 such step per letter of a reduced word of each right-hand term, an inverse
 costs one product per letter, and the bar involution re-adds the whole
 running sum per term; the canonical recursion combines whole elements by
@@ -14,7 +15,13 @@ its packed kernel; the differential tests compare the two.
 
 from affhecke import HeckeElt, LaurentPoly, one
 from affhecke.laurent import slot_width
-from affhecke.weyl import RHO, RHO_INV, AffinePerm, Word
+from affhecke.weyl import RHO, RHO_INV, AffinePerm
+from weyl_reference import (
+    letter_perm_reference,
+    reduced_word_reference,
+    right_descent_reference,
+    simple_reflection_reference,
+)
 
 Q = LaurentPoly({-2: 1})
 Q_MINUS_ONE = LaurentPoly({-2: 1, 0: -1})
@@ -40,10 +47,10 @@ def right_letter_reference(a: HeckeElt, letter) -> HeckeElt:
         for w, c in a.terms.items():
             out[w.compose(step)] = c
         return HeckeElt(n, out)
-    si = AffinePerm.s(n, letter)
+    si = simple_reflection_reference(n, letter)
     for w, c in a.terms.items():
         ws = w.compose(si)
-        if w.has_right_descent(letter):
+        if ws.length() < w.length():
             _acc(out, w, c * Q_MINUS_ONE)
             _acc(out, ws, c * Q)
         else:
@@ -57,10 +64,10 @@ def right_letter_inverse_reference(a: HeckeElt, letter) -> HeckeElt:
         return right_letter_reference(a, RHO_INV if letter == RHO else RHO)
     n = a.n
     out: dict = {}
-    si = AffinePerm.s(n, letter)
+    si = simple_reflection_reference(n, letter)
     for w, c in a.terms.items():
         ws = w.compose(si)
-        if w.has_right_descent(letter):
+        if ws.length() < w.length():
             _acc(out, ws, c)
         else:
             _acc(out, ws, c * V2)
@@ -73,7 +80,7 @@ def mul_reference(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     total: dict = {}
     for w, c in b.terms.items():
         cur = a
-        for letter in w.reduced_word().letters:
+        for letter in reduced_word_reference(w).letters:
             cur = right_letter_reference(cur, letter)
         for u, cu in cur.terms.items():
             _acc(total, u, cu * c)
@@ -84,13 +91,13 @@ def invert_t_reference(w: AffinePerm) -> HeckeElt:
     """T_w^-1 via T_{s_i}^-1 = v^2 T_{s_i} + (v^2-1), one product per letter."""
     n = w.n
     out = one(n)
-    for letter in reversed(w.reduced_word().letters):
+    for letter in reversed(reduced_word_reference(w).letters):
         if letter == RHO:
             out = right_letter_reference(out, RHO_INV)
         elif letter == RHO_INV:
             out = right_letter_reference(out, RHO)
         else:
-            si = AffinePerm.s(n, letter)
+            si = simple_reflection_reference(n, letter)
             inv = HeckeElt(n, {si: V2, AffinePerm.identity(n): V2_MINUS_ONE})
             out = mul_reference(out, inv)
     return out
@@ -122,12 +129,12 @@ def canonical_value_reference(w: AffinePerm, memo: dict) -> HeckeElt:
     elif w.length() == 0:
         out = one(n)
     else:
-        i = next(i for i in range(n) if w.has_right_descent(i))
-        si = AffinePerm.s(n, i)
+        i = next(i for i in range(n) if right_descent_reference(w, i))
+        si = simple_reflection_reference(n, i)
         bu = canonical_value_reference(w.compose(si), memo)
         out = bu * (HeckeElt(n, {si: 1}) + one(n)).scale(LaurentPoly({1: 1}))
         for x, cx in bu.terms.items():
-            if x.has_right_descent(i):
+            if right_descent_reference(x, i):
                 mu = cx.coeff(x.length() + 1)
                 if mu:
                     out = out - canonical_value_reference(x, memo).scale(mu)
@@ -169,7 +176,7 @@ def _dry_run_reference(n: int, start: set, words: list, cap: int) -> int:
             ahead = len(cur) if i < len(letters) - 1 else 0
             if steps + ahead > cap:
                 return steps + ahead
-            step = Word(n, (letter,)).to_perm()
+            step = letter_perm_reference(n, letter)
             moved = {w.compose(step) for w in cur}
             cur = moved if letter in (RHO, RHO_INV) else moved | cur
     return steps
@@ -177,10 +184,11 @@ def _dry_run_reference(n: int, start: set, words: list, cap: int) -> int:
 
 def product_steps_reference(a: HeckeElt, b: HeckeElt, cap: int) -> int:
     """The dry-run count a budget charges for a*b when its coarse bound does not fit."""
-    return _dry_run_reference(a.n, set(a.terms), [w.reduced_word().letters for w in b.terms], cap)
+    words = [reduced_word_reference(w).letters for w in b.terms]
+    return _dry_run_reference(a.n, set(a.terms), words, cap)
 
 
 def inverse_steps_reference(w: AffinePerm, cap: int) -> int:
     """The dry-run count a budget charges for T_w^-1, along the reduced word of w reversed."""
-    letters = tuple(reversed(w.reduced_word().letters))
+    letters = tuple(reversed(reduced_word_reference(w).letters))
     return _dry_run_reference(w.n, {AffinePerm.identity(w.n)}, [letters], cap)

@@ -1,5 +1,6 @@
 """Convolution algebras over small finite fields against the generic algebra."""
 
+import json
 import math
 import os
 import random
@@ -180,6 +181,16 @@ def test_pullbacks_are_eigenfunctions_of_the_fiber_indicator():
 def test_im_psi_reports(n, d, q):
     report = im_psi_check(n, d, q)
     assert report.ok, report.to_json()
+
+
+def test_rank_one_pullback_report_is_unchanged():
+    # the only component at n = 1 forgets no letter, and its group is {e}
+    report = im_psi_check(1, 1, 2)
+    assert json.dumps(report.to_json(), sort_keys=True) == (
+        '{"claim": "pullback images cut out by one eigenvalue equation (n=1, d=1, q=2)", '
+        '"dims": {"dim mixed space": 1, "eigenspace [none]": 1, "partial orbits [none]": 1}, '
+        '"mismatches": [], "status": "pass"}'
+    )
 
 
 def test_bicommutant_square_case():

@@ -26,6 +26,7 @@ from affhecke import (
 from affhecke.errors import (
     NonDominantError,
     NotPositiveError,
+    ResourceLimitError,
     SpecMismatchError,
 )
 from affhecke.quotients import ideal_slice
@@ -122,6 +123,28 @@ def test_two_sided_absorption():
         for g in letters:
             for prod in (g * tw, tw * g):
                 assert all(in_ideal(x, SPEC10) for x in prod.support())
+
+
+@pytest.mark.parametrize("spec, max_length, min_degree", [
+    (SPEC10, 5, -4), (IdealSpec(2, [(1, 1)]), 4, -3),
+    (IdealSpec(3, [(2, 0, 0), (1, 1, 0)]), 3, -4), (IdealSpec(3, [(1, 0, 0)]), 4, 1),
+])
+def test_ideal_slice_is_the_enumerated_slice(spec, max_length, min_degree):
+    # every (sigma, -mu) with |mu| <= depth, kept when short enough and in the ideal
+    n, depth = spec.n, -min_degree
+    enumerated = set()
+    for sigma in itertools.permutations(range(1, n + 1)):
+        for mu in itertools.product(range(depth + 1), repeat=n):
+            w = AffinePerm.from_pair(sigma, tuple(-m for m in mu))
+            if sum(mu) <= depth and w.length() <= max_length and in_ideal(w, spec):
+                enumerated.add(w)
+    got = ideal_slice(spec, max_length, min_degree)
+    assert len(got) == len(enumerated) and set(got) == enumerated
+
+
+def test_ideal_slice_refuses_too_many_candidates():
+    with pytest.raises(ResourceLimitError):
+        ideal_slice(IdealSpec(4, [(1, 0, 0, 0)]), 2, -20)
 
 
 def test_absorption_of_random_positive_elements():

@@ -8,14 +8,23 @@ from hypothesis import given, settings, strategies as st
 from affhecke import AffinePerm, Word
 from affhecke.errors import NotPositiveError, RankMismatchError, NegativeEntryError
 from affhecke.weyl import (
+    RHO,
     RHO_INV,
     coxeter_ball,
     dom,
     finite_permutations,
+    letter_action,
     positive_elements,
 )
 from weyl_helpers import coxeter_count, elements_ball, rho_inv_count
-from weyl_reference import length_reference, positive_reduced_word_reference, reduced_word_reference
+from weyl_reference import (
+    coxeter_ball_reference,
+    length_reference,
+    letter_perm_reference,
+    parabolic_reference,
+    positive_reduced_word_reference,
+    reduced_word_reference,
+)
 
 
 def perms(n, spread=2):
@@ -107,6 +116,45 @@ def test_right_descent_matches_length_drop(w, i):
         assert w.apply(i if i else 3) - (0 if i else 3) > w.apply(i + 1)
     else:
         assert ws.length() == w.length() + 1
+
+
+@pytest.mark.parametrize("n, max_length", [(3, 5), (4, 3)])
+def test_letter_action_matches_compose_and_length(n, max_length):
+    # every letter's move and descent, on a ball twisted by rho^z, against the
+    # composite with the letter's permutation and the drop in length
+    twisted = [c.compose(AffinePerm.rho(n, z))
+               for c in coxeter_ball_reference(n, max_length) for z in range(-2, 3)]
+    for letter in (*range(n), RHO, RHO_INV):
+        move, descent = letter_action(n, letter)
+        step = letter_perm_reference(n, letter)
+        for w in twisted:
+            ws = w.compose(step)
+            assert move(w.window) == ws.window, (w, letter)
+            if descent is None:
+                assert letter in (RHO, RHO_INV)
+                continue
+            a, b, off = descent
+            assert (w.window[a] - off > w.window[b]) == (ws.length() < w.length()), (w, letter)
+            assert w.has_right_descent(letter) == (ws.length() < w.length())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coxeter_ball_with_letters_matches_the_references(n):
+    alphabet = range(n) if n > 1 else ()
+    assert coxeter_ball(n, 4) == coxeter_ball_reference(n, 4)
+    for size in range(len(alphabet) + 1):
+        for letters in itertools.combinations(alphabet, size):
+            assert coxeter_ball(n, 4, letters) == coxeter_ball_reference(n, 4, letters), letters
+            if size < n:  # a proper subset generates a finite parabolic subgroup
+                whole = coxeter_ball(n, n * (n - 1) // 2, letters)
+                assert whole == parabolic_reference(n, letters), letters
+
+
+def test_rank_one_ball_is_the_identity():
+    # the degree-0 group at n = 1 is trivial: there is no simple reflection
+    for max_length in range(4):
+        assert coxeter_ball(1, max_length) == (AffinePerm.identity(1),)
+        assert coxeter_ball(1, max_length, ()) == (AffinePerm.identity(1),)
 
 
 @given(perms(3))
