@@ -129,7 +129,7 @@ def _dump(data) -> str:
 
 def _word_lines(args, walk) -> tuple[list[str], int]:
     w = parsing.parse_perm(args.n, args.window)
-    parsing.WorkBudget().charge_words([w])  # before ``walk`` takes l(w) letter steps
+    parsing.WorkBudget().charge_words([w])  # before ``walk`` takes its l(w) + |degree(w)| letters
     word = walk(w)
     if args.json:
         letters = ["s%d" % a if isinstance(a, int) else a for a in word.letters]

@@ -1,7 +1,8 @@
 """Finite flag configurations over small prime fields.
 
-Points are flags of subspaces of F_q^n, stored as canonical reduced
-row echelon bases so that equal subspaces are equal tuples.  Two point
+Points are flags of subspaces of F_q^n.  A subspace is named by its
+position in one list of the bit masks of its vectors, ordered by
+(dimension, mask), so a flag is a tuple of small ints.  Two point
 families appear: complete flags (one step per dimension, "X") and d-step
 multichains that may repeat subspaces and always end at the full space
 ("Y").  Simultaneous-change-of-basis orbits on pairs of flags are
@@ -10,9 +11,9 @@ matrices serve as orbit labels everywhere in the convolution oracle.
 
 Everything is brute-force enumeration, guarded to ranks where the counts
 stay in the thousands.  The per-cell work runs in C where it can:
-subspaces grow breadth-first as bit masks of their vectors, with one row
-reduction per new subspace, and those masks give every intersection
-dimension; a row of a label table is zipped and looked up whole.
+subspaces grow breadth-first as bit masks of their vectors, and those
+masks give every intersection dimension, held in one table read by
+position; a row of a label table is zipped and looked up whole.
 ``point_counts`` gives the sizes of both point families in closed form,
 so a caller can bound its work before any enumeration, and
 ``shared_context`` keeps the audited tables of the most recent settings
@@ -35,39 +36,6 @@ from .errors import InternalInvariantError, ResourceLimitError, UnsupportedParam
 MAX_RANK = 4
 MAX_STEPS = 4
 FIELD_SIZES = (2, 3)
-
-
-def rref_fq(rows, q: int):
-    """Canonical reduced row echelon form over F_q, zero rows dropped."""
-    mat = [[x % q for x in row] for row in rows]
-    out: list[list[int]] = []
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while mat and col < ncols:
-        pivot = next((i for i, row in enumerate(mat) if row[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        row = mat.pop(pivot)
-        inv = pow(row[col], q - 2, q)
-        row = [(x * inv) % q for x in row]
-        mat = [
-            [(x - r[col] * y) % q for x, y in zip(r, row)] if r[col] else r
-            for r in mat
-        ]
-        out = [
-            [(x - r[col] * y) % q for x, y in zip(r, row)] if r[col] else r
-            for r in out
-        ]
-        out.append(row)
-        mat = [r for r in mat if any(r)]
-        col += 1
-    return tuple(tuple(r) for r in out)
-
-
-def span_of(vectors, q: int):
-    vecs = [v for v in vectors if any(x % q for x in v)]
-    return rref_fq(vecs, q) if vecs else ()
 
 
 def _check_parameters(n: int, q: int, d: int) -> None:
@@ -139,23 +107,23 @@ class FlagContext:
     def vectors(self):
         return self._memo("vectors", lambda: tuple(itertools.product(range(self.q), repeat=self.n)), True)
 
-    def _masks(self) -> dict:
-        """Each subspace's canonical basis -> the bit mask of its vectors
-        (bit i for the i-th of ``vectors``), grown breadth-first from the
-        zero space: a subspace and a vector v outside it span the union of
-        its translates by the multiples of v, read off a vector-addition
-        table, and each new span is row reduced once."""
+    def _masks(self) -> list:
+        """The subspaces, as the bit masks of their vectors (bit i for the
+        i-th of ``vectors``), by (dimension, mask); a subspace is named by
+        its position here.  Grown breadth-first from the zero space: a
+        subspace and a vector v outside it span the union of its translates
+        by the multiples of v, read off a vector-addition table."""
 
         def build():
             q, vecs = self.q, self.vectors()
             where = {v: i for i, v in enumerate(vecs)}
             plus = [[where[tuple((a + b) % q for a, b in zip(u, v))] for v in vecs] for u in vecs]
-            spans = {1: ()}  # mask -> canonical basis; the zero vector is bit 0
-            frontier = [((), 1, [0])]
+            found = [1]  # the zero vector is bit 0
+            frontier = [(1, [0])]
             while frontier:
-                nxt = []
-                for sub, covered, elems in frontier:
-                    for i, v in enumerate(vecs):
+                nxt = {}
+                for covered, elems in frontier:
+                    for i in range(len(vecs)):
                         if covered >> i & 1:
                             continue
                         line = [i]
@@ -164,50 +132,46 @@ class FlagContext:
                         grown = elems + [plus[u][e] for u in line for e in elems]
                         mask = sum(1 << e for e in grown)
                         covered |= mask
-                        if mask not in spans:
-                            spans[mask] = rref_fq(sub + (v,), q)
-                            nxt.append((spans[mask], mask, grown))
-                frontier = nxt
-            return {sub: mask for mask, sub in spans.items()}
+                        nxt.setdefault(mask, grown)
+                frontier = list(nxt.items())
+                found += sorted(nxt)  # one layer per dimension
+            return found
 
         return self._memo("masks", build, True)
 
     def subspaces(self):
-        return self._memo("subspaces", lambda: tuple(sorted(self._masks())), True)
+        return range(len(self._masks()))
 
     def intersections(self):
-        """Position of each subspace, and the table of intersection
-        dimensions of any two, read off the bit sets of their vectors."""
+        """The table of intersection dimensions of any two subspaces, by
+        position, read off the bit sets of their vectors; its diagonal
+        holds each subspace's dimension."""
 
         def build():
-            found = self._masks()
-            masks = [found[sub] for sub in self.subspaces()]
+            masks = self._masks()
             dim_of = {self.q**k: k for k in range(self.n + 1)}
-            table = [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
-            return {sub: i for i, sub in enumerate(self.subspaces())}, table
+            return [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
 
         return self._memo("intersections", build, True)
 
     def inter_dim(self, a, b) -> int:
-        index, table = self.intersections()
-        return table[index[a]][index[b]]
+        return self.intersections()[a][b]
 
     def contains(self, big, small) -> bool:
-        return self.inter_dim(big, small) == len(small)
+        table = self.intersections()
+        return table[big][small] == table[small][small]
 
     def full_space(self):
-        return self._memo("full", lambda: span_of(tuple(self.basis_vector(j) for j in range(1, self.n + 1)), self.q), True)
-
-    def basis_vector(self, j: int):
-        return tuple(1 if k == j - 1 else 0 for k in range(self.n))
+        return len(self._masks()) - 1
 
     # -- point sets --------------------------------------------------------
 
     def complete_flags(self):
         def build():
+            table = self.intersections()
             by_dim: dict[int, list] = {}
             for sub in self.subspaces():
-                by_dim.setdefault(len(sub), []).append(sub)
+                by_dim.setdefault(table[sub][sub], []).append(sub)
             flags = [()]
             for dim in range(1, self.n + 1):
                 flags = [
@@ -235,17 +199,18 @@ class FlagContext:
         return self._memo("Y", build)
 
     def space_points(self, key):
-        if key == "X":
-            return self.complete_flags()
-        if key == "Y":
+        """The points of a point space, one tuple per space id."""
+        sid = self.space_id(key)
+        if sid == ("Y",):
             return self.multistep_flags()
-        if isinstance(key, tuple) and len(key) == 2 and key[0] == "YI":
-            dims = self.component_dims(key[1])
-            return self._memo(
-                ("YIpts", key[1]),
-                lambda: tuple(f for f in self.multistep_flags() if tuple(len(s) for s in f) == dims),
-            )
-        raise ValueError(f"unknown point space {key!r}")
+        if sid == self.space_id("X"):
+            return self.complete_flags()
+
+        def build():
+            table = self.intersections()
+            return tuple(f for f in self.multistep_flags() if tuple(table[s][s] for s in f) == sid[1])
+
+        return self._memo(("points", sid), build)
 
     def space_id(self, key):
         """Canonical identity of a point space, once per key; equal ids mean
@@ -309,9 +274,8 @@ class FlagContext:
     # -- labels ------------------------------------------------------------
 
     def pair_label(self, left_flag, right_flag):
-        index, table = self.intersections()
-        cols = [index[s] for s in right_flag]
-        return tuple(tuple(table[index[s]][j] for j in cols) for s in left_flag)
+        table = self.intersections()
+        return tuple(tuple(table[s][t] for t in right_flag) for s in left_flag)
 
     def label_table(self, key_left, key_right):
         """Sorted labels, one representative pair per label, and the label
@@ -328,15 +292,15 @@ class FlagContext:
         def build():
             from array import array
 
-            index, table = self.intersections()
+            table = self.intersections()
             lefts, rights = self.space_points(key_left), self.space_points(key_right)
-            steps = [[index[s] for s in step] for step in zip(*rights)]
+            steps = list(zip(*rights))
             columns: dict = {}  # one label column (a right subspace against the left flag) -> code
             found: dict = {}  # label as a tuple of column codes -> first position
             reps = []
             rows = []
             for fl in lefts:
-                cols = list(zip(*[table[index[s]] for s in fl]))
+                cols = list(zip(*[table[s] for s in fl]))
                 columns.update(zip(set(cols).difference(columns), itertools.count(len(columns))))
                 code = list(map(columns.__getitem__, cols))
                 keys = list(zip(*[map(code.__getitem__, step) for step in steps]))
@@ -396,8 +360,8 @@ class FlagContext:
         of the component forgetting the given (sorted) steps."""
 
         def build():
-            points = self.space_points(source)
-            dims = tuple(len(s) for s in points[0])
+            table, points = self.intersections(), self.space_points(source)
+            dims = tuple(table[s][s] for s in points[0])
             pick = [dims.index(c) for c in self.component_dims(forgotten)]
             where = {p: j for j, p in enumerate(self.space_points(("YI", forgotten)))}
             return [where[tuple(x[k] for k in pick)] for x in points]
@@ -479,11 +443,19 @@ class FlagContext:
         return self.perm_flag(range(1, self.n + 1))
 
     def perm_flag(self, window):
-        """Complete flag whose step i is spanned by basis vectors w(1)..w(i)."""
+        """Complete flag whose step i is spanned by basis vectors e_w(1)..e_w(i),
+        that is, the vectors supported on the coordinates w(1)..w(i)."""
         window = tuple(window)
-        return self._memo(("permflag", window), lambda: tuple(
-            span_of([self.basis_vector(j) for j in window[:i]], self.q) for i in range(1, len(window) + 1)
-        ), True)
+
+        def build():
+            masks, vecs = self._masks(), self.vectors()
+            flag = []
+            for i in range(1, len(window) + 1):
+                off = [k for k in range(self.n) if k + 1 not in window[:i]]
+                flag.append(masks.index(sum(1 << j for j, v in enumerate(vecs) if not any(v[k] for k in off))))
+            return tuple(flag)
+
+        return self._memo(("permflag", window), build, True)
 
 
 class _FieldTables(dict):

@@ -34,18 +34,22 @@ slots packs wider; nothing is ever truncated.  Packing is a ring map
 Z[v] -> Z, so the ints stay exact however large intermediate digits grow,
 and only the result has to fit its slots to read back exactly.
 
-``product`` plans a*b once: the reduced words of supp b, their Coxeter
-lengths, the valuations and the slot width.  A request budget is charged
-from that plan, before any letter step, with two bounds.  Steps: the l(w)
-letters of w at most double the terms each, so a*b takes at most
-|supp a| * sum over w in supp b of 2^(l(w)+1) letter-term steps.  Bits: a
-packed coefficient of a*b spans the exponents of a and b widened by 2 per
-letter, 1 + 2 max l(w) + (deg - val)(a) + (deg - val)(b) slots of the
-plan's width.  Where the step bound does not fit the budget, a dry run on
-windows alone counts the letter steps instead, stopped once it passes the
-rest of the budget.  ``invert_t`` charges T_w^-1 as the product 1*T_w:
-2^(l(w)+1) steps, 1 + 2 l(w) slots of the width for 3^l(w), and a dry run
-along the inverse letter steps it takes.
+``product`` plans a*b once: the Coxeter lengths and degrees of supp b,
+the valuations and the slot width, then the reduced words of supp b.  A
+request budget is charged from that plan, before any reduced word is built
+or letter step runs, with two bounds.  Steps: the l(w) Coxeter letters of
+w at most double the terms each and its |degree(w)| rho letters keep
+their count, so a*b takes at most |supp a| * sum over w in supp b of
+2^l(w) (2 + |degree(w)|) letter-term steps.  Bits: a packed coefficient
+of a*b spans the exponents of a and b widened by 2 per letter,
+1 + 2 max l(w) + (deg - val)(a) + (deg - val)(b) slots of the plan's
+width.  Where the step bound does not fit the budget, a dry run on windows
+alone counts the letter steps instead, stopped once it passes the rest of
+the budget; every letter steps at least the windows of a, so a word of
+l(w) + |degree(w)| letters that cannot fit is refused before it is built.
+``invert_t`` charges T_w^-1 as the product 1*T_w: 2^l(w) (2 + |degree(w)|)
+steps, 1 + 2 l(w) slots of the width for 3^l(w), and a dry run along the
+inverse letter steps it takes.
 
 The bar involution (semilinear over v -> v^-1, T_w -> (T_{w^-1})^-1) and
 ``invert_t`` (T_w^-1 = (T_{x^-1})^-1 at x = w^-1) share those inverse
@@ -293,20 +297,22 @@ def _step_inverse(terms: dict, n: int, letter, shift: int) -> dict:
     return out
 
 
-def _coxeter_count(letters: tuple) -> int:
-    return len(letters) - letters.count(RHO) - letters.count(RHO_INV)
-
-
-def _dry_run(n: int, windows: set, words: Iterable[tuple], cap: int) -> int:
-    """A bound on the letter-term steps of running each of ``words`` by T or
-    by T^-1 from terms on ``windows``, or a count above ``cap`` once it
-    passes it; coefficients are never formed.  Every Coxeter letter keeps
-    both the moved and the unmoved windows, a superset of what either kernel
-    keeps; by the subword property the windows after a prefix of a reduced
-    word stay in windows·[e, prefix], so the count grows like the lower
-    Bruhat intervals, not like 2^l."""
+def _dry_run(n: int, windows: set, perms: Iterable[AffinePerm], word, cap: int) -> int:
+    """A bound on the letter-term steps of running ``word(w)`` for each w of
+    ``perms`` by T or by T^-1 from terms on ``windows``, or a count above
+    ``cap`` once it passes it; coefficients are never formed.  Every Coxeter
+    letter keeps both the moved and the unmoved windows, a superset of what
+    either kernel keeps; by the subword property the windows after a prefix
+    of a reduced word stay in windows·[e, prefix], so the count grows like
+    the lower Bruhat intervals, not like 2^l."""
     steps = 0
-    for letters in words:
+    for w in perms:
+        # each of the l(w) + |degree(w)| letters steps at least the windows,
+        # so a word that cannot fit is refused before it is built
+        least = steps + len(windows) * (w.length() + abs(w.degree()))
+        if least > cap:
+            return least
+        letters = word(w)
         cur = windows
         last = len(letters) - 1
         for i, letter in enumerate(letters):
@@ -324,25 +330,26 @@ def _dry_run(n: int, windows: set, words: Iterable[tuple], cap: int) -> int:
 
 
 def product(a: HeckeElt, b: HeckeElt, charge=None) -> HeckeElt:
-    """a*b, planned once: the reduced words of supp b, their lengths, the
-    valuations and the slot width.  ``charge(steps, bits, dry_run)``, if
-    given, receives the plan's cost (see the module docstring) before any
-    letter step runs."""
+    """a*b, planned once: the lengths of supp b, the valuations and the slot
+    width, then the reduced words of supp b.  ``charge(steps, bits,
+    dry_run)``, if given, receives the plan's cost (see the module
+    docstring) before any word is built or letter step runs."""
     if a.n != b.n:
         raise RankMismatchError("ranks differ: %d vs %d" % (a.n, b.n))
     n = a.n
     if not a.terms or not b.terms:
         return HeckeElt(n)
-    words = [_reduced_letters(w) for w in b.terms]
-    lengths = [_coxeter_count(letters) for letters in words]
+    lengths = [w.length() for w in b.terms]
     top = max(lengths)
     bound = _height(a) * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
     width = slot_width(bound)
     base_a, base_b = _valuation(a), _valuation(b)
     if charge is not None:
-        steps = len(a.terms) * sum(2 ** (k + 1) for k in lengths)
+        steps = len(a.terms) * sum(2**k * (2 + abs(w.degree())) for k, w in zip(lengths, b.terms))
         span = 1 + 2 * top + _degree(a) - base_a + _degree(b) - base_b
-        charge(steps, span * width, lambda cap: _dry_run(n, {w.window for w in a.terms}, words, cap))
+        charge(steps, span * width,
+               lambda cap: _dry_run(n, {w.window for w in a.terms}, b.terms, _reduced_letters, cap))
+    words = [_reduced_letters(w) for w in b.terms]
     # a T_w runs the letters of w from the packed a; every result is brought
     # to the common base by shifting its coefficient factor
     shift = 2 * width
@@ -550,8 +557,8 @@ def invert_t(w: AffinePerm, charge=None) -> HeckeElt:
     k = w.length()
     if charge is not None:
         identity = AffinePerm.identity(w.n).window
-        charge(2 ** (k + 1), (1 + 2 * k) * slot_width(3**k),
-               lambda cap: _dry_run(w.n, {identity}, [_reduced_letters(w)[::-1]], cap))
+        charge(2**k * (2 + abs(w.degree())), (1 + 2 * k) * slot_width(3**k),
+               lambda cap: _dry_run(w.n, {identity}, [w], lambda u: _reduced_letters(u)[::-1], cap))
     width = _bucket_width(3**k)
     return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, (w,))
 

@@ -19,7 +19,9 @@ every negative power's basis inverse, is charged to the request's
 that module's docstring).  The charges of one request add up, and the
 product that would take the total above MAX_PRODUCT_WORK letter steps
 raises ResourceLimitError before it starts.  Walking or printing a reduced
-word is charged l(w) letter steps first (``WorkBudget.charge_words``).  A
+word is charged its l(w) + |degree(w)| letters first
+(``WorkBudget.charge_words``): at n = 2, w[2000001,2000002] is
+rho^2000000, of length 0 and 2,000,000 letters, and is refused.  A
 product whose packed coefficients could pass MAX_COEFFICIENT_BITS raises
 too: that keeps every int step cheap and every coefficient printable.
 Library products, such as the canonical-basis recursion, are not budgeted.
@@ -85,9 +87,9 @@ class WorkBudget:
         self.spent = 0
 
     def charge_words(self, perms) -> None:
-        """Add l(w) letter steps for each w in ``perms``: the work of walking
-        or printing its reduced word."""
-        work = sum(w.length() for w in perms)
+        """Add l(w) + |degree(w)| letter steps for each w in ``perms``: the
+        work of walking or printing its reduced word, rho letters included."""
+        work = sum(w.length() + abs(w.degree()) for w in perms)
         self.charge(work, 0, lambda cap: work)
 
     def charge(self, work: int, bits: int, dry_run) -> None:

@@ -178,13 +178,14 @@ class AffinePerm:
     def reduced_word(self) -> "Word":
         """A word s_{i_1} ... s_{i_k} rho^z composing to w, k = l(w), z = degree(w).
 
-        Strips left descents of w as right descents on the window of w^-1.
+        Strips left descents of w as right descents on the window of w^-1,
+        at most l(w) of them.
         """
         n = self.n
         t = self.inverse().window
         steps = [(i, *letter_action(n, i)) for i in range(n)]
         letters: list[object] = []
-        while True:
+        for _ in range(self.length()):
             for i, move, (a, b, off) in steps:
                 if t[a] - off > t[b]:
                     t = move(t)
@@ -201,9 +202,10 @@ class AffinePerm:
     def positive_reduced_word(self) -> "Word":
         """A word over {s_1..s_{n-1}, rho^-1} only, with l(w) Coxeter letters.
 
-        Repeatedly strips right descents on the window; a sole descent at 0
-        is traded for a trailing [s_{n-1}, rho^-1] via s_0 = rho s_{n-1} rho^-1,
-        that is, the s_0 move followed by the rho move.
+        Strips right descents on the window, at most l(w) of them; a sole
+        descent at 0 is traded for a trailing [s_{n-1}, rho^-1] via
+        s_0 = rho s_{n-1} rho^-1, that is, the s_0 move followed by the rho
+        move.
         """
         if not self.is_positive():
             raise NotPositiveError("%s has a window value above n" % self)
@@ -212,7 +214,7 @@ class AffinePerm:
         rho = letter_action(n, RHO)[0]
         steps = [(i, *letter_action(n, i)) for i in (*range(1, n), 0)]
         stripped: list[object] = []  # the suffix, read from its end
-        while True:
+        for _ in range(self.length()):
             for i, move, (a, b, off) in steps:
                 if t[a] - off > t[b]:
                     t = move(t)

@@ -145,16 +145,18 @@ def canonical_value_reference(w: AffinePerm, memo: dict) -> HeckeElt:
 def product_cost_reference(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
     """Bounds (letter-term steps, bits of one packed coefficient) for a*b.
 
-    Running the l(w) letters of w at most doubles the terms at each step,
-    so a*b takes at most |supp a| * sum over w in supp b of 2^(l(w)+1)
-    steps.  A packed coefficient of a*b spans the exponents of a and b
-    widened by 2 per letter, in slots of the width the product packs with:
-    the height of a times the sum of 3^l(w) |c_w|_1 over supp b.
+    Running the l(w) Coxeter letters of w at most doubles the terms at
+    each step, and each of its |degree(w)| rho letters keeps their count,
+    so a*b takes at most |supp a| * sum over w in supp b of
+    2^l(w) (2 + |degree(w)|) steps.  A packed coefficient of a*b spans
+    the exponents of a and b widened by 2 per letter, in slots of the
+    width the product packs with: the height of a times the sum of
+    3^l(w) |c_w|_1 over supp b.
     """
     if not a.terms or not b.terms:
         return 0, 0
     lengths = [w.length() for w in b.terms]
-    steps = len(a.terms) * sum(2 ** (k + 1) for k in lengths)
+    steps = len(a.terms) * sum(2**k * (2 + abs(w.degree())) for k, w in zip(lengths, b.terms))
     span = 1 + 2 * max(lengths)
     for elt in (a, b):
         coeffs = elt.terms.values()
@@ -167,9 +169,13 @@ def product_cost_reference(a: HeckeElt, b: HeckeElt) -> tuple[int, int]:
 def _dry_run_reference(n: int, start: set, words: list, cap: int) -> int:
     """Each letter of each word, run from ``start``, steps every element met
     so far, and a Coxeter letter keeps w as well as w s; the count stops as
-    soon as it, with the next letter's steps, passes ``cap``."""
+    soon as it, with the next letter's steps, passes ``cap``, and a word
+    whose letters, each stepping at least ``start``, would pass ``cap`` is
+    counted that far and not run."""
     steps = 0
     for letters in words:
+        if steps + len(start) * len(letters) > cap:
+            return steps + len(start) * len(letters)
         cur = set(start)
         for i, letter in enumerate(letters):
             steps += len(cur)

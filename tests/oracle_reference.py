@@ -16,10 +16,11 @@ indicator of the graph of phi, over the structure constants of a triple of
 spaces.  ``pushforward_reference`` reads the package's operators, and so
 its coset rows, off that convolution.
 
-The flag-table references are the per-cell builds: subspaces by one
-row reduction per (subspace, vector) pair, subspace masks by a loop over
-coefficient tuples, and label positions by one dict lookup per pair of
-points.  ``IntRowSpace``, a dense fraction-free row space, is the
+The flag-table references are the per-cell builds: subspaces as
+canonical reduced row echelon bases, by one row reduction per (subspace,
+vector) pair, subspace masks by a loop over coefficient tuples, and label
+positions by one dict lookup per pair of points.  ``bases_reference``
+names the package's subspace positions by those bases.  ``IntRowSpace``, a dense fraction-free row space, is the
 reference for the sparse ``linalg.int_rank``.
 
 The dense matrix forms the oracle used before its matrices became lists
@@ -39,7 +40,6 @@ from typing import Sequence
 
 from affhecke import OrbitFunction
 from affhecke.errors import DomainMismatchError, InternalInvariantError
-from affhecke.flags import span_of
 from affhecke.oracle import perm_label
 from affhecke.weyl import finite_permutations
 
@@ -216,8 +216,42 @@ def theta_table_reference(ctx, forgotten):
 # -- flag tables ---------------------------------------------------------------
 
 
+def rref_fq(rows, q: int):
+    """Canonical reduced row echelon form over F_q, zero rows dropped."""
+    mat = [[x % q for x in row] for row in rows]
+    out: list[list[int]] = []
+    ncols = len(mat[0]) if mat else 0
+    col = 0
+    while mat and col < ncols:
+        pivot = next((i for i, row in enumerate(mat) if row[col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        row = mat.pop(pivot)
+        inv = pow(row[col], q - 2, q)
+        row = [(x * inv) % q for x in row]
+        mat = [
+            [(x - r[col] * y) % q for x, y in zip(r, row)] if r[col] else r
+            for r in mat
+        ]
+        out = [
+            [(x - r[col] * y) % q for x, y in zip(r, row)] if r[col] else r
+            for r in out
+        ]
+        out.append(row)
+        mat = [r for r in mat if any(r)]
+        col += 1
+    return tuple(tuple(r) for r in out)
+
+
+def span_of(vectors, q: int):
+    vecs = [v for v in vectors if any(x % q for x in v)]
+    return rref_fq(vecs, q) if vecs else ()
+
+
 def subspaces_reference(ctx):
-    """Every subspace, grown by spanning each one with each vector."""
+    """Every subspace as its canonical basis, grown by spanning each one
+    with each vector."""
     found = {(): None}
     frontier = [()]
     while frontier:
@@ -232,37 +266,45 @@ def subspaces_reference(ctx):
     return tuple(sorted(found))
 
 
-def intersections_reference(ctx):
-    """Subspace positions and intersection dimensions, each subspace's
-    vector mask built from every tuple of coefficients on its basis."""
+def mask_reference(ctx, basis) -> int:
+    """The bit mask of a subspace's vectors (bit i for the i-th of
+    ``ctx.vectors()``), from every tuple of coefficients on its basis."""
     q, n = ctx.q, ctx.n
     bit = {v: 1 << i for i, v in enumerate(ctx.vectors())}
-    masks = []
-    for sub in ctx.subspaces():
-        mask = 0
-        for coeffs in itertools.product(range(q), repeat=len(sub)):
-            mask |= bit[tuple(sum(c * row[k] for c, row in zip(coeffs, sub)) % q for k in range(n))]
-        masks.append(mask)
-    dim_of = {q**k: k for k in range(n + 1)}
-    table = [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
-    return {sub: i for i, sub in enumerate(ctx.subspaces())}, table
+    mask = 0
+    for coeffs in itertools.product(range(q), repeat=len(basis)):
+        mask |= bit[tuple(sum(c * row[k] for c, row in zip(coeffs, basis)) % q for k in range(n))]
+    return mask
+
+
+def bases_reference(ctx):
+    """The canonical basis of each subspace, by (dimension, mask): the
+    package's subspace positions."""
+    return tuple(sorted(subspaces_reference(ctx), key=lambda b: (len(b), mask_reference(ctx, b))))
+
+
+def intersections_reference(ctx):
+    """Intersection dimensions of the subspaces, by position, from their
+    bases' masks."""
+    masks = [mask_reference(ctx, b) for b in bases_reference(ctx)]
+    dim_of = {ctx.q**k: k for k in range(ctx.n + 1)}
+    return [[dim_of[(a & b).bit_count()] for b in masks] for a in masks]
 
 
 def label_table_reference(ctx, key_left, key_right):
     """Sorted labels, first representatives and label positions, one dict
     lookup per pair of points."""
-    index, table = ctx.intersections()
+    table = ctx.intersections()
     lefts, rights = ctx.space_points(key_left), ctx.space_points(key_right)
-    right_subs = [[index[s] for s in fr] for fr in rights]
     columns: dict = {}
     found: dict = {}
     reps = []
     rows = []
     for fl in lefts:
-        code = [columns.setdefault(col, len(columns)) for col in zip(*(table[index[s]] for s in fl))]
+        code = [columns.setdefault(col, len(columns)) for col in zip(*(table[s] for s in fl))]
         row = []
-        for fr, subs in zip(rights, right_subs):
-            key = tuple([code[j] for j in subs])
+        for fr in rights:
+            key = tuple([code[j] for j in fr])
             k = found.get(key)
             if k is None:
                 k = found[key] = len(reps)

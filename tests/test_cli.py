@@ -246,6 +246,21 @@ def test_long_reduced_words_exit_3_before_the_walk(capsys, argv):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("reduce-word", "--n", "2", "w[2000001,2000002]"),
+    ("reduce-word", "--n", "2", "--json", "w[200000001,200000002]"),
+    ("mul", "--n", "2", "--json", "T(w[1,2])*T(w[20000001,20000002])"),
+    ("mul", "--n", "2", "--json", "T(w[20000001,20000002])^-1"),
+])
+def test_rho_letters_count_toward_the_budget(capsys, argv):
+    # each word is a power of rho: length 0, but millions of letters
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "letter steps" in err
+    assert time.perf_counter() - start < 2
+
+
 def test_long_product_in_json_names_no_word(capsys):
     code, out, err = run(capsys, "mul", "--n", "2", "--json", "T(w[100000001,-100000000])")
     assert (code, err) == (0, "")

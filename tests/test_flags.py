@@ -6,8 +6,9 @@ from array import array
 import pytest
 
 from affhecke.errors import InternalInvariantError, ResourceLimitError, UnsupportedParameterError
-from affhecke.flags import FlagContext, point_counts, rref_fq, span_of
-from oracle_reference import fibers, phi
+from affhecke.flags import FlagContext, point_counts
+from affhecke.weyl import finite_permutations
+from oracle_reference import bases_reference, fibers, phi, rref_fq, span_of
 
 
 # -- enumeration counts ---------------------------------------------------------
@@ -68,7 +69,7 @@ def test_resource_guards():
         FlagContext(2, 2, 7)
 
 
-# -- row reduction ----------------------------------------------------------------
+# -- subspaces against row-reduced bases -------------------------------------------
 
 def test_rref_is_canonical():
     q = 3
@@ -81,11 +82,22 @@ def test_rref_is_canonical():
 
 def test_span_dimension_formula():
     ctx = FlagContext(3, 2, 1)
-    subs = ctx.subspaces()
-    for a in subs:
-        for b in subs:
-            joint = len(rref_fq(list(a) + list(b), 2))
-            assert ctx.inter_dim(a, b) == len(a) + len(b) - joint
+    bases = bases_reference(ctx)
+    for a in ctx.subspaces():
+        for b in ctx.subspaces():
+            joint = len(rref_fq(list(bases[a]) + list(bases[b]), 2))
+            assert ctx.inter_dim(a, b) == len(bases[a]) + len(bases[b]) - joint
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3, 4) for q in (2, 3)])
+def test_perm_flag_steps_are_spans_of_basis_vectors(n, q):
+    ctx = FlagContext(n, q, 1)
+    where = {b: i for i, b in enumerate(bases_reference(ctx))}
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    for w in finite_permutations(n):
+        steps = [span_of([unit[j - 1] for j in w.window[:i]], q) for i in range(1, n + 1)]
+        assert ctx.perm_flag(w.window) == tuple(where[s] for s in steps)
+    assert ctx.standard_flag()[-1] == ctx.full_space()
 
 
 # -- labels against a direct group-orbit computation ------------------------------
@@ -99,17 +111,21 @@ def _gl(n, q):
     return mats
 
 
-def _act(m, flag, q):
+def _act(m, flag, q, bases, where):
+    """m applied to a flag of subspace positions, each read as its
+    row-reduced basis and the image mapped back to its position."""
     out = []
     for sub in flag:
         rows = [tuple(sum(m[i][j] * v[j] for j in range(len(v))) % q
                       for i in range(len(v)))
-                for v in sub]
-        out.append(rref_fq(rows, q))
+                for v in bases[sub]]
+        out.append(where[rref_fq(rows, q)])
     return tuple(out)
 
 
-def _orbit_partition(pairs, group, q):
+def _orbit_partition(ctx, pairs, group):
+    q, bases = ctx.q, bases_reference(ctx)
+    where = {b: i for i, b in enumerate(bases)}
     seen = {}
     tag = 0
     for pair in pairs:
@@ -122,7 +138,7 @@ def _orbit_partition(pairs, group, q):
                 continue
             seen[cur] = tag
             for m in group:
-                stack.append((_act(m, cur[0], q), _act(m, cur[1], q)))
+                stack.append((_act(m, cur[0], q, bases, where), _act(m, cur[1], q, bases, where)))
         tag += 1
     return seen
 
@@ -133,7 +149,7 @@ def test_labels_match_group_orbits(left, right):
     ctx = FlagContext(n, q, 2)
     group = _gl(n, q)
     pairs = [(a, b) for a in ctx.space_points(left) for b in ctx.space_points(right)]
-    orbit_of = _orbit_partition(pairs, group, q)
+    orbit_of = _orbit_partition(ctx, pairs, group)
     for pa in pairs:
         for pb in pairs:
             same_label = ctx.pair_label(*pa) == ctx.pair_label(*pb)
@@ -166,6 +182,8 @@ def test_label_table_positions_match_pair_labels(n, d, q):
 def test_tables_are_shared_by_equal_point_spaces():
     ctx = FlagContext(3, 2, 3)
     assert ctx.space_id(("YI", ())) == ctx.space_id("X")
+    assert ctx.space_points(("YI", ())) is ctx.space_points("X")
+    assert ctx.space_points(("YI", (2, 1))) is ctx.space_points(("YI", (1, 2)))
     assert ctx.label_table("X", ("YI", ())) is ctx.label_table("X", "X")
     assert ctx.structure_constants(("YI", ()), "X", "X") is ctx.structure_constants("X", "X", ("YI", ()))
 
@@ -194,6 +212,7 @@ def test_component_dims():
 def test_forgetting_map_lands_in_the_component():
     # _image names, per complete flag, the point phi(x) of the component
     ctx = FlagContext(3, 2, 2)
+    bases = bases_reference(ctx)
     flags = ctx.space_points("X")
     for forgotten in ctx.valid_components():
         points = ctx.space_points(("YI", forgotten))
@@ -202,7 +221,7 @@ def test_forgetting_map_lands_in_the_component():
         assert len(image) == len(flags)
         for flag, j in zip(flags, image):
             assert points[j] == phi(ctx, flag, forgotten)
-            assert tuple(len(s) for s in points[j]) == dims
+            assert tuple(len(bases[s]) for s in points[j]) == dims
 
 
 def test_fibers_partition_the_flag_variety():

@@ -9,6 +9,8 @@ charged for a product or an inverse is compared at n in {1, 2, 3, 4}.
 The Kronecker codec is checked at the edges of a slot.
 """
 
+import math
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -67,7 +69,9 @@ def test_products_match_reference(data):
 @given(st.data())
 def test_charges_match_the_reference_cost(data):
     # a product is charged once, before it runs, with the reference (steps,
-    # bits) and the reference dry run; a zero operand charges nothing
+    # bits) and the reference dry run; a zero operand charges nothing.  The
+    # coarse steps, charged without a dry run where they fit, bound the
+    # dry run's uncapped count.
     n = data.draw(st.sampled_from((1, 2, 3, 4)))
     a = data.draw(element(n))
     b = data.draw(element(n, max_word=5, max_terms=3))
@@ -75,6 +79,7 @@ def test_charges_match_the_reference_cost(data):
     assert hecke.product(a, b, lambda *cost: charged.append(cost)) == mul_reference(a, b)
     ((steps, bits, dry_run),) = charged or [(0, 0, lambda cap: 0)]
     assert (steps, bits) == product_cost_reference(a, b)
+    assert steps >= dry_run(math.inf)
     for cap in (steps, steps // 3, 1):
         assert dry_run(cap) == product_steps_reference(a, b, cap)
     for w in a.terms:
@@ -82,8 +87,20 @@ def test_charges_match_the_reference_cost(data):
         hecke.invert_t(w, lambda *cost: charged.append(cost))
         ((steps, bits, dry_run),) = charged
         assert (steps, bits) == product_cost_reference(hecke.one(n), hecke.t_basis(w))
+        assert steps >= dry_run(math.inf)
         for cap in (steps, steps // 3, 1):
             assert dry_run(cap) == inverse_steps_reference(w, cap)
+
+
+def test_rho_letters_are_charged():
+    # T_{rho^5} has length 0 and five letters, each a step of every term
+    rho5 = AffinePerm.rho(2, 5)
+    charged = []
+    hecke.product(hecke.one(2), hecke.t_basis(rho5), lambda *cost: charged.append(cost))
+    hecke.invert_t(rho5, lambda *cost: charged.append(cost))
+    for steps, _, dry_run in charged:
+        assert dry_run(math.inf) == 5
+        assert steps == 7
 
 
 @settings(deadline=None, max_examples=60)

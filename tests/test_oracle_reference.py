@@ -27,6 +27,7 @@ from affhecke.oracle import (
     theta_between,
 )
 from oracle_reference import (
+    bases_reference,
     commutator_rows_reference,
     convolve_reference,
     dense,
@@ -35,12 +36,12 @@ from oracle_reference import (
     int_rank_reference,
     intersections_reference,
     label_table_reference,
+    mask_reference,
     operator_matrix_reference,
     phi,
     psi_reference,
     pushforward_reference,
     sparse,
-    subspaces_reference,
     theta_between_reference,
     theta_reference,
     theta_table_reference,
@@ -71,7 +72,10 @@ def spaces(ctx):
 @pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)])
 def test_subspaces_and_intersections_match_reference(n, q):
     ctx = FlagContext(n, q, 1)
-    assert ctx.subspaces() == subspaces_reference(ctx)
+    bases = bases_reference(ctx)
+    assert ctx._masks() == [mask_reference(ctx, b) for b in bases]
+    assert list(ctx.subspaces()) == list(range(len(bases)))
+    assert ctx.full_space() == len(bases) - 1 and len(bases[-1]) == n
     assert ctx.intersections() == intersections_reference(ctx)
 
 

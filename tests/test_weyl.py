@@ -1,10 +1,16 @@
 """Window permutations: group law, length, words, positivity, Bruhat order."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import affhecke
 from affhecke import AffinePerm, Word
 from affhecke.errors import NotPositiveError, RankMismatchError, NegativeEntryError
 from affhecke.weyl import (
@@ -207,6 +213,57 @@ def test_long_walks_match_the_per_letter_references(w):
     assert w.reduced_word() == reduced_word_reference(w)
     positive = AffinePerm(w.n, [x - w.n * (max(w.window) // w.n + 1) for x in w.window])
     assert positive.positive_reduced_word() == positive_reduced_word_reference(positive)
+
+
+# Run in a child process with a time limit and a 1 GiB address-space cap,
+# so a walk that never stops fails the test instead of filling memory.
+BROKEN_WALKS = """
+import json, math, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from affhecke import weyl
+from affhecke.errors import InternalInvariantError
+exact = weyl.letter_action
+
+
+def broken(fault):
+    def action(n, letter):
+        move, descent = exact(n, letter)
+        if fault == "s0 offset dropped" and letter == 0:
+            descent = descent[:2] + (0,)
+        if fault == "s1 always a descent" and letter == 1:
+            descent = descent[:2] + (-math.inf,)
+        return move, descent
+    return action
+
+
+out = []
+for fault, walk, window in json.loads(sys.argv[1]):
+    weyl.letter_action = broken(fault)
+    try:
+        out.append(str(getattr(weyl.AffinePerm(3, window), walk)()))
+    except InternalInvariantError:
+        out.append("InternalInvariantError")
+print(json.dumps(out))
+"""
+
+
+def test_walks_stop_after_their_length_under_a_broken_descent():
+    # with the s_0 offset dropped, s_0 reads as a descent of every window
+    # whose last value passes its first: the walk on w^-1 tries s_0 first
+    # and goes wrong; the positive walk tries s_0 last, where only a rho
+    # power is misread, so it returns its l(w) letters before that
+    cases = [
+        ("s0 offset dropped", "reduced_word", (2, 1, 3)),
+        ("s0 offset dropped", "positive_reduced_word", (2, 1, 3)),
+        ("s1 always a descent", "reduced_word", (1, 3, 2)),
+        ("s1 always a descent", "positive_reduced_word", (1, 3, 2)),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(affhecke.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", BROKEN_WALKS, json.dumps(cases)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["InternalInvariantError", "s1", "InternalInvariantError",
+                                       "InternalInvariantError"]
 
 
 def test_positive_word_rejects_outside_cone():
