@@ -13,7 +13,9 @@ Everything is brute-force enumeration, guarded to ranks where the counts
 stay in the thousands.  The per-cell work runs in C where it can:
 subspaces grow breadth-first as bit masks of their vectors, and those
 masks give every intersection dimension, held in one table read by
-position; a row of a label table is zipped and looked up whole.
+position; each row of a label table is one ``bytes.translate`` of the
+right points' subspace numbers into column codes, read as one uint32
+key per pair.
 ``point_counts`` gives the sizes of both point families in closed form,
 so a caller can bound its work before any enumeration, and
 ``shared_context`` keeps the audited tables of the most recent settings
@@ -27,15 +29,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import sys
 import weakref
 from collections import Counter
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .errors import InternalInvariantError, ResourceLimitError, UnsupportedParameterError
 
 MAX_RANK = 4
 MAX_STEPS = 4
 FIELD_SIZES = (2, 3)
+KEY_BYTES = 4  # a label-table key: one byte per right step, read as one uint32
+_PAD = 255  # the number of no subspace, past the steps of a shorter point
 
 
 def _check_parameters(n: int, q: int, d: int) -> None:
@@ -45,6 +51,19 @@ def _check_parameters(n: int, q: int, d: int) -> None:
         raise ResourceLimitError(f"rank {n} outside brute-force range 1..{MAX_RANK}")
     if not 1 <= d <= MAX_STEPS:
         raise ResourceLimitError(f"step count {d} outside brute-force range 1..{MAX_STEPS}")
+
+
+def _check_byte_keys(subspaces: int, columns: int, steps: int, itemsize: int) -> None:
+    """Raise InternalInvariantError unless a label-table key, one uint32 of
+    KEY_BYTES bytes, tells every label apart: the subspaces the right
+    points use must be numbered below the pad, the column codes must run
+    1..255 (0 is the pad's), a right point may have at most KEY_BYTES
+    steps, and an ``array("I")`` item (``itemsize``) must be KEY_BYTES bytes."""
+    if subspaces > _PAD or columns > _PAD or steps > KEY_BYTES or itemsize != KEY_BYTES:
+        raise InternalInvariantError(
+            f"label keys of {steps} steps, {subspaces} subspace numbers and {columns} column codes "
+            f"exceed {KEY_BYTES} steps, {_PAD} numbers and {_PAD} codes in a {itemsize}-byte uint32"
+        )
 
 
 def point_counts(n: int, q: int, d: int) -> tuple[int, int]:
@@ -282,8 +301,15 @@ class FlagContext:
         positions: row i, column j holds the position in the labels of the
         pair (i-th left point, j-th right point).  Each row is an unsigned
         ``array``, 2 bytes an entry up to 65,536 labels and 4 beyond.
-        A label is keyed by the codes of its columns; only a row with an
-        unseen key walks its pairs, to record each new label's first pair."""
+
+        A label is keyed by the codes of its columns (a right subspace
+        against the left flag), one byte per right step.  The right points
+        are written once as 4 bytes each: the numbers of their subspaces
+        among those the right points use, padded with 255.  Per left flag
+        one ``bytes.translate`` turns these into column codes, from 1 so
+        that the pad reads 0, and the result is read as one uint32 key per
+        right point.  Only a row with an unseen key walks its pairs, to
+        record each new label's first pair."""
         raw = ("table", key_left, key_right)
         hit = self._hits.get(raw)
         if hit is not None:
@@ -294,29 +320,42 @@ class FlagContext:
 
             table = self.intersections()
             lefts, rights = self.space_points(key_left), self.space_points(key_right)
-            steps = list(zip(*rights))
+            used = sorted(set(itertools.chain.from_iterable(rights)))
+            width, depth = len(rights[0]), len(lefts[0])
+            # a column is nondecreasing along the nested left flag
+            _check_byte_keys(len(used), math.comb(self.n + depth, depth), width, array("I").itemsize)
+            number = {s: i for i, s in enumerate(used)}
+            pad = bytes([_PAD] * (KEY_BYTES - width))
+            flat = b"".join(bytes(map(number.__getitem__, fr)) + pad for fr in rights)
+            against = [list(map(row.__getitem__, used)) for row in table]
             columns: dict = {}  # one label column (a right subspace against the left flag) -> code
-            found: dict = {}  # label as a tuple of column codes -> first position
+            found: dict = {}  # key -> discovery position
             reps = []
             rows = []
             for fl in lefts:
-                cols = list(zip(*[table[s] for s in fl]))
-                columns.update(zip(set(cols).difference(columns), itertools.count(len(columns))))
-                code = list(map(columns.__getitem__, cols))
-                keys = list(zip(*[map(code.__getitem__, step) for step in steps]))
-                if not found.keys() >= set(keys):
+                cols = list(zip(*[against[s] for s in fl]))
+                columns.update(zip(set(cols).difference(columns), itertools.count(len(columns) + 1)))
+                codes = bytes(map(columns.__getitem__, cols)).ljust(256, b"\0")
+                keys = memoryview(flat.translate(codes)).cast("I")
+                try:
+                    row = array("I", map(found.__getitem__, keys))
+                except KeyError:
                     for fr, key in zip(rights, keys):
                         if key not in found:
                             found[key] = len(reps)
                             reps.append((fl, fr))
-                rows.append(array("I", map(found.__getitem__, keys)))
-            by_code = list(columns)
-            labels = [tuple(zip(*(by_code[c] for c in key))) for key in found]
+                    row = array("I", map(found.__getitem__, keys))
+                rows.append(row)
+            by_code = [None, *columns]
+            labels = [
+                tuple(zip(*map(by_code.__getitem__, key.to_bytes(KEY_BYTES, sys.byteorder)[:width])))
+                for key in found
+            ]
             order = sorted(range(len(labels)), key=labels.__getitem__)
             pos = sorted(range(len(order)), key=order.__getitem__)
             reps = {labels[k]: reps[k] for k in order}
             typecode = "H" if len(labels) <= 1 << 16 else "I"
-            return tuple(reps), reps, [array(typecode, map(pos.__getitem__, row)) for row in rows]
+            return tuple(reps), reps, [array(typecode, [pos[k] for k in row]) for row in rows]
 
         ids = (self.space_id(key_left), self.space_id(key_right))
         return self._hit(raw, ("table",) + ids, build, ids == (self.space_id("X"),) * 2)
@@ -396,11 +435,12 @@ class FlagContext:
         over c.
 
         Built from the label rows alone, |left|·|source| visits: each left
-        row is permuted so that every fiber is contiguous, and each fiber
-        slice is sorted in C.  Audited at every pair: the graph of phi
-        must not straddle a label (``forget_graph``), each fiber's
-        multiset must be constant on its label, and each label a must lie
-        over one label c, else InternalInvariantError."""
+        row is permuted by one precomputed ``itemgetter`` so that every
+        fiber is contiguous, and each fiber slice is sorted in C.  Audited
+        at every pair: the graph of phi must not straddle a label
+        (``forget_graph``), each fiber's multiset must be constant on its
+        label, and each label a must lie over one label c, else
+        InternalInvariantError."""
         raw = ("pushforward", left, source, tuple(forgotten))
         hit = self._hits.get(raw)
         if hit is not None:
@@ -413,12 +453,14 @@ class FlagContext:
             labels_lt, _, lt = self.label_table(left, ("YI", forgotten))
             image = self._image(source, forgotten)
             order = sorted(range(len(image)), key=image.__getitem__)
+            # one point: the identity, where itemgetter would return a scalar
+            permute = itemgetter(*order) if len(order) > 1 else tuple
             sizes = Counter(image)
             ends = itertools.accumulate((sizes[j] for j in range(len(lt[0]))), initial=0)
             fibers = list(itertools.starmap(slice, itertools.pairwise(ends)))
             found: list = [None] * len(labels_lt)
             for ls_row, lt_row in zip(ls, lt):
-                row = list(map(ls_row.__getitem__, order))
+                row = permute(ls_row)
                 for c, fiber in zip(lt_row, fibers):
                     multiset = sorted(row[fiber])
                     if found[c] is None:

@@ -1,10 +1,13 @@
 """Finite-field flag enumeration, orbit labels, components, and fibers."""
 
 import itertools
+import math
+import random
 from array import array
 
 import pytest
 
+from affhecke import flags
 from affhecke.errors import InternalInvariantError, ResourceLimitError, UnsupportedParameterError
 from affhecke.flags import FlagContext, point_counts
 from affhecke.weyl import finite_permutations
@@ -177,6 +180,65 @@ def test_label_table_positions_match_pair_labels(n, d, q):
         for fl, row in zip(ctx.space_points(left), index):
             for fr, k in zip(ctx.space_points(right), row):
                 assert labels[k] == ctx.pair_label(fl, fr)
+
+
+def test_rank4_f3_label_rows_match_pair_labels():
+    # 212 subspaces and 2080 complete flags: the widest byte keys admitted
+    ctx = FlagContext(4, 3, 1)
+    labels, _, index = ctx.label_table("X", "X")
+    points = ctx.space_points("X")
+    assert len(ctx.subspaces()) == 212 and len(points) == 2080
+    for i in random.Random(4).sample(range(len(points)), 20):
+        assert [labels[k] for k in index[i]] == [ctx.pair_label(points[i], fr) for fr in points]
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _admitted(n, q, d):
+    try:
+        flags._check_parameters(n, q, d)
+    except (UnsupportedParameterError, ResourceLimitError):
+        return False
+    return True
+
+
+def test_every_admitted_setting_fits_byte_keys():
+    # a label key holds one byte per right step: subspace numbers below the
+    # pad 255, column codes 1..255, at most KEY_BYTES steps, in one uint32
+    admitted = [s for s in itertools.product(range(8), range(8), range(8)) if _admitted(*s)]
+    assert {(n, q) for n, q, _ in admitted} == {(n, q) for n in range(1, flags.MAX_RANK + 1) for q in flags.FIELD_SIZES}
+    assert array("I").itemsize == flags.KEY_BYTES
+    for n, q, d in admitted:
+        subspaces = sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
+        assert subspaces < 255
+        assert max(n, d) <= flags.KEY_BYTES
+        # a column is nondecreasing in 0..n along the left flag's max(n, d) steps
+        assert math.comb(n + max(n, d), max(n, d)) <= 255
+    assert len(FlagContext(4, 3, 1).subspaces()) == sum(_gaussian_binomial(4, k, 3) for k in range(5)) == 212
+
+
+def test_byte_key_limits_raise():
+    flags._check_byte_keys(255, 255, 4, 4)
+    for args in [(256, 1, 1, 4), (1, 256, 1, 4), (1, 1, 5, 4), (1, 1, 1, 8)]:
+        with pytest.raises(InternalInvariantError, match="label keys"):
+            flags._check_byte_keys(*args)
+
+
+def test_label_table_refuses_keys_that_would_collide(monkeypatch):
+    # F_2^2 has four subspaces past zero; with a pad of 3 they cannot be numbered
+    monkeypatch.setattr(flags, "_PAD", 3)
+    ctx = FlagContext(2, 2, 1)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="label keys"):
+            ctx.label_table("X", "X")
+    monkeypatch.undo()
+    assert len(ctx.label_table("X", "X")[0]) == 2
 
 
 def test_tables_are_shared_by_equal_point_spaces():

@@ -84,12 +84,23 @@ def test_label_tables_match_reference(setting):
     n, d, q = setting
     ctx = FlagContext(n, q, d)
     for left, right in itertools.product(spaces(ctx), repeat=2):
-        labels, reps, rows = ctx.label_table(left, right)
-        ref_labels, ref_reps, ref_rows = label_table_reference(ctx, left, right)
-        assert labels == ref_labels
-        assert list(reps.items()) == list(ref_reps.items())
-        assert rows == ref_rows
-        assert [row.typecode for row in rows] == [row.typecode for row in ref_rows]
+        assert_label_table_matches_reference(ctx, left, right)
+
+
+@pytest.mark.parametrize("left,right", [("Y", "X"), ("Y", "Y")])
+def test_rank4_f3_label_tables_match_reference(left, right):
+    # (n, d, q) = (4, 2, 3): the right points use up to 212 subspaces, the
+    # widest byte keys the label tables admit
+    assert_label_table_matches_reference(FlagContext(4, 3, 2), left, right)
+
+
+def assert_label_table_matches_reference(ctx, left, right):
+    labels, reps, rows = ctx.label_table(left, right)
+    ref_labels, ref_reps, ref_rows = label_table_reference(ctx, left, right)
+    assert labels == ref_labels
+    assert list(reps.items()) == list(ref_reps.items())
+    assert rows == ref_rows
+    assert [row.typecode for row in rows] == [row.typecode for row in ref_rows]
 
 
 VALUES = {
