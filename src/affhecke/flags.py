@@ -197,7 +197,7 @@ class FlagContext:
                     flag + (sub,)
                     for flag in flags
                     for sub in by_dim.get(dim, [])
-                    if not flag or self.contains(sub, flag[-1])
+                    if not flag or table[sub][flag[-1]] == dim - 1  # sub contains the flag's last subspace
                 ]
             return tuple(sorted(flags))
 
@@ -205,13 +205,15 @@ class FlagContext:
 
     def multistep_flags(self):
         def build():
+            table = self.intersections()
+            dims = [row[sub] for sub, row in enumerate(table)]
             chains = [(self.full_space(),)]
             for _ in range(self.d - 1):
                 chains = [
                     (sub,) + chain
                     for chain in chains
-                    for sub in self.subspaces()
-                    if self.contains(chain[0], sub)
+                    for sub, inter in enumerate(table[chain[0]])
+                    if inter == dims[sub]  # the first subspace of the chain contains sub
                 ]
             return tuple(sorted(chains))
 

@@ -82,7 +82,7 @@ exponent below -top, and the bound covers every coefficient of a.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import NegativeEntryError, RankMismatchError
 from .laurent import (
@@ -211,7 +211,7 @@ class HeckeElt:
         parts = []
         order = sorted(self.terms.items(), key=lambda t: (-t[0].length(), t[0].window))
         for w, c in order:
-            basis = "T[%s]" % w.reduced_word()
+            basis = "T[%s]" % Word(w.n, _reduced_letters(w))
             if c == ONE:
                 parts.append(basis)
             elif c == -ONE:

@@ -14,7 +14,7 @@ a given coefficient bound.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class LaurentPoly:

@@ -353,6 +353,55 @@ def test_threads_is_an_unknown_option(capsys):
     assert "unrecognized arguments: --threads" in err
 
 
+@pytest.mark.parametrize("argv,names", [
+    (("--help",), ["mul", "reduce-word", "positive-word", "canonical", "ideal-member", "quotient-mul",
+                   "oracle"]),
+    (("mul", "--help"), ["--json", "--n", "EXPR"]),
+    (("oracle", "lift", "--help"), ["--json", "--n", "--d", "--q", "--trials", "--seed"]),
+    (("oracle", "lift", "-h"), ["--json", "--n", "--d", "--q", "--trials", "--seed"]),
+])
+def test_help_prints_the_usage(capsys, argv, names):
+    code, out, err = usage_exit(capsys, *argv)
+    assert (code, err) == (0, "")
+    usage = out.splitlines()[0]
+    assert usage.startswith("usage: affhecke")
+    assert all(name in usage for name in names)
+
+
+@pytest.mark.parametrize("argv,out", [
+    (("canonical", "--n", "2", "--max", "0"), '{"terms": [{"coeffs": {"0": 1}, "window": [1, 2]}], '
+                                               '"window": [1, 2]}\n'),
+    (("quotient-mul", "--n", "2", "--lambda", "1,0", "T[s1]", "--json", "T[s1]"),
+     '{"spec": [[1, 0]], "terms": [{"coeffs": {"-2": 1}, "window": [1, 2]}, '
+     '{"coeffs": {"-2": 1, "0": -1}, "window": [2, 1]}]}\n'),
+    (("mul", "T[s1]", "--n", "2"), "T[s1]\n"),
+    (("mul", "--n=2", "T[s1]"), "T[s1]\n"),
+    (("mul", "--n", "2", "-1"), "-T[]\n"),  # a negative number is a value
+    (("mul", "--n", "3", "--n", "2", "T[s1]"), "T[s1]\n"),  # the last value wins
+])
+def test_command_lines_read_as_argparse_read_them(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (("canonical", "--n", "2", "--m", "1"), "ambiguous option: --m could match --max-length, --min-degree"),
+    (("mul", "--n", "2", "T[s1]", "--json", "T[s1]"), "unrecognized arguments: T[s1]"),
+    (("mul", "--n", "--json", "T[s1]"), "argument --n: expected one argument"),
+    (("mul", "--json=1", "--n", "2", "T[s1]"), "ignored explicit argument '1'"),
+    (("canonical", "--n", "2", "--max-length", "0", "--"), "unrecognized arguments: --"),
+])
+def test_misread_command_lines_exit_2(capsys, argv, cause):
+    code, out, err = usage_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert cause in err
+
+
+def test_lambda_values_gather_in_order():
+    argv = ["canonical", "--n", "2", "--max-length", "1", "--lambda", "1,0", "--lambda=0,0"]
+    assert cli.read_argv(argv)[1].lambdas == ["1,0", "0,0"]
+    assert cli.read_argv(argv[:5])[1].lambdas == []
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit):
         cli.main(["mul", "--n", "2"] )  # missing expression
@@ -393,7 +442,6 @@ def test_shared_parser_keeps_requests_apart(capsys):
     assert (code, out) == (2, "")
     assert "--max-length" in err
     assert run(capsys, *full)[:2] == in_process[1]
-    assert cli._parser() is cli._parser()
 
 
 def test_product_work_guard_exits_3_before_the_product(capsys):

@@ -72,6 +72,21 @@ def test_resource_guards():
         FlagContext(2, 2, 7)
 
 
+@pytest.mark.parametrize("n,q,d", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (4, 2, 3)])
+def test_flag_builds_match_containment_enumeration(n, q, d):
+    # the builds compare rows of the intersection table; ``contains`` is the reference
+    ctx = FlagContext(n, q, d)
+    chains = [(ctx.full_space(),)]
+    for _ in range(d - 1):
+        chains = [(sub,) + chain for chain in chains for sub in ctx.subspaces() if ctx.contains(chain[0], sub)]
+    assert ctx.multistep_flags() == tuple(sorted(chains))
+    flags = [()]
+    for dim in range(1, n + 1):
+        flags = [flag + (sub,) for flag in flags for sub in ctx.subspaces()
+                 if ctx.inter_dim(sub, sub) == dim and (not flag or ctx.contains(sub, flag[-1]))]
+    assert ctx.complete_flags() == tuple(sorted(flags))
+
+
 # -- subspaces against row-reduced bases -------------------------------------------
 
 def test_rref_is_canonical():

@@ -29,6 +29,15 @@ def test_every_module_imports_only_the_standard_library():
     assert proc.stdout == "[]\n"
 
 
+def test_the_command_line_loads_no_argparse():
+    code = "import sys\nimport affhecke.cli\nprint('argparse' in sys.modules)\n"
+    src = str(Path(affhecke.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_every_module_cache_is_bounded():
     sizes = {}
     for name in MODULES:
