@@ -19,7 +19,7 @@ import functools
 from . import hecke, quotients
 from .errors import InternalInvariantError, ResourceLimitError
 from .hecke import HeckeElt, bar_involution, is_bar_invariant, kl_step  # noqa: F401 (re-exported)
-from .laurent import LaurentPoly, v_power
+from .laurent import v_power
 from .quotients import IdealSpec, QuotientElt, in_ideal
 from .weyl import AffinePerm, letter_action, positive_elements
 
@@ -82,10 +82,8 @@ def _canonical_value(w: AffinePerm) -> HeckeElt:
 def _verify(w: AffinePerm, value: HeckeElt) -> None:
     if value.coeff(w) != v_power(w.length()):
         raise InternalInvariantError("b_%s has a wrong leading term" % w)
-    terms = value.terms
-    lows = map(LaurentPoly.valuation, terms.values())
-    for x, low, length in zip(terms, lows, map(AffinePerm.length, terms)):
-        if low <= length and x != w:
+    for x, c in value.terms.items():
+        if c.valuation() <= x.length() and x != w:
             raise InternalInvariantError(
                 "b_%s coefficient at %s violates the valuation bound" % (w, x)
             )

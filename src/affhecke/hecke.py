@@ -57,32 +57,45 @@ steps.  The partial product for a suffix of the reduced word of x^-1 does
 not depend on x, and the suffix is itself the reduced word of u^-1 for one
 element u (x with the stripped letters removed on the right), so the
 window of u names it.  One module-level table, ``_TABLE``, keeps these
-inverses for every call, by rank, slot-width bucket (the call's width
-rounded up to a power of two) and window of u; ``BAR_TABLE_CAP`` bounds
-it and ``clear_bar_table()`` frees it.  A term whose inverse is stored
-costs no letter step, no inverse permutation and no barred polynomial:
-its coefficient is packed barred straight from its exponents
-(``laurent.kronecker_pack_bar``), and its contribution is one int product
-per term of the inverse.  Any other term runs the inverse letter steps in
-front of its longest stored suffix and stores each result.  A stored
-inverse is the exact value of its polynomials at v = 2^B whichever call
-computed it, so a result reads back exactly once its coefficients fit
-B-bit slots; the bounds in ``bar_involution`` and ``invert_t`` guarantee
-that for the call's width, and the bucket's B is at least as wide.
+inverses for every call.  Per rank it holds one slot width, one int id per
+window (a dict window -> id and a list id -> the window's one AffinePerm)
+and the inverses, keyed by the window of u and stored as parallel tuples
+(ids, ints).  The width is the widest call's slot width seen so far,
+rounded up to a power of two; a wider call drops the rank's inverses and
+widens it.  A stored inverse is the exact value of its polynomials at
+v = 2^B, so a call whose bound needs fewer bits than the rank's B still
+reads its result back exactly: only the result has to fit the slots.  A
+term whose inverse is stored costs no letter step, no inverse permutation
+and no barred polynomial: its coefficient is packed barred straight from
+its exponents (``laurent.kronecker_pack_bar``), and its contribution is one
+int product per term of the inverse, added into a list indexed by id.  Any
+other term runs the inverse letter steps in front of its longest stored
+suffix and stores each result.  ``BAR_TABLE_CAP`` bounds the stored
+(id, int) pairs and the windows.  An inverse that would pass it is used
+but not stored and marks the table full.  A table that is full or names
+more windows than the cap is cleared at the start of the next
+``bar_involution``, ``is_bar_invariant`` or ``invert_t`` call, never
+inside one, so ids hold for a whole call.
+``clear_bar_table()`` frees the inverses, ids and AffinePerms.
 
 The canonical basis runs on the same form.  ``kl_step`` packs b and each
 correction b_x once, at one base and a width from the bound 4 height(b) +
 sum |mu| height(b_x), takes one letter step, subtracts the corrections as
-ints and unpacks once, reusing the operands' AffinePerm objects.
-``is_bar_invariant`` compares the bar loop's packed sum with the element
-packed at the same base -top and width.  That is exact: bar(a) has no
+ints and unpacks once, naming every term by the table's AffinePerm for its
+window, so l(x) is computed once per window while the table lasts.
+``product`` does not: its results are transient, and it reuses only the
+AffinePerms of its left operand.  ``is_bar_invariant`` subtracts the
+element, packed at the bar sum's base -top and width, from that sum, and
+checks in the same pass that no exponent lies below -top; bar(a) == a
+exactly when every id is left at 0.  That is exact: bar(a) has no
 exponent below -top, and the bound covers every coefficient of a.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Mapping, Sequence
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import NegativeEntryError, RankMismatchError
 from .laurent import (
@@ -363,7 +376,9 @@ def product(a: HeckeElt, b: HeckeElt, charge=None) -> HeckeElt:
         factor = kronecker_pack(c, base_b, width) << (shift * (top - k))
         for t, p in cur.items():
             total[t] = get(t, 0) + p * factor
-    return _unpack(n, total.items(), base_a + base_b - 2 * top, width, a.terms)
+    known = {w.window: w for w in a.terms}
+    return _unpack(n, total.items(), base_a + base_b - 2 * top, width,
+                   lambda t: known.get(t) or AffinePerm._trusted(n, t))
 
 
 def _valuation(a: HeckeElt) -> int:
@@ -378,16 +393,11 @@ def _height(a: HeckeElt) -> int:
     return max((c.height() for c in a.terms.values()), default=0)
 
 
-def _unpack(n: int, pairs: Iterable, base: int, width: int, known: Iterable[AffinePerm]) -> HeckeElt:
-    """The element of the packed (window, int) pairs, reusing the AffinePerms in ``known``."""
-    perms = {w.window: w for w in known}
+def _unpack(n: int, pairs: Iterable, base: int, width: int, perm: Callable) -> HeckeElt:
+    """The element of the packed (key, int) pairs, naming each nonzero term's key by ``perm(key)``."""
     out = HeckeElt.__new__(HeckeElt)
     out.n = n
-    out.terms = {
-        perms.get(t) or AffinePerm._trusted(n, t): kronecker_unpack(p, base, width)
-        for t, p in pairs
-        if p
-    }
+    out.terms = {perm(t): kronecker_unpack(p, base, width) for t, p in pairs if p}
     return out
 
 
@@ -403,50 +413,81 @@ def kl_step(b: HeckeElt, i: int, corrections: Sequence[tuple[HeckeElt, int]]) ->
     get = out.get
     for t, p in packed.items():
         out[t] = get(t, 0) + (p << shift)
-    known = list(b.terms)
     for x, mu in corrections:
-        known += x.terms
         for w, c in x.terms.items():
             t = w.window
             out[t] = get(t, 0) - mu * kronecker_pack(c, base, width)
-    return _unpack(n, out.items(), base, width, known)
+    table = _TABLE.ranks[n]
+    perms = table.perms
+    return _unpack(n, out.items(), base, width, lambda t: perms[table[t]])
 
 
-BAR_TABLE_CAP = 1 << 15  # the most (window, int) pairs the shared inverse table holds
+BAR_TABLE_CAP = 1 << 15  # the most (id, int) pairs, and the most windows, the shared inverse table keeps
+
+
+class _Rank(dict):
+    """The shared table at one rank: window -> id, ids counting from 0.
+
+    ``perms[id]`` is the window's one AffinePerm.  ``inverses`` maps the window
+    of u to the inverse (T_{u^-1})^-1 packed at base 0 and slot ``width``, as
+    parallel tuples (ids, ints).  Looking up a new window gives it the next id.
+    """
+
+    __slots__ = ("width", "perms", "inverses")
+
+    def __init__(self):
+        super().__init__()
+        self.width, self.perms, self.inverses = 0, [], {}
+
+    def __missing__(self, t: tuple) -> int:
+        i = self[t] = len(self.perms)
+        self.perms.append(AffinePerm._trusted(len(t), t))
+        return i
 
 
 class _InverseTable:
-    """The packed inverses (T_{u^-1})^-1 that ``invert_t`` and ``bar_involution`` share.
+    """The packed inverses that ``invert_t`` and ``bar_involution`` share, by rank.
 
-    ``buckets[n, width]`` maps the window of u to the inverse packed at that
-    slot width, base 0, as parallel tuples (windows, ints); ``windows[n]``
-    keeps one tuple per window met at rank n, so every inverse refers to the
-    same window objects.  ``terms`` counts the stored (window, int) pairs
-    and never passes ``BAR_TABLE_CAP``: an inverse that would pass it first
-    clears the whole table, and one larger than the cap is not stored.
+    ``terms`` counts the stored (id, int) pairs and never passes
+    ``BAR_TABLE_CAP``: an inverse that would pass it is used but not stored,
+    and marks the table ``full``.  A table that is full, or names more
+    windows than the cap, is cleared at the start of the next
+    ``_bar_packed`` or ``invert_t``, never inside a call, so ids hold for a
+    whole call.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self.buckets: dict = {}
-        self.windows: dict = {}
+        self.ranks: defaultdict[int, _Rank] = defaultdict(_Rank)
         self.terms = 0
+        self.full = False
 
-    def store(self, n: int, width: int, u: tuple, inv: dict) -> tuple:
-        """Keep the packed inverse ``inv`` for the window u, first clearing the
-        whole table if it would pass the cap (an inverse larger than the cap
-        is not kept); returns it as (windows, ints)."""
-        size = len(inv)
-        if size > BAR_TABLE_CAP:
-            return tuple(inv), tuple(inv.values())
-        if self.terms + size > BAR_TABLE_CAP:
+    def open(self, n: int, bound: int) -> _Rank:
+        """Rank n's table for a call whose coefficients are at most ``bound``,
+        after clearing a table that is full or names too many windows.  A call
+        whose slot width, rounded up to a power of two, is wider than the
+        rank's drops the rank's inverses and widens it to that width."""
+        if self.full or sum(map(len, self.ranks.values())) > BAR_TABLE_CAP:
             self.clear()
-        windows = self.windows.setdefault(n, {})
-        entry = tuple(map(windows.setdefault, inv, inv)), tuple(inv.values())
-        self.buckets.setdefault((n, width), {})[windows.setdefault(u, u)] = entry
-        self.terms += size
+        table = self.ranks[n]
+        width = 1 << (slot_width(bound) - 1).bit_length()
+        if width > table.width:
+            self.terms -= sum(len(ids) for ids, _ in table.inverses.values())
+            table.inverses = {}
+            table.width = width
+        return table
+
+    def store(self, table: _Rank, u: tuple, inv: dict) -> tuple:
+        """The packed inverse ``inv`` (window -> int) for the window u as (ids, ints),
+        kept unless the table would pass the cap."""
+        entry = tuple(map(table.__getitem__, inv)), tuple(inv.values())
+        if self.terms + len(inv) > BAR_TABLE_CAP:
+            self.full = True
+        else:
+            table.inverses[u] = entry
+            self.terms += len(inv)
         return entry
 
 
@@ -454,18 +495,12 @@ _TABLE = _InverseTable()
 
 
 def clear_bar_table() -> None:
-    """Free the inverses ``invert_t`` and ``bar_involution`` keep between calls."""
+    """Free the inverses, ids and AffinePerms the shared table keeps between calls."""
     _TABLE.clear()
 
 
-def _bucket_width(bound: int) -> int:
-    """The slot width for coefficients up to ``bound``, rounded up to a power
-    of two: the table's bucket."""
-    return 1 << (slot_width(bound) - 1).bit_length()
-
-
-def _inverse(w: AffinePerm, width: int) -> tuple:
-    """The packed (T_{w^-1})^-1 at ``width``, as (windows, ints).
+def _inverse(table: _Rank, w: AffinePerm) -> tuple:
+    """The packed (T_{w^-1})^-1 at the table's width, as (ids, ints).
 
     With letters the reduced word of w^-1, the suffix letters[j:] is the
     reduced word of u_j^-1, where u_0 = w and u_{j+1} = u_j letters[j]; its
@@ -474,62 +509,66 @@ def _inverse(w: AffinePerm, width: int) -> tuple:
     run, and each stores its result.
     """
     n = w.n
-    table = _TABLE.buckets.get((n, width), {})
+    inverses = table.inverses
     letters = _reduced_letters(w.inverse())
     path = []
     t = w.window
     for letter in letters:
-        if t in table:
+        if t in inverses:
             break
         path.append(t)
         t = letter_action(n, letter)[0](t)
-    entry = table.get(t) or ((t,), (1,))  # only the empty suffix is never stored
+    entry = inverses.get(t) or ((table[t],), (1,))  # only the empty suffix is never stored
     if path:
-        inv = dict(zip(*entry))
-        shift = 2 * width
+        perms = table.perms
+        inv = {perms[i].window: p for i, p in zip(*entry)}
+        shift = 2 * table.width
         for j in range(len(path) - 1, -1, -1):
             inv = _step_inverse(inv, n, letters[j], shift)
-            entry = _TABLE.store(n, width, path[j], inv)
+            entry = _TABLE.store(table, path[j], inv)
     return entry
 
 
-def _bar_packed(a: HeckeElt) -> tuple[dict, int, int]:
-    """bar(a) packed as (window -> int, top, width), at base -top.
+def _bar_packed(a: HeckeElt) -> tuple[_Rank, list, int]:
+    """bar(a) packed as (rank table, id -> int, top), at base -top and the
+    table's width.
 
     Each term c T_w adds bar(c) (T_{w^-1})^-1, read from the shared table
     (see the module docstring).  The inverse for w has coefficients at most
     3^l(w); with the 1-norms of the coefficients that bounds the result and
-    sets the slot width, rounded up to a power of two to pick the table's
-    bucket.  A stored inverse is the exact value of its polynomials at
-    v = 2^width, so reading the result back needs only that bound.
+    sets the slot width the table must have.  A stored inverse is the exact
+    value of its polynomials at v = 2^width, so reading the result back needs
+    only that bound, however much wider the table's slots are.
     """
-    n = a.n
-    width = _bucket_width(sum(3 ** w.length() * c.norm1() for w, c in a.terms.items()))
-    top = max((c.degree() for c in a.terms.values()), default=0)
-    table = _TABLE.buckets.setdefault((n, width), {})
-    out: dict[tuple, int] = {}
-    get = out.get
-    for w, c in a.terms.items():
-        windows, ints = table.get(w.window) or _inverse(w, width)
-        factor = kronecker_pack_bar(c, top, width)
-        for t, p in zip(windows, ints):
-            out[t] = get(t, 0) + p * factor
-    return out, top, width
+    terms = a.terms
+    top = max((c.degree() for c in terms.values()), default=0)
+    table = _TABLE.open(a.n, sum(3 ** w.length() * c.norm1() for w, c in terms.items()))
+    width, inverses = table.width, table.inverses
+    parts = [(inverses.get(w.window) or _inverse(table, w), kronecker_pack_bar(c, top, width))
+             for w, c in terms.items()]
+    out = [0] * len(table.perms)
+    for (ids, ints), factor in parts:
+        for i, p in zip(ids, ints):
+            out[i] += p * factor
+    return table, out, top
 
 
 def bar_involution(a: HeckeElt) -> HeckeElt:
     """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1."""
-    out, top, width = _bar_packed(a)
-    return _unpack(a.n, out.items(), -top, width, a.terms)
+    table, out, top = _bar_packed(a)
+    return _unpack(a.n, enumerate(out), -top, table.width, table.perms.__getitem__)
 
 
 def is_bar_invariant(a: HeckeElt) -> bool:
-    """Whether bar(a) == a, compared packed (see the module docstring)."""
-    out, top, width = _bar_packed(a)
-    get = out.get
-    return _valuation(a) >= -top and sum(map(bool, out.values())) == len(a.terms) and all(
-        get(w.window) == kronecker_pack(c, -top, width) for w, c in a.terms.items()
-    )
+    """Whether bar(a) == a: a, packed at the bar sum's base and width, is
+    subtracted from it, which must leave every id at 0 (see the module docstring)."""
+    table, out, top = _bar_packed(a)
+    width = table.width
+    for w, c in a.terms.items():
+        if c.valuation() < -top:
+            return False
+        out[table[w.window]] -= kronecker_pack(c, -top, width)
+    return not any(out)
 
 
 # -- basis elements ------------------------------------------------------------
@@ -559,8 +598,8 @@ def invert_t(w: AffinePerm, charge=None) -> HeckeElt:
         identity = AffinePerm.identity(w.n).window
         charge(2**k * (2 + abs(w.degree())), (1 + 2 * k) * slot_width(3**k),
                lambda cap: _dry_run(w.n, {identity}, [w], lambda u: _reduced_letters(u)[::-1], cap))
-    width = _bucket_width(3**k)
-    return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, (w,))
+    table = _TABLE.open(w.n, 3**k)
+    return _unpack(w.n, zip(*_inverse(table, w.inverse())), 0, table.width, table.perms.__getitem__)
 
 
 @functools.lru_cache(maxsize=256)

@@ -69,7 +69,7 @@ def test_bar_matches_reference_on_a_whole_ball(fresh_bar_table):
 @settings(deadline=None, max_examples=40)
 @given(st.lists(elements(scales=(1, 1, BIG, -BIG)), min_size=2, max_size=6))
 def test_bar_call_sequences_match_reference(seq):
-    # ranks 2, 3 and 4 interleave, and a wide call may open a wide bucket
+    # ranks 2, 3 and 4 interleave, and a wide call may widen a rank
     # between narrow ones; every call reads what the earlier ones stored
     hecke.clear_bar_table()
     for a in seq:
@@ -81,10 +81,13 @@ def test_wide_coefficients_open_a_wide_bucket(fresh_bar_table):
     ball = elements_ball(3, 4, 1)
     small = HeckeElt(3, [(w, LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)})) for w in ball])
     wide = HeckeElt(3, [(w, LaurentPoly({0: BIG, 1: -BIG})) for w in ball[::2]])
+    # a wide call widens rank 3's one slot width; narrow calls then read
+    # their inverses from wider slots than their bound needs
+    assert bar_involution(small) == bar_involution_reference(small)
+    assert hecke._TABLE.ranks[3].width <= 32
     for a in (wide, small, wide.scale(-1), small + t_basis(ball[-1]), small):
         assert bar_involution(a) == bar_involution_reference(a)
-    widths = sorted(width for n, width in hecke._TABLE.buckets)
-    assert widths[0] <= 32 and widths[-1] >= 64
+    assert hecke._TABLE.ranks[3].width >= 64
 
 
 def test_repeated_bar_takes_no_letter_steps(fresh_bar_table, monkeypatch):
@@ -118,3 +121,30 @@ def test_a_small_cap_clears_the_table_and_keeps_the_outputs(fresh_bar_table, mon
         assert invert_t(w) == invert_t_reference(w)
         assert hecke._TABLE.terms <= cap
     assert clears
+
+
+def test_crossing_the_cap_inside_a_call_clears_only_at_the_next_call(fresh_bar_table, monkeypatch):
+    # the inverses of one bar call pass the cap: the call still reads every
+    # inverse by the ids it gave out, keeps the table under the cap and marks
+    # it full; the next call, and not this one, clears it
+    cap = 50
+    monkeypatch.setattr(hecke, "BAR_TABLE_CAP", cap)
+    clears = []
+    clear = hecke._TABLE.clear
+    monkeypatch.setattr(hecke._TABLE, "clear", lambda: clears.append(clear()))
+    rng = random.Random(7)
+    ball = elements_ball(3, 4, 1)
+    a = HeckeElt(3, [(w, LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)})) for w in ball])
+    assert sum(len(invert_t_reference(w.inverse()).terms) for w in ball) > cap
+
+    def due():  # whether the next call must clear the table at its start
+        return hecke._TABLE.full or sum(map(len, hecke._TABLE.ranks.values())) > cap
+
+    for w in rng.sample(ball, 4):
+        before = len(clears) + due()
+        assert bar_involution(a) == bar_involution_reference(a)
+        assert len(clears) == before
+        assert hecke._TABLE.full and hecke._TABLE.terms <= cap
+        assert invert_t(w) == invert_t_reference(w)
+        assert len(clears) == before + 1
+        assert hecke._TABLE.terms <= cap

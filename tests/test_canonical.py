@@ -1,5 +1,6 @@
 """Bar involution and the canonical basis, plus its quotient images."""
 
+import functools
 import random
 
 import pytest
@@ -102,12 +103,29 @@ def test_self_check_bites_on_a_warm_table(fresh_bar_table, monkeypatch):
     w = max(ball, key=lambda u: (len(canonical_basis(u).value.terms), u.window))
     canonical_basis(w)
     value = canonical._canonical_value(w)  # the cached object canonical_basis reads
-    x = next(x for x in value.terms if x != w)
-    assert any(x.window in table for (n, _), table in hecke._TABLE.buckets.items() if n == 3)
+    x = next(x for x in value.terms if x != w and x.window in hecke._TABLE.ranks[3].inverses)
     monkeypatch.setitem(value.terms, x, value.terms[x] + v_power(x.length() + 1))
     with pytest.raises(InternalInvariantError, match="not bar-invariant"):
         canonical_basis(w)
     assert hecke._TABLE.terms <= 600
+
+
+def test_each_window_computes_its_length_a_few_times(fresh_bar_table, monkeypatch):
+    # kl_step names its terms by the shared table's one AffinePerm per
+    # window, so l(x) is computed again only for fresh objects
+    monkeypatch.setattr(canonical, "_canonical_value", functools.lru_cache(maxsize=4096)(
+        canonical._canonical_value.__wrapped__))
+    first = []
+    length = AffinePerm.length
+    def counted(self):
+        if self._length is None:
+            first.append(self.window)
+        return length(self)
+    monkeypatch.setattr(AffinePerm, "length", counted)
+    for n, max_length in ((3, 6), (4, 4)):
+        for w in coxeter_ball(n, max_length):
+            canonical_basis(w)
+    assert len(first) <= 4 * len(set(first))
 
 
 def test_packed_recursion_matches_the_reference():
