@@ -8,8 +8,10 @@ involution of ``hecke`` with
 computed by the classical recursion on length within the degree-0 coset,
 one ``hecke.kl_step`` per element, and extended to all degrees by
 b_{w rho^z} = b_w T_{rho^z}, which moves every window and keeps the
-coefficients.  Every output is re-verified against the defining
-conditions, bar-invariance included (``hecke.is_bar_invariant``).
+coefficients and the lengths.  ``_canonical_value`` caches records
+(``hecke.KLValue``), whose bounds ``kl_step`` derives from its operands' and
+the twist copies, so no cached b_x is scanned again.  Every output is
+re-verified, bar-invariance from the record included.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 
 from . import hecke, quotients
 from .errors import InternalInvariantError, ResourceLimitError
-from .hecke import HeckeElt, bar_involution, is_bar_invariant, kl_step  # noqa: F401 (re-exported)
+from .hecke import HeckeElt, KLValue, bar_involution, is_bar_invariant, kl_step  # noqa: F401 (re-exported)
 from .laurent import v_power
 from .quotients import IdealSpec, QuotientElt, in_ideal
 from .weyl import AffinePerm, letter_action, positive_elements
@@ -56,38 +58,39 @@ def canonical_basis(w: AffinePerm, max_length: int = DEFAULT_LENGTH_CAP) -> Cano
         raise ResourceLimitError(
             "length %d exceeds cap %d" % (w.length(), max_length)
         )
-    value = _canonical_value(w)
-    _verify(w, value)
-    return CanonicalElt(w, value)
+    rec = _canonical_value(w)
+    _verify(w, rec)
+    return CanonicalElt(w, rec.elt)
 
 
 @functools.lru_cache(maxsize=4096)
-def _canonical_value(w: AffinePerm) -> HeckeElt:
+def _canonical_value(w: AffinePerm) -> KLValue:
     n = w.n
     z = w.degree()
     if z:
         rho = AffinePerm.rho(n, z)
         base = _canonical_value(w.compose(AffinePerm.rho(n, -z)))
-        return HeckeElt(n, {x.compose(rho): c for x, c in base.terms.items()})
+        twisted = HeckeElt(n, {x.compose(rho): c for x, c in base.elt.terms.items()})
+        return KLValue(twisted, base.valuation, base.top, base.height, base.bar_bound)
     if w.length() == 0:
-        return hecke.one(n)
+        return KLValue.of(hecke.one(n))
     i = next(i for i in range(n) if w.has_right_descent(i))
     move, (a, b, off) = letter_action(n, i)
     bu = _canonical_value(AffinePerm._trusted(n, move(w.window)))
-    mus = [(x, cx.coeff(x.length() + 1)) for x, cx in bu.terms.items()
+    mus = [(x, cx.coeff(x.length() + 1)) for x, cx in bu.elt.terms.items()
            if x.window[a] - off > x.window[b]]
     return kl_step(bu, i, [(_canonical_value(x), mu) for x, mu in mus if mu])
 
 
-def _verify(w: AffinePerm, value: HeckeElt) -> None:
-    if value.coeff(w) != v_power(w.length()):
+def _verify(w: AffinePerm, rec: KLValue) -> None:
+    if rec.elt.coeff(w) != v_power(w.length()):
         raise InternalInvariantError("b_%s has a wrong leading term" % w)
-    for x, c in value.terms.items():
+    for x, c in rec.elt.terms.items():
         if c.valuation() <= x.length() and x != w:
             raise InternalInvariantError(
                 "b_%s coefficient at %s violates the valuation bound" % (w, x)
             )
-    if not is_bar_invariant(value):
+    if not rec.is_bar_invariant():
         raise InternalInvariantError("b_%s is not bar-invariant" % w)
 
 

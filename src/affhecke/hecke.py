@@ -78,17 +78,24 @@ more windows than the cap is cleared at the start of the next
 inside one, so ids hold for a whole call.
 ``clear_bar_table()`` frees the inverses, ids and AffinePerms.
 
-The canonical basis runs on the same form.  ``kl_step`` packs b and each
-correction b_x once, at one base and a width from the bound 4 height(b) +
-sum |mu| height(b_x), takes one letter step, subtracts the corrections as
-ints and unpacks once, naming every term by the table's AffinePerm for its
-window, so l(x) is computed once per window while the table lasts.
-``product`` does not: its results are transient, and it reuses only the
-AffinePerms of its left operand.  ``is_bar_invariant`` subtracts the
-element, packed at the bar sum's base -top and width, from that sum, and
-checks in the same pass that no exponent lies below -top; bar(a) == a
-exactly when every id is left at 0.  That is exact: bar(a) has no
-exponent below -top, and the bound covers every coefficient of a.
+The canonical basis runs on records, ``KLValue``: an element with its exact
+valuation and bounds top >= degree, height >= |coefficient| and bar_bound >=
+sum_x 3^l(x) |c_x|_1 (``KLValue.of`` computes all four exactly).  ``kl_step``
+packs b and each b_x once, at base min(val(b) - 1, val(b_x)) and the width of
+h = 2 height(b) + sum |mu| height(b_x), takes one letter step, subtracts the
+corrections as ints and unpacks once, naming every term by the table's
+AffinePerm for its window, so l(x) is computed once per window while the table
+lasts (``product`` reuses only its left operand's).  The new record reads no
+coefficient.  Its valuation is the lowest set bit of the ints over B, since a
+nonzero lowest digit |c| < 2^(B-1) keeps its low bits.  Its bounds hold term
+by term: v c T_x (T_s + 1) = v^{+-1} c (T_x + T_xs), + where xs > x, with
+l(xs) <= l(x) + 1.  So a coefficient of v b (T_s + 1) is a sum of two of b's,
+no exponent passes top(b) + 1 and the bar sum is at most 4 bar_bound(b); the
+corrections add sum |mu| height(b_x), top(b_x) to the max, sum |mu| bar_bound.
+``KLValue.is_bar_invariant`` is false if val < -top, else it subtracts the
+element, packed at base -top and the bar sum's width, from that sum: bar(a) ==
+a exactly when every id is left at 0, as bar(a) has no exponent below -top and
+bar_bound covers every coefficient.
 """
 
 from __future__ import annotations
@@ -401,25 +408,56 @@ def _unpack(n: int, pairs: Iterable, base: int, width: int, perm: Callable) -> H
     return out
 
 
-def kl_step(b: HeckeElt, i: int, corrections: Sequence[tuple[HeckeElt, int]]) -> HeckeElt:
-    """v b (T_{s_i} + 1) - sum of mu b_x over the pairs (b_x, mu), packed once
-    (see the module docstring)."""
-    n = b.n
-    width = slot_width(4 * _height(b) + sum(abs(mu) * _height(x) for x, mu in corrections))
+class KLValue:
+    """An element with its exact valuation and bounds top, height, bar_bound (see the module docstring)."""
+
+    __slots__ = ("elt", "valuation", "top", "height", "bar_bound")
+
+    def __init__(self, elt: HeckeElt, valuation: int, top: int, height: int, bar_bound: int):
+        self.elt, self.valuation, self.top, self.height, self.bar_bound = elt, valuation, top, height, bar_bound
+
+    @classmethod
+    def of(cls, elt: HeckeElt) -> "KLValue":
+        """The record of ``elt`` with all four values exact, from one pass over its terms."""
+        terms = [(c.valuation(), c.degree(), c.height(), 3 ** w.length() * c.norm1())
+                 for w, c in elt.terms.items()]
+        lows, tops, heights, bounds = zip(*terms) if terms else [(0,)] * 4
+        return cls(elt, min(lows), max(tops), max(heights), sum(bounds))
+
+    def is_bar_invariant(self) -> bool:
+        """Whether bar(elt) == elt, from the record (see the module docstring)."""
+        top = self.top
+        if self.valuation < -top:
+            return False
+        table, out = _bar_packed(self)
+        for w, c in self.elt.terms.items():
+            out[table[w.window]] -= kronecker_pack(c, -top, table.width)
+        return not any(out)
+
+
+def kl_step(b: KLValue, i: int, corrections: Sequence[tuple[KLValue, int]]) -> KLValue:
+    """v b (T_{s_i} + 1) - sum of mu b_x over the pairs (b_x, mu), on records (see the module docstring)."""
+    n = b.elt.n
+    height = 2 * b.height + sum(abs(mu) * x.height for x, mu in corrections)
+    width = slot_width(height)
     shift = 2 * width
-    base = min([_valuation(b) - 1] + [_valuation(x) for x, _ in corrections])
-    packed = {w.window: kronecker_pack(c, base + 1, width) for w, c in b.terms.items()}
+    base = min([b.valuation - 1] + [x.valuation for x, _ in corrections])
+    packed = {w.window: kronecker_pack(c, base + 1, width) for w, c in b.elt.terms.items()}
     out = _step(packed, n, i, shift)  # read at base - 1, so at base after the factor v
     get = out.get
     for t, p in packed.items():
         out[t] = get(t, 0) + (p << shift)
     for x, mu in corrections:
-        for w, c in x.terms.items():
+        for w, c in x.elt.terms.items():
             t = w.window
             out[t] = get(t, 0) - mu * kronecker_pack(c, base, width)
     table = _TABLE.ranks[n]
     perms = table.perms
-    return _unpack(n, out.items(), base, width, lambda t: perms[table[t]])
+    low = min((p & -p for p in out.values() if p), default=0)  # the lowest set bit of them all
+    return KLValue(_unpack(n, out.items(), base, width, lambda t: perms[table[t]]),
+                   base + (low.bit_length() - 1) // width if low else 0,
+                   max([b.top + 1] + [x.top for x, _ in corrections]), height,
+                   4 * b.bar_bound + sum(abs(mu) * x.bar_bound for x, mu in corrections))
 
 
 BAR_TABLE_CAP = 1 << 15  # the most (id, int) pairs, and the most windows, the shared inverse table keeps
@@ -529,46 +567,35 @@ def _inverse(table: _Rank, w: AffinePerm) -> tuple:
     return entry
 
 
-def _bar_packed(a: HeckeElt) -> tuple[_Rank, list, int]:
-    """bar(a) packed as (rank table, id -> int, top), at base -top and the
-    table's width.
-
-    Each term c T_w adds bar(c) (T_{w^-1})^-1, read from the shared table
-    (see the module docstring).  The inverse for w has coefficients at most
-    3^l(w); with the 1-norms of the coefficients that bounds the result and
-    sets the slot width the table must have.  A stored inverse is the exact
-    value of its polynomials at v = 2^width, so reading the result back needs
-    only that bound, however much wider the table's slots are.
+def _bar_packed(rec: KLValue) -> tuple[_Rank, list]:
+    """bar(rec.elt) packed as (rank table, id -> int), at base -rec.top and
+    the table's width, which ``rec.bar_bound`` sets: each term c T_w adds
+    bar(c) (T_{w^-1})^-1, whose coefficients are at most 3^l(w) |c|_1.  A
+    stored inverse is exact at v = 2^width, so reading the result back needs
+    only that bound, however much wider the slots are (see the module docstring).
     """
-    terms = a.terms
-    top = max((c.degree() for c in terms.values()), default=0)
-    table = _TABLE.open(a.n, sum(3 ** w.length() * c.norm1() for w, c in terms.items()))
+    top = rec.top
+    table = _TABLE.open(rec.elt.n, rec.bar_bound)
     width, inverses = table.width, table.inverses
     parts = [(inverses.get(w.window) or _inverse(table, w), kronecker_pack_bar(c, top, width))
-             for w, c in terms.items()]
+             for w, c in rec.elt.terms.items()]
     out = [0] * len(table.perms)
     for (ids, ints), factor in parts:
         for i, p in zip(ids, ints):
             out[i] += p * factor
-    return table, out, top
+    return table, out
 
 
 def bar_involution(a: HeckeElt) -> HeckeElt:
     """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1."""
-    table, out, top = _bar_packed(a)
-    return _unpack(a.n, enumerate(out), -top, table.width, table.perms.__getitem__)
+    rec = KLValue.of(a)
+    table, out = _bar_packed(rec)
+    return _unpack(a.n, enumerate(out), -rec.top, table.width, table.perms.__getitem__)
 
 
 def is_bar_invariant(a: HeckeElt) -> bool:
-    """Whether bar(a) == a: a, packed at the bar sum's base and width, is
-    subtracted from it, which must leave every id at 0 (see the module docstring)."""
-    table, out, top = _bar_packed(a)
-    width = table.width
-    for w, c in a.terms.items():
-        if c.valuation() < -top:
-            return False
-        out[table[w.window]] -= kronecker_pack(c, -top, width)
-    return not any(out)
+    """Whether bar(a) == a (``KLValue.is_bar_invariant`` of its record)."""
+    return KLValue.of(a).is_bar_invariant()
 
 
 # -- basis elements ------------------------------------------------------------

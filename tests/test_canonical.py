@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from affhecke.errors import ResourceLimitError
 from affhecke.laurent import v_power
 from affhecke.weyl import coxeter_ball, finite_permutations
 from hecke_reference import canonical_value_reference
-from test_kernel import RANKS, element
+from test_kernel import RANKS, assert_record_bounds, element
 from weyl_helpers import elements_ball
 
 V = LaurentPoly({1: 1})
@@ -102,7 +103,7 @@ def test_self_check_bites_on_a_warm_table(fresh_bar_table, monkeypatch):
     assert clears
     w = max(ball, key=lambda u: (len(canonical_basis(u).value.terms), u.window))
     canonical_basis(w)
-    value = canonical._canonical_value(w)  # the cached object canonical_basis reads
+    value = canonical._canonical_value(w).elt  # the cached object canonical_basis reads
     x = next(x for x in value.terms if x != w and x.window in hecke._TABLE.ranks[3].inverses)
     monkeypatch.setitem(value.terms, x, value.terms[x] + v_power(x.length() + 1))
     with pytest.raises(InternalInvariantError, match="not bar-invariant"):
@@ -126,6 +127,39 @@ def test_each_window_computes_its_length_a_few_times(fresh_bar_table, monkeypatc
         for w in coxeter_ball(n, max_length):
             canonical_basis(w)
     assert len(first) <= 4 * len(set(first))
+
+
+def test_no_coefficient_is_scanned_again_in_the_recursion(fresh_bar_table, monkeypatch):
+    # kl_step and _verify read heights, degrees and bar bounds off the
+    # records, so neither scans a coefficient for them, however deep the call
+    monkeypatch.setattr(canonical, "_canonical_value", functools.lru_cache(maxsize=4096)(
+        canonical._canonical_value.__wrapped__))
+    callers = {hecke.kl_step.__code__, canonical._verify.__code__}
+    calls = []
+    def counted(method):
+        def wrapper(self):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in callers:
+                frame = frame.f_back
+            if frame is not None:
+                calls.append(method.__name__)
+            return method(self)
+        return wrapper
+    for name in ("height", "degree", "norm1"):
+        monkeypatch.setattr(LaurentPoly, name, counted(getattr(LaurentPoly, name)))
+    for n, max_length in ((3, 6), (4, 4)):
+        for w in coxeter_ball(n, max_length):
+            canonical_basis(w)
+    assert calls == []
+
+
+def test_record_bounds_dominate():
+    # the valuation of every cached record is exact, its bounds at least the exact values
+    twisted = [w for w in elements_ball(3, max_length=4, max_height=2) if w.degree()]
+    indices = [b.index for b in positive_canonical_basis(2, 3, 2)]
+    for w in (*coxeter_ball(3, 9), *coxeter_ball(4, 6), *twisted, *indices):
+        canonical_basis(w)
+        assert_record_bounds(canonical._canonical_value(w))
 
 
 def test_packed_recursion_matches_the_reference():
@@ -166,7 +200,7 @@ def test_packed_invariance_test_on_edge_cases():
 def test_self_check_bites_on_an_added_low_term(monkeypatch, at_w, message):
     # adding v^l(x) to c_x breaks c_w = v^l(w) at x = w, the valuation bound elsewhere
     w = AffinePerm.from_pair((3, 2, 1), (0, 0, 0))
-    value = canonical._canonical_value(w)  # the cached object canonical_basis reads
+    value = canonical._canonical_value(w).elt  # the cached object canonical_basis reads
     x = w if at_w else next(x for x in value.terms if x != w)
     monkeypatch.setattr(value, "terms", dict(value.terms))
     value.terms[x] = value.terms[x] + v_power(x.length())
@@ -189,7 +223,7 @@ def test_bounded_caches_stay_at_their_bound(fresh_bar_table):
         info = cache.cache_info()
         assert info.currsize == info.maxsize
     for w, value in first.items():
-        assert canonical._canonical_value(w) is not value  # evicted, so recomputed
+        assert canonical._canonical_value(w).elt is not value  # evicted, so recomputed
         assert canonical_basis(w).value == value == canonical_value_reference(w, {})
 
 

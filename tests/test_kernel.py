@@ -125,7 +125,18 @@ def test_kl_step_matches_reference(data):
     expected = mul_reference(b, factor)
     for x, mu in pairs:
         expected = expected - x.scale(mu)
-    assert hecke.kl_step(b, i, pairs) == expected
+    rec = hecke.kl_step(hecke.KLValue.of(b), i, [(hecke.KLValue.of(x), mu) for x, mu in pairs])
+    assert rec.elt == expected
+    assert_record_bounds(rec)
+
+
+def assert_record_bounds(rec):
+    """The record's valuation is exact and its three bounds dominate the exact values."""
+    exact = hecke.KLValue.of(rec.elt)
+    assert rec.valuation == exact.valuation
+    assert rec.top >= exact.top
+    assert rec.height >= exact.height
+    assert rec.bar_bound >= exact.bar_bound
 
 
 def test_repeated_products_pack_wider_as_coefficients_grow(monkeypatch):
