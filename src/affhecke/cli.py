@@ -16,7 +16,6 @@ import sys
 from types import SimpleNamespace
 
 from . import canonical, oracle, parsing, quotients, weyl
-from .laurent import LaurentPoly
 from .errors import (ElementParseError, InternalInvariantError, NegativeEntryError, NonDominantError,
                      NotPositiveError, RankMismatchError, ResourceLimitError, SpecMismatchError,
                      UnsupportedParameterError)
@@ -34,10 +33,10 @@ def _word_lines(args, walk) -> tuple[list[str], int]:
     w = parsing.parse_perm(args.n, args.window)
     parsing.WorkBudget().charge_words([w])  # before ``walk`` takes its l(w) + |degree(w)| letters
     word = walk(w)
+    text = str(word)
     if args.json:
-        letters = ["s%d" % a if isinstance(a, int) else a for a in word.letters]
-        return [_dump({"letters": letters, "count": len(word)})], 0
-    return [str(word) if len(word) else "e"], 0
+        return [_dump({"letters": text.split(), "count": len(word)})], 0
+    return [text or "e"], 0
 
 
 def _cmd_mul(args) -> tuple[list[str], int]:
@@ -68,18 +67,13 @@ def _cmd_canonical(args) -> tuple[list[str], int]:
     depth = -args.min_degree
     if args.lambdas:
         basis = canonical.quotient_canonical_basis(_spec(args), args.max_length, depth)
-        records = [{"window": list(w.window), "terms": image.rep.to_json()} for w, image in basis]
+        pairs = [(w, image.rep) for w, image in basis]
     else:
-        records = [b.to_json() for b in canonical.positive_canonical_basis(args.n, args.max_length, depth)]
+        pairs = [(b.index, b.value) for b in canonical.positive_canonical_basis(args.n, args.max_length, depth)]
     if args.tsv:
-        lines = []
-        for rec in records:
-            window = ",".join(str(x) for x in rec["window"])
-            for term in rec["terms"]:
-                xwindow = ",".join(str(x) for x in term["window"])
-                coeff = str(LaurentPoly.from_json(term["coeffs"]))
-                lines.append("%s\t%s\t%s" % (window, xwindow, coeff))
-        return lines, 0
+        rows = [(w.window, x.window, c) for w, elt in pairs for x, c in elt.sorted_terms()]
+        return ["%s\t%s\t%s" % (",".join(map(str, a)), ",".join(map(str, b)), c) for a, b, c in rows], 0
+    records = [{"window": list(w.window), "terms": elt.to_json()} for w, elt in pairs]
     if args.json:
         return [_dump(records)], 0
     return [_dump(rec) for rec in records], 0

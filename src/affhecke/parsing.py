@@ -10,8 +10,15 @@ Element expressions combine atoms with +, -, *, ^ and parentheses:
 A caret takes integer exponents; negative exponents are allowed for
 scalars and for single basis terms with unit coefficient, where the
 basis inverse is expanded exactly.  Exponents larger than MAX_EXPONENT in
-absolute value raise ResourceLimitError before any multiplication, as do
-integers too long for int() to convert.
+absolute value raise ResourceLimitError before any multiplication.
+
+One integer rule holds in every expression, window (w[-1,2]) and
+partition (1,0): a malformed integer, such as the empty entry of w[1,,2],
+raises ElementParseError (exit 2 on the command line), and one too long
+for int() to convert raises ResourceLimitError (exit 3).  A T[...] letter
+that is not a letter of the rank raises ElementParseError, whatever its
+length.  Option values such as --n are read as argparse reads them (see
+``cli.read_argv``).
 
 Every product an expression (or a command line request) builds, and
 every negative power's basis inverse, is charged to the request's
@@ -39,29 +46,41 @@ MAX_EXPONENT = 32
 MAX_PRODUCT_WORK = 500_000
 MAX_COEFFICIENT_BITS = 8192
 
-_TOKEN = re.compile(r"(T\(w\[[^\]]*\]\)|T\[[^\]]*\]|X\d+|v|\d+|\^|\+|-|\*|\(|\))")
+# group 1 is a token; the last alternative, outside it, marks unexpected input
+_TOKEN = re.compile(r"(T\(w\[[^\]]*\]\)|T\[[^\]]*\]|X\d+|v|\d+|\^|\+|-|\*|\(|\))|\S")
+_INTEGER = re.compile(r"\s*-?(\d+)\s*")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ElementParseError(f"unexpected input at position {pos}: {text[pos:]!r}")
-        tokens.append(m.group(0))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.group(1) is None:
+            raise ElementParseError(f"unexpected input at position {m.start()}: {text[m.start():]!r}")
+        tokens.append(m.group(1))
     return tokens
 
 
+def _int(text: str) -> int:
+    """The integer ``text`` spells, spaces around it allowed: ElementParseError
+    if it spells none, ResourceLimitError if it is too long for int()."""
+    m = _INTEGER.fullmatch(text)
+    if m is None:
+        raise ElementParseError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise ResourceLimitError("integer of %d digits is too long" % len(m.group(1))) from None
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(map(_int, text.split(",")))
+
+
 def parse_window(text: str) -> tuple[int, ...]:
-    m = re.fullmatch(r"\s*w\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\]\s*", text)
+    m = re.fullmatch(r"\s*w\[([^\]]*)\]\s*", text)
     if m is None:
         raise ElementParseError(f"not a window: {text!r} (expected like w[-1,2])")
-    return tuple(int(x) for x in m.group(1).split(","))
+    return _ints(m.group(1))
 
 
 def parse_perm(n: int, text: str) -> weyl.AffinePerm:
@@ -72,10 +91,7 @@ def parse_perm(n: int, text: str) -> weyl.AffinePerm:
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    m = re.fullmatch(r"\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*", text)
-    if m is None:
-        raise ElementParseError(f"not a comma-separated integer tuple: {text!r}")
-    return tuple(int(x) for x in m.group(1).split(","))
+    return _ints(text)
 
 
 class WorkBudget:
@@ -169,13 +185,7 @@ class _Parser:
 
     def integer(self) -> int:
         tok = self.take()
-        sign = 1
-        if tok == "-":
-            sign = -1
-            tok = self.take()
-        if not tok.isdigit():
-            raise ElementParseError(f"expected an integer exponent, got {tok!r}")
-        return sign * _int(tok)
+        return -_int(self.take()) if tok == "-" else _int(tok)
 
     def atom(self) -> hecke.HeckeElt:
         tok = self.take()
@@ -194,24 +204,13 @@ class _Parser:
                 raise ElementParseError(str(exc)) from None
             return hecke.t_basis(word.to_perm())
         if tok.startswith("T(w["):
-            window = tuple(int(x) for x in tok[4:-2].split(",")) if tok[4:-2].strip() else ()
-            try:
-                return hecke.t_basis(weyl.AffinePerm(self.n, window))
-            except ValueError as exc:
-                raise ElementParseError(str(exc)) from None
+            return hecke.t_basis(parse_perm(self.n, tok[2:-1]))
         if tok.startswith("X"):
             i = _int(tok[1:])
             if not 1 <= i <= self.n:
                 raise ElementParseError(f"X{i} out of range 1..{self.n}")
             return hecke.x_element(self.n, i)
         raise ElementParseError(f"unexpected token {tok!r}")
-
-
-def _int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # longer than the interpreter converts
-        raise ResourceLimitError("integer of %d digits is too long" % len(digits)) from None
 
 
 def _invert(n: int, elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:

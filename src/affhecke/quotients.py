@@ -10,7 +10,7 @@ representative with ideal-supported terms dropped.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import hecke
 from .errors import (

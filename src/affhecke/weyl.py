@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     ElementParseError,
@@ -331,9 +331,7 @@ class Word:
         return hash((self.n, self.letters))
 
     def __str__(self):
-        names = {a: "s%d" % a for a in range(self.n)}
-        names.update({RHO: RHO, RHO_INV: RHO_INV})
-        return " ".join(map(names.__getitem__, self.letters))
+        return " ".join("s%d" % a if isinstance(a, int) else a for a in self.letters)
 
     def __repr__(self):
         return "Word(%d, %r)" % (self.n, list(self.letters))

@@ -335,6 +335,22 @@ def test_huge_exponent_exits_3(capsys):
     assert (code, out) == (3, "")
 
 
+HUGE = "9" * 5000  # past what int() converts from text
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--n", "2", "T(w[%s,1])" % HUGE),
+    ("ideal-member", "--n", "2", "--lambda", "%s,0" % HUGE, "w[1,2]"),
+    ("canonical", "--n", "2", "--max-length", "1", "--lambda", "%s,0" % HUGE),
+    ("quotient-mul", "--n", "2", "--lambda", "%s,0" % HUGE, "T[s1]", "T[s1]"),
+    ("reduce-word", "--n", "2", "w[%s,1]" % HUGE),
+])
+def test_huge_integer_in_text_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_canonical_caps_exit_3_before_any_work(capsys):
     for argv, cause in (
         (("--max-length", "40", "--min-degree", "-20"), "exceeds cap 24"),

@@ -1,17 +1,22 @@
 """Generated command lines through ``cli.main``.
 
-Element expressions for ``mul`` and ``quotient-mul``: atoms, + - * ^,
-parentheses and exponents up to +-40, plus strings from the expression
-alphabet that are mostly malformed.  Whole command lines for
-``reduce-word``, ``positive-word``, ``ideal-member`` and ``canonical``:
-windows, partitions and small bounds, mostly well formed, with or without
+Element expressions for ``mul`` and ``quotient-mul``: atoms (words,
+windows, X_i, v, literals), + - * ^, parentheses and exponents up to
++-40, plus strings from the expression alphabet that are mostly
+malformed.  Whole command lines for ``reduce-word``, ``positive-word``,
+``ideal-member`` and ``canonical``: windows, partitions and small
+bounds, mostly well formed, with or without
 ``--lambda``/``--tsv``/``--json``, then perhaps cut short, stripped of one
 word or given an unknown flag; ``--n`` is sometimes a rank past the
-length budget.  Every call keeps the command line contract: exit code 0,
-2 or 3, nothing on stdout after an error, no traceback, and an answer
-within LIMIT_S seconds.  (``oracle`` is left out: settings its guards
-admit, such as ``oracle hecke --n 4 --q 2`` or ``oracle bicommutant
---n 4 --d 3 --q 2``, take from several seconds to minutes.)
+length budget.  Windows, in atoms or alone, may have the wrong length, a
+repeated residue, or an empty or non-integer entry, and every integer in
+the text (literal, exponent, X index, window or partition entry) is now
+and then a run of digits too long for int().  Every call keeps the
+command line contract: exit code 0, 2 or 3, nothing on stdout after an
+error, no traceback, and an answer within LIMIT_S seconds.  (``oracle``
+is left out: settings its guards admit, such as ``oracle hecke --n 4 --q
+2`` or ``oracle bicommutant --n 4 --d 3 --q 2``, take from several
+seconds to minutes.)
 """
 
 import io
@@ -23,7 +28,28 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from affhecke import cli
 
 LIMIT_S = 5
+HUGE = "9" * 5000  # past what int() converts from text
 SETTINGS = settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+
+
+def integers(lo, hi):
+    """An integer in lo..hi as text, or one time in ten a run of digits too
+    long for int()."""
+    text = st.integers(lo, hi).map(str)
+    return st.one_of(*[text] * 9, st.just(HUGE))
+
+
+def window_entries(n):
+    # sigma(i) + n*k_i is a valid window, positive when every k_i <= 0; a raw
+    # list mostly repeats a residue or has the wrong length; a damaged one
+    # has an entry that is empty, a letter or too long for int()
+    shifts = st.lists(st.integers(-3, 1), min_size=n, max_size=n)
+    valid = st.tuples(st.permutations(range(1, n + 1)), shifts).map(lambda t: [str(s + n * k) for s, k in zip(*t)])
+    raw = st.lists(integers(-15, 15), min_size=max(1, n - 1), max_size=n + 1)
+    entries = st.one_of(valid, valid, valid, raw)
+    damaged = st.tuples(entries, st.integers(0, n), st.sampled_from(("", " ", "a", HUGE))).map(
+        lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+    return st.one_of(entries, entries, entries, damaged).map(",".join)
 
 
 def atoms(n, positive):
@@ -31,11 +57,13 @@ def atoms(n, positive):
     if not positive:
         letters.append("r")
     word = st.lists(st.sampled_from(letters), max_size=4).map(lambda w: "T[%s]" % " ".join(w))
+    index = st.sampled_from([*map(str, range(1, n + 1))] * 3 + [str(n + 1), HUGE])  # X_{n+1}: out of range
     return st.one_of(
         word,
-        st.sampled_from([*range(1, n + 1)] * 3 + [n + 1]).map("X{}".format),  # X_{n+1}: out of range
+        window_entries(n).map("T(w[{}])".format),
+        index.map("X{}".format),
         st.just("v"),
-        st.integers(0, 5).map(str),
+        integers(0, 5),
         st.just("(v^-2-1)"),
     )
 
@@ -44,7 +72,7 @@ def expressions(n, positive=False):
     def extend(inner):
         return st.one_of(
             st.tuples(inner, st.sampled_from("+-*"), inner).map(" ".join),
-            st.tuples(inner, st.integers(-40, 40)).map(lambda t: "(%s)^%d" % t),
+            st.tuples(inner, integers(-40, 40)).map(lambda t: "(%s)^%s" % t),
             inner.map("({})".format),
             inner.map("-{}".format),
         )
@@ -67,19 +95,14 @@ def requests(draw):
 
 
 def windows(n):
-    # sigma(i) + n*k_i is a valid window, positive when every k_i <= 0; a raw
-    # list mostly repeats a residue
-    shifts = st.lists(st.integers(-3, 1), min_size=n, max_size=n)
-    valid = st.tuples(st.permutations(range(1, n + 1)), shifts).map(lambda t: [s + n * k for s, k in zip(*t)])
-    raw = st.lists(st.integers(-15, 15), min_size=max(1, n - 1), max_size=n + 1)
-    formatted = st.one_of(valid, valid, valid, raw).map(lambda w: "w[%s]" % ",".join(map(str, w)))
+    formatted = window_entries(n).map("w[{}]".format)
     return st.one_of(formatted, formatted, formatted, st.text(alphabet="w[]-0123456789, ", max_size=12))
 
 
 def partitions(n):
-    parts = st.lists(st.integers(-1, 3), min_size=n, max_size=n + 1)
-    dominant = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(lambda p: sorted(p, reverse=True))
-    return st.one_of(dominant, dominant, parts).map(lambda p: ",".join(map(str, p)))
+    parts = st.lists(integers(-1, 3), min_size=n, max_size=n + 1)
+    dominant = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(lambda p: [str(x) for x in sorted(p)[::-1]])
+    return st.one_of(dominant, dominant, parts).map(",".join)
 
 
 @st.composite

@@ -1,5 +1,5 @@
 """Rules the whole package keeps: it imports nothing outside the standard
-library, and every cache at module level is bounded."""
+library nor ``typing``, and every cache at module level is bounded."""
 
 import importlib
 import os
@@ -33,6 +33,16 @@ def test_the_command_line_loads_no_argparse():
     code = "import sys\nimport affhecke.cli\nprint('argparse' in sys.modules)\n"
     src = str(Path(affhecke.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_no_module_imports_typing():
+    # -S skips site, whose hooks (a .pth file, say) may load typing first
+    code = "import sys\nimport %s\nprint('typing' in sys.modules)\n" % ", ".join(MODULES)
+    src = str(Path(affhecke.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

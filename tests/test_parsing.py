@@ -79,6 +79,8 @@ def test_parenthesized_subexpression():
     "X0",              # generator index range
     "X5",
     "T(w[1,1])",       # window is not a permutation
+    "T(w[1,,2])",      # empty window entry
+    "T(w[a,2])",       # window entry is not an integer
     "T[s9]",           # letter outside the rank
     "T[s1]^v",         # exponent must be an integer
     "X2^-1",           # inverse needs a single-term base
@@ -103,6 +105,16 @@ def test_exponent_cap():
             parsing.parse_element(2, "T[r]^%s" % k)
     with pytest.raises(ResourceLimitError):
         parsing.parse_element(2, "9" * 5000)
+
+
+def test_window_and_partition_entry_cap():
+    # the entries of windows, window atoms and partitions are read like
+    # every other integer: 5000 digits is too long for int(), not malformed
+    huge = "9" * 5000
+    for read in (lambda: parsing.parse_window("w[%s,1]" % huge), lambda: parsing.parse_partition("%s,0" % huge),
+                 lambda: parsing.parse_element(2, "T(w[1,%s])" % huge)):
+        with pytest.raises(ResourceLimitError):
+            read()
 
 
 def test_parse_window():
