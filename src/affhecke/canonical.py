@@ -17,10 +17,11 @@ re-verified, bar-invariance from the record included.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 from . import hecke, quotients
 from .errors import InternalInvariantError, ResourceLimitError
-from .hecke import HeckeElt, KLValue, bar_involution, is_bar_invariant, kl_step  # noqa: F401 (re-exported)
+from .hecke import HeckeElt, KLValue, bar_involution, kl_step  # noqa: F401 (re-exported)
 from .laurent import v_power
 from .quotients import IdealSpec, QuotientElt, in_ideal
 from .weyl import AffinePerm, letter_action, positive_elements
@@ -28,22 +29,10 @@ from .weyl import AffinePerm, letter_action, positive_elements
 DEFAULT_LENGTH_CAP = 24
 
 
-class CanonicalElt:
+class CanonicalElt(namedtuple("CanonicalElt", "index value")):
     """A canonical basis element together with its index."""
 
-    __slots__ = ("index", "value")
-
-    def __init__(self, index: AffinePerm, value: HeckeElt):
-        self.index = index
-        self.value = value
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalElt):
-            return NotImplemented
-        return self.index == other.index and self.value == other.value
-
-    def __repr__(self):
-        return "CanonicalElt(%r, %r)" % (self.index, self.value)
+    __slots__ = ()
 
     def __str__(self):
         return str(self.value)
@@ -70,8 +59,7 @@ def _canonical_value(w: AffinePerm) -> KLValue:
     if z:
         rho = AffinePerm.rho(n, z)
         base = _canonical_value(w.compose(AffinePerm.rho(n, -z)))
-        twisted = HeckeElt(n, {x.compose(rho): c for x, c in base.elt.terms.items()})
-        return KLValue(twisted, base.valuation, base.top, base.height, base.bar_bound)
+        return base._replace(elt=HeckeElt(n, {x.compose(rho): c for x, c in base.elt.terms.items()}))
     if w.length() == 0:
         return KLValue.of(hecke.one(n))
     i = next(i for i in range(n) if w.has_right_descent(i))

@@ -243,11 +243,10 @@ def main(argv=None) -> int:
         _fail(path, "--n must be at least 1")
     if getattr(args, "trials", 1) < 1:
         _fail(path, "--trials must be at least 1")
-    if args.n * (args.n - 1) // 2 > parsing.MAX_PRODUCT_WORK:  # the pairs one length visits
-        print("error: rank %d: one length visits more than %d pairs" % (args.n, parsing.MAX_PRODUCT_WORK),
-              file=sys.stderr)
-        return 3
     try:
+        if args.n * (args.n - 1) // 2 > parsing.MAX_PRODUCT_WORK:  # the pairs one length visits
+            raise ResourceLimitError("rank %d: one length visits more than %d pairs"
+                                     % (args.n, parsing.MAX_PRODUCT_WORK))
         lines, code = COMMANDS[path][0](args)
     except _INPUT_ERRORS + _RESOURCE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)

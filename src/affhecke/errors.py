@@ -9,7 +9,7 @@ class RankMismatchError(AffheckeError):
     """Operands live over different ranks n."""
 
 
-class ElementParseError(AffheckeError):
+class ElementParseError(AffheckeError, ValueError):
     """Malformed textual element, word, or vector input."""
 
 

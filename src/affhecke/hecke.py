@@ -101,7 +101,7 @@ bar_bound covers every coefficient.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import NegativeEntryError, RankMismatchError
@@ -408,13 +408,10 @@ def _unpack(n: int, pairs: Iterable, base: int, width: int, perm: Callable) -> H
     return out
 
 
-class KLValue:
+class KLValue(namedtuple("KLValue", "elt valuation top height bar_bound")):
     """An element with its exact valuation and bounds top, height, bar_bound (see the module docstring)."""
 
-    __slots__ = ("elt", "valuation", "top", "height", "bar_bound")
-
-    def __init__(self, elt: HeckeElt, valuation: int, top: int, height: int, bar_bound: int):
-        self.elt, self.valuation, self.top, self.height, self.bar_bound = elt, valuation, top, height, bar_bound
+    __slots__ = ()
 
     @classmethod
     def of(cls, elt: HeckeElt) -> "KLValue":

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Mapping
 class LaurentPoly:
     """Finitely supported map exponent -> coefficient, zero coefficients pruned."""
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -33,7 +33,6 @@ class LaurentPoly:
                 if not c[exp]:
                     del c[exp]
         self._c = c
-        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -100,7 +99,6 @@ class LaurentPoly:
                 del c[exp]
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -108,7 +106,6 @@ class LaurentPoly:
     def __neg__(self):
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {exp: -coef for exp, coef in self._c.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other):
@@ -143,7 +140,6 @@ class LaurentPoly:
             c = {e: k for e, k in acc.items() if k}
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
-        out._hash = None
         return out
 
     __rmul__ = __mul__
@@ -167,9 +163,7 @@ class LaurentPoly:
         return self._c == o._c
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
+        return hash(frozenset(self._c.items()))
 
     # -- involution and specialization -------------------------------------
 
@@ -177,7 +171,6 @@ class LaurentPoly:
         """The involution v -> v^-1 (negate every exponent)."""
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {-exp: coef for exp, coef in self._c.items()}
-        out._hash = None
         return out
 
     def specialize_q(self, q) -> Fraction:
@@ -277,5 +270,4 @@ def kronecker_unpack(value: int, base: int, width: int) -> LaurentPoly:
         exp += 1
     out = LaurentPoly.__new__(LaurentPoly)
     out._c = c
-    out._hash = None
     return out

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 from . import hecke, linalg, weyl
 from .errors import (
@@ -242,29 +242,11 @@ def _commutator_rows(mats, m):
 # -- reports ---------------------------------------------------------------------
 
 
-class Report:
+class Report(namedtuple("Report", "claim status dims mismatches")):
     """Outcome of one check: its claim, "pass" or "fail", the dimensions it
     measured and one record per mismatch found."""
 
-    __slots__ = ("claim", "status", "dims", "mismatches")
-    __hash__ = None  # mutable, and equal by value
-
-    def __init__(self, claim: str, status: str, dims: dict, mismatches: list):
-        self.claim = claim
-        self.status = status
-        self.dims = dims
-        self.mismatches = mismatches
-
-    def _fields(self) -> tuple:
-        return self.claim, self.status, self.dims, self.mismatches
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "Report(claim=%r, status=%r, dims=%r, mismatches=%r)" % self._fields()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -198,11 +198,7 @@ class _Parser:
         if tok.isdigit():
             return hecke.one(self.n).scale(_int(tok))
         if tok.startswith("T["):
-            try:
-                word = weyl.Word.parse(self.n, tok[2:-1])
-            except ValueError as exc:
-                raise ElementParseError(str(exc)) from None
-            return hecke.t_basis(word.to_perm())
+            return hecke.t_basis(weyl.Word.parse(self.n, tok[2:-1]).to_perm())
         if tok.startswith("T(w["):
             return hecke.t_basis(parse_perm(self.n, tok[2:-1]))
         if tok.startswith("X"):

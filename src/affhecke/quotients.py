@@ -10,6 +10,7 @@ representative with ideal-supported terms dropped.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from . import hecke
@@ -33,12 +34,12 @@ from .weyl import (
 )
 
 
-class IdealSpec:
+class IdealSpec(namedtuple("IdealSpec", "n partitions")):
     """A rank together with an antichain of dominant partitions."""
 
-    __slots__ = ("n", "partitions")
+    __slots__ = ()
 
-    def __init__(self, n: int, partitions: Iterable[Sequence[int]]):
+    def __new__(cls, n: int, partitions: Iterable[Sequence[int]]):
         parts = set()
         for lam in partitions:
             lam = check_partition(lam)
@@ -47,19 +48,7 @@ class IdealSpec:
             parts.add(lam)
         if not parts:
             raise ValueError("at least one partition is required")
-        self.n = n
-        self.partitions = minimal_antichain(parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, IdealSpec):
-            return NotImplemented
-        return self.n == other.n and self.partitions == other.partitions
-
-    def __hash__(self):
-        return hash((self.n, self.partitions))
-
-    def __repr__(self):
-        return "IdealSpec(%d, %r)" % (self.n, [list(p) for p in self.partitions])
+        return super().__new__(cls, n, minimal_antichain(parts))
 
     def __str__(self):
         return "+".join(",".join(str(x) for x in p) for p in self.partitions)
@@ -109,24 +98,15 @@ def in_ideal(w: AffinePerm, spec: IdealSpec) -> bool:
 # -- quotient elements -----------------------------------------------------------
 
 
-class QuotientElt:
+class QuotientElt(namedtuple("QuotientElt", "spec rep")):
     """Canonical representative of a class in the quotient by an ideal."""
 
-    __slots__ = ("spec", "rep")
+    __slots__ = ()
 
-    def __init__(self, spec: IdealSpec, rep: HeckeElt):
+    def __new__(cls, spec: IdealSpec, rep: HeckeElt):
         if rep.n != spec.n:
             raise RankMismatchError("ranks differ: %d vs %d" % (rep.n, spec.n))
-        self.spec = spec
-        self.rep = rep
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElt):
-            return NotImplemented
-        return self.spec == other.spec and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.spec, self.rep))
+        return super().__new__(cls, spec, rep)
 
     @property
     def is_zero(self) -> bool:
@@ -134,9 +114,6 @@ class QuotientElt:
 
     def __str__(self):
         return str(self.rep)
-
-    def __repr__(self):
-        return "QuotientElt(%r, %r)" % (self.spec, self.rep)
 
     def to_json(self):
         return {"spec": self.spec.to_json(), "terms": self.rep.to_json()}

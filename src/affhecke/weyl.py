@@ -342,10 +342,14 @@ class Word:
         for tok in text.split():
             if tok == RHO or tok == RHO_INV:
                 letters.append(tok)
-            elif tok.startswith("s") and tok[1:].isdigit():
-                letters.append(int(tok[1:]))
-            else:
+                continue
+            digits, width = tok[1:], len(str(n - 1))
+            if tok[:1] != "s" or not digits.isdecimal():
                 raise ElementParseError("bad word letter %r" % tok)
+            # int() reads the last ``width`` digits only; a nonzero digit before them is out of range
+            if n < 2 or any(map(int, digits[:-width])) or int(digits[-width:]) > n - 1:
+                raise ElementParseError("letter %s out of range for n=%d" % (tok, n))
+            letters.append(int(digits[-width:]))
         return Word(n, letters)
 
 

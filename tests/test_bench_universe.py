@@ -1,0 +1,45 @@
+"""Every benchmark operation reads its committed output digest.
+
+``bench/workloads.py`` and ``bench/reference.json`` are read, never
+written, as ``test_bench_targets.py`` reads the tracer.  Each workload's
+whole universe runs once: every ``kl_sweep`` element, every
+``oracle_sweep`` report and every request of the ``cli_mix`` pool, not
+only the sample one seed draws.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+pytestmark = pytest.mark.usefixtures("fresh_shared_contexts")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["kl_sweep", "oracle_sweep", "cli_mix"])
+def test_every_operation_reads_its_reference_digest(name):
+    workloads = _workloads()
+    reference = json.loads((BENCH / "reference.json").read_text())[name]
+    assert workloads.inputs_digest(name) == reference["inputs"]
+    universe, _, outcome = workloads.WORKLOADS[name]
+    ops = universe()
+    assert {op.key for op in ops} == set(reference["digests"])
+    results, errors = [], []
+    for op in ops:
+        try:
+            results.append(op.call())
+            errors.append(None)
+        except Exception as exc:  # judged as a failed operation
+            results.append(None)
+            errors.append("%s: %s" % (type(exc).__name__, exc))
+    failures, _ = workloads.judge(ops, results, errors, outcome, reference["digests"])
+    assert failures == []

@@ -360,3 +360,15 @@ def test_rank_one_words_have_no_coxeter_letters():
         Word(1, [0])
     with pytest.raises(ValueError):
         Word.parse(1, "s0 r")
+
+
+@pytest.mark.parametrize("n,text", [(2, "s²"), (2, "s" + "9" * 5000), (2, "s7"), (3, "s" + "0" * 5000 + "3")])
+def test_word_parse_refuses_a_bad_letter_as_a_parse_error(n, text):
+    with pytest.raises(affhecke.ElementParseError):
+        Word.parse(n, text)
+
+
+def test_word_parse_reads_any_decimal_index():
+    assert Word.parse(2, "s01") == Word(2, [1])
+    assert Word.parse(4, "s٣") == Word(4, [3])  # ARABIC-INDIC DIGIT THREE
+    assert Word.parse(2, "s" + "0" * 5000 + "1") == Word(2, [1])
