@@ -41,12 +41,10 @@ class CanonicalElt(namedtuple("CanonicalElt", "index value")):
         return {"window": list(self.index.window), "terms": self.value.to_json()}
 
 
-def canonical_basis(w: AffinePerm, max_length: int = DEFAULT_LENGTH_CAP) -> CanonicalElt:
+def canonical_basis(w: AffinePerm) -> CanonicalElt:
     """The canonical basis element indexed by w (self-verifying)."""
-    if w.length() > max_length:
-        raise ResourceLimitError(
-            "length %d exceeds cap %d" % (w.length(), max_length)
-        )
+    if w.length() > DEFAULT_LENGTH_CAP:
+        raise ResourceLimitError("length %d exceeds cap %d" % (w.length(), DEFAULT_LENGTH_CAP))
     rec = _canonical_value(w)
     _verify(w, rec)
     return CanonicalElt(w, rec.elt)

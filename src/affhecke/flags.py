@@ -176,10 +176,6 @@ class FlagContext:
     def inter_dim(self, a, b) -> int:
         return self.intersections()[a][b]
 
-    def contains(self, big, small) -> bool:
-        table = self.intersections()
-        return table[big][small] == table[small][small]
-
     def full_space(self):
         return len(self._masks()) - 1
 

@@ -57,12 +57,12 @@ steps.  The partial product for a suffix of the reduced word of x^-1 does
 not depend on x, and the suffix is itself the reduced word of u^-1 for one
 element u (x with the stripped letters removed on the right), so the
 window of u names it.  One module-level table, ``_TABLE``, keeps these
-inverses for every call.  Per rank it holds one slot width, one int id per
-window (a dict window -> id and a list id -> the window's one AffinePerm)
-and the inverses, keyed by the window of u and stored as parallel tuples
-(ids, ints).  The width is the widest call's slot width seen so far,
-rounded up to a power of two; a wider call drops the rank's inverses and
-widens it.  A stored inverse is the exact value of its polynomials at
+inverses for every call.  It is one dict from a window of any rank to its
+int id, with a list id -> the window's one AffinePerm, one slot width per
+rank and the inverses, keyed by the window of u and stored as parallel
+tuples (ids, ints).  A rank's width is the widest call's slot width seen so
+far, rounded up to a power of two; a wider call drops that rank's inverses
+and widens it.  A stored inverse is the exact value of its polynomials at
 v = 2^B, so a call whose bound needs fewer bits than the rank's B still
 reads its result back exactly: only the result has to fit the slots.  A
 term whose inverse is stored costs no letter step, no inverse permutation
@@ -74,7 +74,7 @@ suffix and stores each result.  ``BAR_TABLE_CAP`` bounds the stored
 (id, int) pairs and the windows.  An inverse that would pass it is used
 but not stored and marks the table full.  A table that is full or names
 more windows than the cap is cleared at the start of the next
-``bar_involution``, ``is_bar_invariant`` or ``invert_t`` call, never
+``bar_involution``, ``KLValue.is_bar_invariant`` or ``invert_t`` call, never
 inside one, so ids hold for a whole call.
 ``clear_bar_table()`` frees the inverses, ids and AffinePerms.
 
@@ -101,7 +101,7 @@ bar_bound covers every coefficient.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import NegativeEntryError, RankMismatchError
@@ -426,9 +426,9 @@ class KLValue(namedtuple("KLValue", "elt valuation top height bar_bound")):
         top = self.top
         if self.valuation < -top:
             return False
-        table, out = _bar_packed(self)
+        width, out = _bar_packed(self)
         for w, c in self.elt.terms.items():
-            out[table[w.window]] -= kronecker_pack(c, -top, table.width)
+            out[_TABLE[w.window]] -= kronecker_pack(c, -top, width)
         return not any(out)
 
 
@@ -448,8 +448,7 @@ def kl_step(b: KLValue, i: int, corrections: Sequence[tuple[KLValue, int]]) -> K
         for w, c in x.elt.terms.items():
             t = w.window
             out[t] = get(t, 0) - mu * kronecker_pack(c, base, width)
-    table = _TABLE.ranks[n]
-    perms = table.perms
+    table, perms = _TABLE, _TABLE.perms
     low = min((p & -p for p in out.values() if p), default=0)  # the lowest set bit of them all
     return KLValue(_unpack(n, out.items(), base, width, lambda t: perms[table[t]]),
                    base + (low.bit_length() - 1) // width if low else 0,
@@ -460,68 +459,60 @@ def kl_step(b: KLValue, i: int, corrections: Sequence[tuple[KLValue, int]]) -> K
 BAR_TABLE_CAP = 1 << 15  # the most (id, int) pairs, and the most windows, the shared inverse table keeps
 
 
-class _Rank(dict):
-    """The shared table at one rank: window -> id, ids counting from 0.
+class _InverseTable(dict):
+    """The packed inverses that ``invert_t`` and ``bar_involution`` share:
+    window -> id for every rank, ids counting from 0.
 
-    ``perms[id]`` is the window's one AffinePerm.  ``inverses`` maps the window
-    of u to the inverse (T_{u^-1})^-1 packed at base 0 and slot ``width``, as
-    parallel tuples (ids, ints).  Looking up a new window gives it the next id.
+    Windows of two ranks have two lengths, so they never collide.
+    ``perms[id]`` is the window's one AffinePerm, and looking up a new window
+    gives it the next id.  ``inverses`` maps the window of u to the inverse
+    (T_{u^-1})^-1 packed at base 0 and its rank's slot width ``widths[n]``,
+    as parallel tuples (ids, ints).  ``terms`` counts the stored (id, int)
+    pairs and never passes ``BAR_TABLE_CAP``: an inverse that would pass it
+    is used but not stored, and marks the table ``full``.  A table that is
+    full, or names more windows than the cap, is cleared at the start of
+    the next ``_bar_packed`` or ``invert_t``, never inside a call, so ids
+    hold for a whole call.
     """
-
-    __slots__ = ("width", "perms", "inverses")
 
     def __init__(self):
         super().__init__()
-        self.width, self.perms, self.inverses = 0, [], {}
+        self.clear()
+
+    def clear(self) -> None:
+        super().clear()
+        self.perms, self.inverses, self.widths = [], {}, {}
+        self.terms = 0
+        self.full = False
 
     def __missing__(self, t: tuple) -> int:
         i = self[t] = len(self.perms)
         self.perms.append(AffinePerm._trusted(len(t), t))
         return i
 
-
-class _InverseTable:
-    """The packed inverses that ``invert_t`` and ``bar_involution`` share, by rank.
-
-    ``terms`` counts the stored (id, int) pairs and never passes
-    ``BAR_TABLE_CAP``: an inverse that would pass it is used but not stored,
-    and marks the table ``full``.  A table that is full, or names more
-    windows than the cap, is cleared at the start of the next
-    ``_bar_packed`` or ``invert_t``, never inside a call, so ids hold for a
-    whole call.
-    """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.ranks: defaultdict[int, _Rank] = defaultdict(_Rank)
-        self.terms = 0
-        self.full = False
-
-    def open(self, n: int, bound: int) -> _Rank:
-        """Rank n's table for a call whose coefficients are at most ``bound``,
-        after clearing a table that is full or names too many windows.  A call
-        whose slot width, rounded up to a power of two, is wider than the
-        rank's drops the rank's inverses and widens it to that width."""
-        if self.full or sum(map(len, self.ranks.values())) > BAR_TABLE_CAP:
+    def open(self, n: int, bound: int) -> int:
+        """Rank n's slot width for a call whose coefficients are at most
+        ``bound``, after clearing a table that is full or names too many
+        windows.  A call whose slot width, rounded up to a power of two, is
+        wider than the rank's drops the rank's inverses and widens it to that
+        width."""
+        if self.full or len(self) > BAR_TABLE_CAP:
             self.clear()
-        table = self.ranks[n]
         width = 1 << (slot_width(bound) - 1).bit_length()
-        if width > table.width:
-            self.terms -= sum(len(ids) for ids, _ in table.inverses.values())
-            table.inverses = {}
-            table.width = width
-        return table
+        if width > self.widths.get(n, 0):
+            self.inverses = {u: entry for u, entry in self.inverses.items() if len(u) != n}
+            self.terms = sum(len(ids) for ids, _ in self.inverses.values())
+            self.widths[n] = width
+        return self.widths[n]
 
-    def store(self, table: _Rank, u: tuple, inv: dict) -> tuple:
+    def store(self, u: tuple, inv: dict) -> tuple:
         """The packed inverse ``inv`` (window -> int) for the window u as (ids, ints),
         kept unless the table would pass the cap."""
-        entry = tuple(map(table.__getitem__, inv)), tuple(inv.values())
+        entry = tuple(map(self.__getitem__, inv)), tuple(inv.values())
         if self.terms + len(inv) > BAR_TABLE_CAP:
             self.full = True
         else:
-            table.inverses[u] = entry
+            self.inverses[u] = entry
             self.terms += len(inv)
         return entry
 
@@ -534,8 +525,8 @@ def clear_bar_table() -> None:
     _TABLE.clear()
 
 
-def _inverse(table: _Rank, w: AffinePerm) -> tuple:
-    """The packed (T_{w^-1})^-1 at the table's width, as (ids, ints).
+def _inverse(w: AffinePerm, width: int) -> tuple:
+    """The packed (T_{w^-1})^-1 at slot ``width``, as (ids, ints).
 
     With letters the reduced word of w^-1, the suffix letters[j:] is the
     reduced word of u_j^-1, where u_0 = w and u_{j+1} = u_j letters[j]; its
@@ -544,7 +535,7 @@ def _inverse(table: _Rank, w: AffinePerm) -> tuple:
     run, and each stores its result.
     """
     n = w.n
-    inverses = table.inverses
+    inverses = _TABLE.inverses
     letters = _reduced_letters(w.inverse())
     path = []
     t = w.window
@@ -553,46 +544,41 @@ def _inverse(table: _Rank, w: AffinePerm) -> tuple:
             break
         path.append(t)
         t = letter_action(n, letter)[0](t)
-    entry = inverses.get(t) or ((table[t],), (1,))  # only the empty suffix is never stored
+    entry = inverses.get(t) or ((_TABLE[t],), (1,))  # only the empty suffix is never stored
     if path:
-        perms = table.perms
+        perms = _TABLE.perms
         inv = {perms[i].window: p for i, p in zip(*entry)}
-        shift = 2 * table.width
+        shift = 2 * width
         for j in range(len(path) - 1, -1, -1):
             inv = _step_inverse(inv, n, letters[j], shift)
-            entry = _TABLE.store(table, path[j], inv)
+            entry = _TABLE.store(path[j], inv)
     return entry
 
 
-def _bar_packed(rec: KLValue) -> tuple[_Rank, list]:
-    """bar(rec.elt) packed as (rank table, id -> int), at base -rec.top and
-    the table's width, which ``rec.bar_bound`` sets: each term c T_w adds
+def _bar_packed(rec: KLValue) -> tuple[int, list]:
+    """bar(rec.elt) packed as (slot width, id -> int), at base -rec.top and
+    the rank's width, which ``rec.bar_bound`` sets: each term c T_w adds
     bar(c) (T_{w^-1})^-1, whose coefficients are at most 3^l(w) |c|_1.  A
     stored inverse is exact at v = 2^width, so reading the result back needs
     only that bound, however much wider the slots are (see the module docstring).
     """
     top = rec.top
-    table = _TABLE.open(rec.elt.n, rec.bar_bound)
-    width, inverses = table.width, table.inverses
-    parts = [(inverses.get(w.window) or _inverse(table, w), kronecker_pack_bar(c, top, width))
+    width = _TABLE.open(rec.elt.n, rec.bar_bound)
+    inverses = _TABLE.inverses
+    parts = [(inverses.get(w.window) or _inverse(w, width), kronecker_pack_bar(c, top, width))
              for w, c in rec.elt.terms.items()]
-    out = [0] * len(table.perms)
+    out = [0] * len(_TABLE.perms)
     for (ids, ints), factor in parts:
         for i, p in zip(ids, ints):
             out[i] += p * factor
-    return table, out
+    return width, out
 
 
 def bar_involution(a: HeckeElt) -> HeckeElt:
     """Semilinear ring involution: v -> v^-1 and T_w -> (T_{w^-1})^-1."""
     rec = KLValue.of(a)
-    table, out = _bar_packed(rec)
-    return _unpack(a.n, enumerate(out), -rec.top, table.width, table.perms.__getitem__)
-
-
-def is_bar_invariant(a: HeckeElt) -> bool:
-    """Whether bar(a) == a (``KLValue.is_bar_invariant`` of its record)."""
-    return KLValue.of(a).is_bar_invariant()
+    width, out = _bar_packed(rec)
+    return _unpack(a.n, enumerate(out), -rec.top, width, _TABLE.perms.__getitem__)
 
 
 # -- basis elements ------------------------------------------------------------
@@ -622,8 +608,8 @@ def invert_t(w: AffinePerm, charge=None) -> HeckeElt:
         identity = AffinePerm.identity(w.n).window
         charge(2**k * (2 + abs(w.degree())), (1 + 2 * k) * slot_width(3**k),
                lambda cap: _dry_run(w.n, {identity}, [w], lambda u: _reduced_letters(u)[::-1], cap))
-    table = _TABLE.open(w.n, 3**k)
-    return _unpack(w.n, zip(*_inverse(table, w.inverse())), 0, table.width, table.perms.__getitem__)
+    width = _TABLE.open(w.n, 3**k)
+    return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, _TABLE.perms.__getitem__)
 
 
 @functools.lru_cache(maxsize=256)

@@ -144,18 +144,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

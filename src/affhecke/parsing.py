@@ -84,10 +84,7 @@ def parse_window(text: str) -> tuple[int, ...]:
 
 
 def parse_perm(n: int, text: str) -> weyl.AffinePerm:
-    try:
-        return weyl.AffinePerm(n, parse_window(text))
-    except ValueError as exc:
-        raise ElementParseError(str(exc)) from None
+    return weyl.AffinePerm(n, parse_window(text))
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

@@ -40,12 +40,12 @@ class AffinePerm:
 
     def __init__(self, n: int, window: Sequence[int]):
         if n < 1:
-            raise ValueError("rank must be positive")
+            raise ElementParseError("rank must be positive")
         window = tuple(window)
         if len(window) != n:
-            raise ValueError("window must have length n=%d" % n)
+            raise ElementParseError("window must have length n=%d" % n)
         if len({x % n for x in window}) != n:
-            raise ValueError("window residues mod n must be distinct: %r" % (window,))
+            raise ElementParseError("window residues mod n must be distinct: %r" % (window,))
         self.n = n
         self.window = window
         self._hash = None
@@ -364,18 +364,11 @@ def dom(mu: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(mu, reverse=True))
 
 
-def is_partition(lam: Sequence[int]) -> bool:
-    lam = tuple(lam)
-    return all(x >= 0 for x in lam) and all(
-        lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
-    )
-
-
 def check_partition(lam: Sequence[int]) -> tuple[int, ...]:
     lam = tuple(lam)
     if any(x < 0 for x in lam):
         raise NegativeEntryError("partition parts must be nonnegative: %r" % (lam,))
-    if not is_partition(lam):
+    if any(a < b for a, b in zip(lam, lam[1:])):
         raise NonDominantError("parts must be weakly decreasing: %r" % (lam,))
     return lam
 

@@ -84,10 +84,33 @@ def test_wide_coefficients_open_a_wide_bucket(fresh_bar_table):
     # a wide call widens rank 3's one slot width; narrow calls then read
     # their inverses from wider slots than their bound needs
     assert bar_involution(small) == bar_involution_reference(small)
-    assert hecke._TABLE.ranks[3].width <= 32
+    assert hecke._TABLE.widths[3] <= 32
     for a in (wide, small, wide.scale(-1), small + t_basis(ball[-1]), small):
         assert bar_involution(a) == bar_involution_reference(a)
-    assert hecke._TABLE.ranks[3].width >= 64
+    assert hecke._TABLE.widths[3] >= 64
+
+
+def test_each_rank_keeps_its_own_width(fresh_bar_table):
+    # a wide call widens only its own rank: the other rank keeps its width
+    # and its stored inverses, and narrow calls of both ranks stay exact
+    rng = random.Random(4)
+    small = {n: HeckeElt(n, [(w, LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)}))
+                             for w in elements_ball(n, 3, 1)]) for n in (3, 4)}
+    table = hecke._TABLE
+
+    def stored(n):
+        return {u: entry for u, entry in table.inverses.items() if len(u) == n}
+
+    for a in (small[3], small[4], small[4].scale(BIG), small[3]):
+        assert bar_involution(a) == bar_involution_reference(a)
+    wide4, kept4 = table.widths[4], stored(4)
+    assert table.widths[3] <= 32 < 64 <= wide4 and stored(3)
+    assert table.open(3, BIG) >= 64  # widening rank 3 drops only rank 3's inverses
+    assert stored(3) == {} and stored(4) == kept4
+    for a in (small[4], small[3], small[3].scale(-BIG), small[4].scale(BIG)):
+        assert bar_involution(a) == bar_involution_reference(a)
+    assert table.widths[4] == wide4 and stored(4) == kept4 and stored(3)
+    assert table.terms == sum(len(ids) for ids, _ in table.inverses.values())
 
 
 def test_repeated_bar_takes_no_letter_steps(fresh_bar_table, monkeypatch):
@@ -138,7 +161,7 @@ def test_crossing_the_cap_inside_a_call_clears_only_at_the_next_call(fresh_bar_t
     assert sum(len(invert_t_reference(w.inverse()).terms) for w in ball) > cap
 
     def due():  # whether the next call must clear the table at its start
-        return hecke._TABLE.full or sum(map(len, hecke._TABLE.ranks.values())) > cap
+        return hecke._TABLE.full or len(hecke._TABLE) > cap
 
     for w in rng.sample(ball, 4):
         before = len(clears) + due()

@@ -7,11 +7,14 @@ whole universe runs once: every ``kl_sweep`` element, every
 only the sample one seed draws.
 """
 
+import functools
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from affhecke import canonical, hecke
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +46,16 @@ def test_every_operation_reads_its_reference_digest(name):
             errors.append("%s: %s" % (type(exc).__name__, exc))
     failures, _ = workloads.judge(ops, results, errors, outcome, reference["digests"])
     assert failures == []
+
+
+def test_a_seeded_kl_sweep_pass_fills_the_one_inverse_table(fresh_bar_table, monkeypatch):
+    # the README's figures: one slot width per rank, one id per window of
+    # either rank, every inverse the pass stored and none dropped
+    monkeypatch.setattr(canonical, "_canonical_value", functools.lru_cache(maxsize=4096)(
+        canonical._canonical_value.__wrapped__))
+    for op in _workloads().kl_inputs(0):
+        op.call()
+    table = hecke._TABLE
+    assert table.widths == {3: 32, 4: 16} and not table.full
+    assert (len(table), len(table.inverses), table.terms) == (331, 329, 10_078)
+    assert sum(len(t) == 3 for t in table) == 136

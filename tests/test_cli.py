@@ -1,5 +1,6 @@
 """Command line behaviour: frozen outputs, exit codes, JSON hygiene."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -177,6 +178,8 @@ def test_bad_window_exits_2(capsys):
                          "w[1,1]")
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    code, out, err = run(capsys, "reduce-word", "--n", "2", "w[1,1]")
+    assert (code, out, err) == (2, "", "error: window residues mod n must be distinct: (1, 1)\n")
 
 
 def test_resource_guard_exits_3(capsys):
@@ -361,6 +364,22 @@ def test_canonical_caps_exit_3_before_any_work(capsys):
         assert (code, out) == (3, "")
         assert cause in err
         assert time.perf_counter() - start < 5
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: canonical --lambda (2,0,...,0) at depth 2 exits 4")
+def test_no_single_lambda_canonical_setting_exits_4(capsys):
+    # every single-λ ``canonical`` setting the CLI fuzz can draw: n = 1..4,
+    # λ dominant with parts <= 3, --max-length 0..4, --min-degree 0, -1, -2
+    exits_4 = []
+    for n in range(1, 5):
+        for lam in itertools.combinations_with_replacement(range(3, -1, -1), n):
+            for length, depth in itertools.product(range(5), range(3)):
+                argv = ["canonical", "--n", str(n), "--lambda", ",".join(map(str, lam)),
+                        "--max-length", str(length), "--min-degree", str(-depth)]
+                if cli.main(argv) == 4:
+                    exits_4.append(argv)
+                capsys.readouterr()
+    assert exits_4 == []
 
 
 def test_threads_is_an_unknown_option(capsys):

@@ -41,7 +41,7 @@ def test_flags_are_duplicate_free_and_increasing():
     for flag in pts:
         assert flag[-1] == ctx.full_space()
         for small, big in zip(flag, flag[1:]):
-            assert ctx.contains(big, small)
+            assert ctx.inter_dim(big, small) == ctx.inter_dim(small, small)
 
 
 @pytest.mark.parametrize("n,q,d", [
@@ -74,16 +74,19 @@ def test_resource_guards():
 
 @pytest.mark.parametrize("n,q,d", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (4, 2, 3)])
 def test_flag_builds_match_containment_enumeration(n, q, d):
-    # the builds compare rows of the intersection table; ``contains`` is the reference
+    # the builds compare rows of the intersection table; containment read
+    # from single entries, big ∩ small = small, is the reference
     ctx = FlagContext(n, q, d)
     chains = [(ctx.full_space(),)]
     for _ in range(d - 1):
-        chains = [(sub,) + chain for chain in chains for sub in ctx.subspaces() if ctx.contains(chain[0], sub)]
+        chains = [(sub,) + chain for chain in chains for sub in ctx.subspaces()
+                  if ctx.inter_dim(chain[0], sub) == ctx.inter_dim(sub, sub)]
     assert ctx.multistep_flags() == tuple(sorted(chains))
     flags = [()]
     for dim in range(1, n + 1):
         flags = [flag + (sub,) for flag in flags for sub in ctx.subspaces()
-                 if ctx.inter_dim(sub, sub) == dim and (not flag or ctx.contains(sub, flag[-1]))]
+                 if ctx.inter_dim(sub, sub) == dim
+                 and (not flag or ctx.inter_dim(sub, flag[-1]) == ctx.inter_dim(flag[-1], flag[-1]))]
     assert ctx.complete_flags() == tuple(sorted(flags))
 
 

@@ -224,6 +224,13 @@ def test_json_round_trip():
         windows = [rec["window"] for rec in blob]
         assert windows == sorted(windows)
         assert HeckeElt.from_json(3, blob) == a
+        assert eval(repr(a), {"HeckeElt": HeckeElt, "AffinePerm": AffinePerm, "LaurentPoly": LaurentPoly}) == a
+
+
+def test_integer_scalars_multiply_on_either_side():
+    e = t_basis(AffinePerm.s(2, 1))
+    assert str(2 * e) == "2*T[s1]" and str(e * 3) == "3*T[s1]"
+    assert bool(e) and not e - e
 
 
 def test_t_tilde_normalization():

@@ -45,6 +45,14 @@ def test_unit_and_zero(a):
     assert a * zero == zero
 
 
+def test_int_operands_and_repr():
+    p = LaurentPoly({-1: 2, 3: -1})
+    assert p + 1 == LaurentPoly({-1: 2, 0: 1, 3: -1}) and 1 - p == LaurentPoly({-1: -2, 0: 1, 3: 1})
+    assert LaurentPoly({0: 2}) == 2 and p != 2
+    assert LaurentPoly({}).is_zero and not p.is_zero
+    assert eval(repr(p), {"LaurentPoly": LaurentPoly}) == p
+
+
 @given(polys, st.integers(min_value=-8, max_value=8).filter(bool),
        st.integers(min_value=-9, max_value=9).filter(bool))
 def test_monomial_product_matches_convolution(a, exp, coef):
@@ -109,11 +117,3 @@ def test_json_round_trip(p):
     blob = p.to_json()
     assert all(isinstance(k, str) for k in blob)
     assert LaurentPoly.from_json(blob) == p
-
-
-@given(polys, st.integers(min_value=0, max_value=4))
-def test_power_matches_repeated_product(p, k):
-    out = LaurentPoly({0: 1})
-    for _ in range(k):
-        out = out * p
-    assert p ** k == out

@@ -66,6 +66,7 @@ def test_diagonal_indicator_is_the_unit():
         f = _random_function(ctx, left, "X", rng)
         assert _diagonal_unit(ctx, left).convolve(f) == f
         assert f.convolve(_diagonal_unit(ctx, "X")) == f
+        assert f - f == f.scale(0) and hash(f - f.scale(-1)) == hash(f.scale(2))
 
 
 def test_convolution_is_associative():

@@ -22,3 +22,4 @@ def test_records_refuse_assignment_and_hash_as_their_fields():
                 setattr(record, field, None)
     assert hash(spec) == hash((spec.n, spec.partitions))
     assert hash(q) == hash((q.spec, q.rep))
+    assert str(b) == str(b.value) == "v*T[s1] + v*T[]"

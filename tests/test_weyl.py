@@ -351,6 +351,9 @@ def test_word_parse_round_trip():
     assert str(word) == "s1 s0 r-"
     assert coxeter_count(word) == 2 and rho_inv_count(word) == 1
     assert Word.parse(3, str(word)) == word
+    assert eval(repr(word), {"Word": Word}) == word and hash(Word(3, [1, 0, "r-"])) == hash(word)
+    w = word.to_perm()
+    assert eval(repr(w), {"AffinePerm": AffinePerm}) == w
 
 
 def test_rank_one_words_have_no_coxeter_letters():
