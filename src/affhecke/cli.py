@@ -3,9 +3,11 @@
 Subcommands cover element arithmetic, word normal forms, canonical
 bases (full and quotient), ideal membership, and the finite-field
 convolution checks.  Output is buffered and printed only on success, so
-a failing run never emits a partial result.  Exit codes: 0 success,
-1 a verification subcommand reports failure, 2 bad input, 3 resource
-guard, 4 internal invariant violation.
+a failing run never emits a partial result.  main builds one WorkBudget
+per request, which its products and printed words share, and maps errors
+by class to exit codes: 0 success, 1 a verification subcommand reports
+failure, 4 InternalInvariantError, 3 ResourceLimitError or
+UnsupportedParameterError, 2 any other package error (bad input).
 """
 
 from __future__ import annotations
@@ -15,14 +17,8 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import canonical, oracle, parsing, quotients, weyl
-from .errors import (ElementParseError, InternalInvariantError, NegativeEntryError, NonDominantError,
-                     NotPositiveError, RankMismatchError, ResourceLimitError, SpecMismatchError,
-                     UnsupportedParameterError)
-
-_INPUT_ERRORS = (ElementParseError, NegativeEntryError, NonDominantError, NotPositiveError, RankMismatchError,
-                 SpecMismatchError)
-_RESOURCE_ERRORS = (ResourceLimitError, UnsupportedParameterError)
+from . import canonical, hecke, oracle, parsing, quotients, weyl
+from .errors import AffheckeError, InternalInvariantError, ResourceLimitError, UnsupportedParameterError
 
 
 def _dump(data) -> str:
@@ -31,7 +27,7 @@ def _dump(data) -> str:
 
 def _word_lines(args, walk) -> tuple[list[str], int]:
     w = parsing.parse_perm(args.n, args.window)
-    parsing.WorkBudget().charge_words([w])  # before ``walk`` takes its l(w) + |degree(w)| letters
+    args.budget.charge_words([w])  # before ``walk`` takes its l(w) + |degree(w)| letters
     word = walk(w)
     text = str(word)
     if args.json:
@@ -40,10 +36,10 @@ def _word_lines(args, walk) -> tuple[list[str], int]:
 
 
 def _cmd_mul(args) -> tuple[list[str], int]:
-    budget = parsing.WorkBudget()
+    budget = args.budget
     product = parsing.parse_element(args.n, args.exprs[0], budget)
     for text in args.exprs[1:]:
-        product = budget.mul(product, parsing.parse_element(args.n, text, budget))
+        product = hecke.product(product, parsing.parse_element(args.n, text, budget), budget.charge)
     if args.json:
         return [_dump(product.to_json())], 0
     budget.charge_words(product.terms)  # the text names each term by a reduced word
@@ -66,14 +62,14 @@ def _spec(args) -> quotients.IdealSpec:
 def _cmd_canonical(args) -> tuple[list[str], int]:
     depth = -args.min_degree
     if args.lambdas:
-        basis = canonical.quotient_canonical_basis(_spec(args), args.max_length, depth)
-        pairs = [(w, image.rep) for w, image in basis]
+        basis = [canonical.CanonicalElt(w, image.rep)
+                 for w, image in canonical.quotient_canonical_basis(_spec(args), args.max_length, depth)]
     else:
-        pairs = [(b.index, b.value) for b in canonical.positive_canonical_basis(args.n, args.max_length, depth)]
+        basis = canonical.positive_canonical_basis(args.n, args.max_length, depth)
     if args.tsv:
-        rows = [(w.window, x.window, c) for w, elt in pairs for x, c in elt.sorted_terms()]
+        rows = [(b.index.window, x.window, c) for b in basis for x, c in b.value.sorted_terms()]
         return ["%s\t%s\t%s" % (",".join(map(str, a)), ",".join(map(str, b)), c) for a, b, c in rows], 0
-    records = [{"window": list(w.window), "terms": elt.to_json()} for w, elt in pairs]
+    records = [b.to_json() for b in basis]
     if args.json:
         return [_dump(records)], 0
     return [_dump(rec) for rec in records], 0
@@ -88,8 +84,7 @@ def _cmd_ideal_member(args) -> tuple[list[str], int]:
 
 
 def _cmd_quotient_mul(args) -> tuple[list[str], int]:
-    spec = _spec(args)
-    budget = parsing.WorkBudget()
+    spec, budget = _spec(args), args.budget
     left = quotients.reduce(parsing.parse_element(args.n, args.left, budget), spec)
     right = quotients.reduce(parsing.parse_element(args.n, args.right, budget), spec)
     product = quotients.quotient_mul(left, right, budget.charge)
@@ -247,13 +242,14 @@ def main(argv=None) -> int:
         if args.n * (args.n - 1) // 2 > parsing.MAX_PRODUCT_WORK:  # the pairs one length visits
             raise ResourceLimitError("rank %d: one length visits more than %d pairs"
                                      % (args.n, parsing.MAX_PRODUCT_WORK))
+        args.budget = parsing.WorkBudget()  # the one budget of this request
         lines, code = COMMANDS[path][0](args)
-    except _INPUT_ERRORS + _RESOURCE_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
     except InternalInvariantError as exc:
         print("internal invariant violated: %s" % exc, file=sys.stderr)
         return 4
+    except AffheckeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3 if isinstance(exc, (ResourceLimitError, UnsupportedParameterError)) else 2
     for line in lines:
         print(line)
     return code

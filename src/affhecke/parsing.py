@@ -124,9 +124,6 @@ class WorkBudget:
             )
         self.spent += work
 
-    def mul(self, a: hecke.HeckeElt, b: hecke.HeckeElt) -> hecke.HeckeElt:
-        return hecke.product(a, b, self.charge)
-
 
 class _Parser:
     def __init__(self, n: int, tokens: list[str], budget: WorkBudget):
@@ -170,7 +167,7 @@ class _Parser:
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = self.budget.mul(out, self.factor())
+            out = hecke.product(out, self.factor(), self.budget.charge)
         return out
 
     def factor(self) -> hecke.HeckeElt:
@@ -206,7 +203,7 @@ class _Parser:
         raise ElementParseError(f"unexpected token {tok!r}")
 
 
-def _invert(n: int, elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
+def _invert(elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
     terms = list(elt.terms.items())
     if len(terms) != 1:
         raise ElementParseError("negative powers need a single-term base")
@@ -224,11 +221,11 @@ def _power(n: int, base: hecke.HeckeElt, k: int, budget: WorkBudget) -> hecke.He
     if k == 0:
         return hecke.one(n)
     if k < 0:
-        base = _invert(n, base, budget)
+        base = _invert(base, budget)
         k = -k
     out = base
     for _ in range(k - 1):
-        out = budget.mul(out, base)
+        out = hecke.product(out, base, budget.charge)
     return out
 
 

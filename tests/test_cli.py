@@ -1,5 +1,6 @@
 """Command line behaviour: frozen outputs, exit codes, JSON hygiene."""
 
+import inspect
 import itertools
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from affhecke import HeckeElt, cli, hecke, oracle
+from affhecke import HeckeElt, cli, errors, hecke, oracle, parsing
 from affhecke.parsing import parse_element
 from hecke_reference import mul_reference
 
@@ -458,10 +459,10 @@ def test_module_entry_point():
     assert proc.stdout == b"(v^-2-1)*T[s1] + v^-2*T[]\n"
 
 
-def fresh_process(*argv):
+def fresh_process(*argv, timeout=None):
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "affhecke", *argv], capture_output=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "affhecke", *argv], capture_output=True, env=env, timeout=timeout)
     return proc.returncode, proc.stdout.decode()
 
 
@@ -522,3 +523,57 @@ def test_coefficient_guard_exits_3_instead_of_an_unprintable_integer(capsys):
     assert (code, out) == (3, "")
     assert "bits" in err
     assert run(capsys, "mul", "--n", "2", "(2^32)^32")[0] == 0
+
+
+@pytest.mark.parametrize("cls", [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                                 if issubclass(cls, errors.AffheckeError)], ids=lambda cls: cls.__name__)
+def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch, cls):
+    # the base class and every subclass, a future one included, by class alone
+    def handler(args):
+        raise cls("raised by the handler")
+
+    monkeypatch.setitem(cli.COMMANDS, ("ideal-member",), (handler, *cli.COMMANDS[("ideal-member",)][1:]))
+    code, out, err = run(capsys, "ideal-member", "--n", "2", "--lambda", "1,0", "w[1,2]")
+    internal = issubclass(cls, errors.InternalInvariantError)
+    resource = issubclass(cls, (errors.ResourceLimitError, errors.UnsupportedParameterError))
+    assert (code, out) == (4 if internal else 3 if resource else 2, "")
+    assert err == ("internal invariant violated: " if internal else "error: ") + "raised by the handler\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--n", "2", "T[s1]", "T[s1]^-1", "v"),
+    ("reduce-word", "--n", "3", "w[2,1,3]"),
+    ("positive-word", "--n", "2", "w[-1,2]"),
+    ("canonical", "--n", "2", "--max-length", "2"),
+    ("canonical", "--n", "2", "--max-length", "2", "--lambda", "1,0"),
+    ("ideal-member", "--n", "2", "--lambda", "1,0", "w[2,1]"),
+    ("quotient-mul", "--n", "2", "--lambda", "1,0", "T[s1]^2", "T[s1]"),
+    ("oracle", "hecke", "--n", "1", "--q", "2"),
+    ("oracle", "bicommutant", "--n", "1", "--d", "1", "--q", "2"),
+    ("oracle", "lift", "--n", "1", "--d", "1", "--q", "2", "--trials", "1"),
+], ids=" ".join)
+def test_a_request_builds_exactly_one_budget(capsys, monkeypatch, argv):
+    built = []
+
+    class Recording(parsing.WorkBudget):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(parsing, "WorkBudget", Recording)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(built) == 1
+    if argv[0] in ("mul", "quotient-mul", "reduce-word", "positive-word"):
+        assert built[0].spent > 0
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="ROADMAP item 3: canonical has no work budget, so it runs past any timeout")
+@pytest.mark.parametrize("argv", [
+    ("--n", "3", "--max-length", "24", "--min-degree", "-20"),
+    ("--n", "7", "--max-length", "24"),
+], ids=" ".join)
+def test_canonical_past_its_budget_exits_3_within_2_s(argv):
+    # the child is killed when the timeout expires
+    assert fresh_process("canonical", *argv, timeout=2) == (3, "")

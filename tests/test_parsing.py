@@ -224,10 +224,10 @@ def test_budget_falls_back_to_the_dry_run(monkeypatch):
     assert dry < coarse
     monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", dry)
     budget = parsing.WorkBudget()
-    budget.mul(a, a)
+    hecke.product(a, a, budget.charge)
     assert budget.spent == dry
     with pytest.raises(ResourceLimitError, match="letter steps"):
-        parsing.WorkBudget().mul(a, a * hecke.t_basis(weyl.AffinePerm.s(3, 0)))
+        hecke.product(a, a * hecke.t_basis(weyl.AffinePerm.s(3, 0)), parsing.WorkBudget().charge)
 
 
 def test_budget_charges_an_inverse_its_own_dry_run(monkeypatch):
