@@ -14,7 +14,11 @@ The Bernstein elements form the commuting family
     X_{i+1} = v^2 T_i^-1 X_i T_i^-1   (equivalently T_i X_{i+1} T_i = v^2 X_i),
 whose monomials at dominant exponents collapse to single T-terms supported
 on translations.  Only X_1 is itself a single term; every X_i has positive
-support.
+support.  Unrolled, the recursion cancels T_1 ... T_{i-1} from the front of
+X_1, so both X_i and its inverse are one T-term times inverse letters, built
+by right steps only (``tests/hecke_reference.py`` keeps the recursion):
+    X_i    = v^{2i-1-n} T_{s_i ... s_{n-1} rho^-1} T_{s_1}^-1 ... T_{s_{i-1}}^-1,
+    X_i^-1 = v^{n+1-2i} T_{s_{i-1} ... s_1} (T_{s_i ... s_{n-1} rho^-1})^-1.
 
 Letter steps in both directions, products, inverses and the bar involution
 all run in one packed kernel.  An operation packs its operands once, as
@@ -49,7 +53,12 @@ the budget; every letter steps at least the windows of a, so a word of
 l(w) + |degree(w)| letters that cannot fit is refused before it is built.
 ``invert_t`` charges T_w^-1 as the product 1*T_w: 2^l(w) (2 + |degree(w)|)
 steps, 1 + 2 l(w) slots of the width for 3^l(w), and a dry run along the
-inverse letter steps it takes.
+inverse letter steps it takes.  An X_i atom of a request is charged
+``x_element_steps(i)`` = 6 (2^(i-1) - 1) + 4 (i - 1) steps before it is
+built or read from the cache: what its i - 1 inverse letters would plan
+as budgeted products, the j-th an inverse T_{s_j}^-1 (4 steps) and a
+product by it from 2^(j-1) terms (6 * 2^(j-1) steps).  That passes the
+budget at i = 18, whatever n.
 
 The bar involution (semilinear over v -> v^-1, T_w -> (T_{w^-1})^-1) and
 ``invert_t`` (T_w^-1 = (T_{x^-1})^-1 at x = w^-1) share those inverse
@@ -107,8 +116,6 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from .errors import NegativeEntryError, RankMismatchError
 from .laurent import (
     ONE,
-    Q,
-    V2,
     LaurentPoly,
     kronecker_pack,
     kronecker_pack_bar,
@@ -561,15 +568,20 @@ def _bar_packed(rec: KLValue) -> tuple[int, list]:
     bar(c) (T_{w^-1})^-1, whose coefficients are at most 3^l(w) |c|_1.  A
     stored inverse is exact at v = 2^width, so reading the result back needs
     only that bound, however much wider the slots are (see the module docstring).
+    Each term is added as it is read, so an inverse that a full table does
+    not keep is freed before the next term's is built.
     """
     top = rec.top
     width = _TABLE.open(rec.elt.n, rec.bar_bound)
-    inverses = _TABLE.inverses
-    parts = [(inverses.get(w.window) or _inverse(w, width), kronecker_pack_bar(c, top, width))
-             for w, c in rec.elt.terms.items()]
-    out = [0] * len(_TABLE.perms)
-    for (ids, ints), factor in parts:
-        for i, p in zip(ids, ints):
+    inverses, perms = _TABLE.inverses, _TABLE.perms
+    out = [0] * len(perms)
+    for w, c in rec.elt.terms.items():
+        entry = inverses.get(w.window)
+        if entry is None:  # only a new inverse names new ids
+            entry = _inverse(w, width)
+            out += [0] * (len(perms) - len(out))
+        factor = kronecker_pack_bar(c, top, width)
+        for i, p in zip(*entry):
             out[i] += p * factor
     return width, out
 
@@ -612,30 +624,38 @@ def invert_t(w: AffinePerm, charge=None) -> HeckeElt:
     return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, _TABLE.perms.__getitem__)
 
 
+def x_element_steps(i: int) -> int:
+    """The letter steps a request is charged for the atom X_i (see the module docstring)."""
+    return 6 * (2 ** (i - 1) - 1) + 4 * (i - 1)
+
+
+def _times_inverses(w: AffinePerm, letters: Sequence, exponent: int) -> HeckeElt:
+    """v^exponent T_w T_{letters[0]}^-1 T_{letters[1]}^-1 ..., one packed
+    inverse step per letter; each step at most triples a coefficient."""
+    n = w.n
+    width = slot_width(3 ** len(letters))
+    cur = {w.window: 1}
+    for letter in letters:
+        cur = _step_inverse(cur, n, letter, 2 * width)
+    return _unpack(n, cur.items(), exponent, width, lambda t: AffinePerm._trusted(n, t))
+
+
 @functools.lru_cache(maxsize=256)
 def x_element(n: int, i: int) -> HeckeElt:
-    """Bernstein element X_i, 1 <= i <= n."""
+    """Bernstein element X_i, 1 <= i <= n, in closed form (see the module docstring)."""
     if not 1 <= i <= n:
         raise IndexError("X index %d out of range [1,%d]" % (i, n))
-    if i == 1:
-        return HeckeElt(n, {Word(n, [*range(1, n), RHO_INV]).to_perm(): v_power(1 - n)})
-    prev = x_element(n, i - 1)
-    t_inv = invert_t(AffinePerm.s(n, i - 1))
-    return (t_inv * prev * t_inv).scale(V2)
+    return _times_inverses(Word(n, [*range(i, n), RHO_INV]).to_perm(), range(1, i), 2 * i - 1 - n)
 
 
 @functools.lru_cache(maxsize=256)
 def x_element_inverse(n: int, i: int) -> HeckeElt:
-    """X_i^-1; it leaves the positive subalgebra (the presentation audit in
-    tests/test_acceptance.py checks it)."""
+    """X_i^-1, in closed form; it leaves the positive subalgebra (the
+    presentation audit in tests/test_acceptance.py checks it)."""
     if not 1 <= i <= n:
         raise IndexError("X index %d out of range [1,%d]" % (i, n))
-    if i == 1:
-        (w,) = x_element(n, 1).terms
-        return invert_t(w).scale(v_power(n - 1))
-    prev = x_element_inverse(n, i - 1)
-    ti = t_basis(AffinePerm.s(n, i - 1))
-    return (ti * prev * ti).scale(Q)
+    letters = [RHO_INV, *range(n - 1, i - 1, -1)]  # of (T_{s_i ... s_{n-1} rho^-1})^-1
+    return _times_inverses(Word(n, range(i - 1, 0, -1)).to_perm(), letters, n + 1 - 2 * i)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -20,11 +20,12 @@ constants and the pushforward operators, each with its audit (a repeated
 call with the same arguments is one dict lookup); the fiber sizes; the
 labels of permuted flags; and the lift plan of ``_lift_plan`` (the labels
 a trial draws, the zeroed orbits and the triangular order).  The
-parabolic subgroups are cached per (n, steps).  Still run on every call:
-the domain checks of ``theta``, ``psi`` and ``OrbitFunction``, the coset
-row and column audits of ``_cosets`` with their fiber-size comparison,
-the operator matrices, commutation, ranks, the eigenvalue equation and
-the lift's round trip.
+parabolic subgroups are cached per (n, steps).  An ``OrbitFunction``
+resolves its domain, the space ids of its two keys, once when it is
+built; every domain check compares domains.  Still run on every call:
+the coset row and column audits of ``_cosets`` with their fiber-size
+comparison, the operator matrices, commutation, ranks, the eigenvalue
+equation and the lift's round trip.
 
 Before a context is built or looked up, the largest structure-constant
 table a check builds is bounded from the closed-form point counts: a
@@ -71,14 +72,16 @@ MAX_TRIALS = 10_000
 
 
 class OrbitFunction:
-    """Invariant function on pairs of flags, stored by orbit label."""
+    """Invariant function on pairs of flags, stored by orbit label, on the
+    domain (space id of ``left``, space id of ``right``)."""
 
-    __slots__ = ("ctx", "left", "right", "values")
+    __slots__ = ("ctx", "left", "right", "domain", "values")
 
     def __init__(self, ctx: FlagContext, left, right, values):
         self.ctx = ctx
         self.left = left
         self.right = right
+        self.domain = (ctx.space_id(left), ctx.space_id(right))
         items = values.items() if isinstance(values, dict) else values
         self.values = {lab: c for lab, c in items if c}
 
@@ -93,24 +96,14 @@ class OrbitFunction:
         return self.values.get(label, 0)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrbitFunction)
-            and self.ctx is other.ctx
-            and self.ctx.space_id(self.left) == other.ctx.space_id(other.left)
-            and self.ctx.space_id(self.right) == other.ctx.space_id(other.right)
-            and self.values == other.values
-        )
+        return (isinstance(other, OrbitFunction) and self.ctx is other.ctx
+                and self.domain == other.domain and self.values == other.values)
 
     def __hash__(self):
-        sid = self.ctx.space_id
-        return hash((sid(self.left), sid(self.right), frozenset(self.values.items())))
+        return hash((self.domain, frozenset(self.values.items())))
 
     def __add__(self, other: "OrbitFunction") -> "OrbitFunction":
-        if (
-            self.ctx is not other.ctx
-            or self.ctx.space_id(self.left) != other.ctx.space_id(other.left)
-            or self.ctx.space_id(self.right) != other.ctx.space_id(other.right)
-        ):
+        if self.ctx is not other.ctx or self.domain != other.domain:
             raise DomainMismatchError("cannot add functions on different pair spaces")
         vals = dict(self.values)
         for lab, c in other.values.items():
@@ -127,10 +120,8 @@ class OrbitFunction:
         """Sum over the shared middle flag, by the audited structure constants."""
         if self.ctx is not other.ctx:
             raise DomainMismatchError("convolution operands built on different contexts")
-        if self.ctx.space_id(self.right) != other.ctx.space_id(other.left):
-            raise DomainMismatchError(
-                f"middle spaces differ: {self.right!r} vs {other.left!r}"
-            )
+        if self.domain[1] != other.domain[0]:
+            raise DomainMismatchError(f"middle spaces differ: {self.right!r} vs {other.left!r}")
         f, g = self.values.get, other.values.get
         out = {
             lab: sum(f(a, 0) * g(b, 0) * count for a, b, count in terms)
@@ -151,7 +142,7 @@ def _push(f: OrbitFunction, source, forgotten) -> OrbitFunction:
 
 def theta(f: OrbitFunction, forgotten) -> OrbitFunction:
     """Sum f over complete flags refining each partial flag (right factor)."""
-    if f.ctx.space_id(f.right) != f.ctx.space_id("X"):
+    if f.domain[1] != f.ctx.space_id("X"):
         raise DomainMismatchError("theta expects a function with complete right factor")
     return _push(f, "X", forgotten)
 
@@ -159,7 +150,7 @@ def theta(f: OrbitFunction, forgotten) -> OrbitFunction:
 def theta_between(g: OrbitFunction, forgotten_i, forgotten_j) -> OrbitFunction:
     """Push a partial-flag function further down to a coarser component."""
     forgotten_i = tuple(sorted(forgotten_i))
-    if g.ctx.space_id(g.right) != g.ctx.space_id(("YI", forgotten_i)):
+    if g.domain[1] != g.ctx.space_id(("YI", forgotten_i)):
         raise DomainMismatchError("function does not live on the named component")
     if not set(forgotten_i) <= set(forgotten_j):
         raise DomainMismatchError("target component must forget at least as much")
@@ -168,7 +159,7 @@ def theta_between(g: OrbitFunction, forgotten_i, forgotten_j) -> OrbitFunction:
 
 def psi(g: OrbitFunction, forgotten) -> OrbitFunction:
     """Pull a partial-flag function back along phi: g(l, phi(x)) at (l, x)."""
-    if g.ctx.space_id(g.right) != g.ctx.space_id(("YI", tuple(sorted(forgotten)))):
+    if g.domain[1] != g.ctx.space_id(("YI", tuple(sorted(forgotten)))):
         raise DomainMismatchError("function does not live on the named component")
     over = g.ctx.pushforward(g.left, "X", forgotten)
     return OrbitFunction(g.ctx, g.left, "X", {a: g.value(c) for c, terms in over.items() for a, _ in terms})
@@ -196,9 +187,8 @@ def operator_matrix(fixed: OrbitFunction, left, mid, right):
     left.  Rows follow the labels of (left, right), columns the operand's;
     each row is a dict of its nonzero entries."""
     ctx, sid = fixed.ctx, fixed.ctx.space_id
-    spaces = (sid(fixed.left), sid(fixed.right))
-    on_left = spaces == (sid(left), sid(mid))
-    if not on_left and spaces != (sid(mid), sid(right)):
+    on_left = fixed.domain == (sid(left), sid(mid))
+    if not on_left and fixed.domain != (sid(mid), sid(right)):
         raise DomainMismatchError(f"factor on {fixed.left!r} x {fixed.right!r} fits neither side of the triple")
     column = {lab: j for j, lab in enumerate(basis_labels(ctx, *((mid, right) if on_left else (left, mid))))}
     consts = ctx.structure_constants(left, mid, right)
@@ -488,9 +478,9 @@ def lift_family(ctx: FlagContext, family: dict) -> OrbitFunction:
         raise IncompatibleFamilyError(
             f"family keys {sorted(family)} do not match components {list(valid)}"
         )
+    complete = ctx.space_id("X")
     for forg, func in family.items():
-        sid = ctx.space_id
-        if (sid(func.left), sid(func.right)) != (sid("X"), sid(("YI", tuple(sorted(forg))))):
+        if func.domain != (complete, ctx.space_id(("YI", tuple(sorted(forg))))):
             raise DomainMismatchError(f"family entry for {forg} lives on the wrong space")
     cosets = {forg: _cosets(ctx, forg) for forg in valid}
     for fi, fj in itertools.product(valid, valid):

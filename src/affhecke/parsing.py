@@ -20,10 +20,10 @@ that is not a letter of the rank raises ElementParseError, whatever its
 length.  Option values such as --n are read as argparse reads them (see
 ``cli.read_argv``).
 
-Every product an expression (or a command line request) builds, and
-every negative power's basis inverse, is charged to the request's
-``WorkBudget`` before it runs, by the cost ``hecke`` plans for it (see
-that module's docstring).  The charges of one request add up, and the
+Every product an expression (or a command line request) builds, every
+negative power's basis inverse and every X_i atom, is charged to the
+request's ``WorkBudget`` before it runs, by the cost ``hecke`` plans for
+it (see that module's docstring).  The charges of one request add up, and the
 product that would take the total above MAX_PRODUCT_WORK letter steps
 raises ResourceLimitError before it starts.  Walking or printing a reduced
 word is charged its l(w) + |degree(w)| letters first
@@ -199,6 +199,8 @@ class _Parser:
             i = _int(tok[1:])
             if not 1 <= i <= self.n:
                 raise ElementParseError(f"X{i} out of range 1..{self.n}")
+            steps = hecke.x_element_steps(i)
+            self.budget.charge(steps, 0, lambda cap: steps)
             return hecke.x_element(self.n, i)
         raise ElementParseError(f"unexpected token {tok!r}")
 

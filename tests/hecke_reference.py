@@ -1,6 +1,7 @@
 """Reference implementations of the T-basis letter steps, the product, the
-inverse T_w^-1, the bar involution, the canonical-basis recursion and the
-cost a request budget charges for a product or an inverse.
+inverse T_w^-1, the Bernstein elements X_i and their inverses by their
+defining recursion, the bar involution, the canonical-basis recursion and
+the cost a request budget charges for a product or an inverse.
 
 These are the straightforward per-term forms over AffinePerm keys and
 LaurentPoly coefficients: a letter step composes every window with the
@@ -101,6 +102,34 @@ def invert_t_reference(w: AffinePerm) -> HeckeElt:
             inv = HeckeElt(n, {si: V2, AffinePerm.identity(n): V2_MINUS_ONE})
             out = mul_reference(out, inv)
     return out
+
+
+def _x1_term(n: int) -> AffinePerm:
+    """s_1 ... s_{n-1} rho^-1, composed letter by letter."""
+    w = AffinePerm.identity(n)
+    for letter in [*range(1, n), RHO_INV]:
+        w = w.compose(letter_perm_reference(n, letter))
+    return w
+
+
+def x_element_reference(n: int, i: int) -> HeckeElt:
+    """X_i by its defining recursion: X_1 = v^{1-n} T_{s_1 ... s_{n-1} rho^-1}
+    and X_{j+1} = v^2 T_j^-1 X_j T_j^-1."""
+    x = HeckeElt(n, {_x1_term(n): LaurentPoly({1 - n: 1})})
+    for j in range(1, i):
+        t_inv = invert_t_reference(simple_reflection_reference(n, j))
+        x = mul_reference(mul_reference(t_inv, x), t_inv).scale(V2)
+    return x
+
+
+def x_element_inverse_reference(n: int, i: int) -> HeckeElt:
+    """X_i^-1 by the same recursion inverted: X_1^-1 = v^{n-1} T_{s_1 ... s_{n-1} rho^-1}^-1
+    and X_{j+1}^-1 = v^-2 T_j X_j^-1 T_j."""
+    x = invert_t_reference(_x1_term(n)).scale(LaurentPoly({n - 1: 1}))
+    for j in range(1, i):
+        t = HeckeElt(n, {simple_reflection_reference(n, j): LaurentPoly({0: 1})})
+        x = mul_reference(mul_reference(t, x), t).scale(Q)
+    return x
 
 
 def bar_involution_reference(a: HeckeElt) -> HeckeElt:

@@ -2,14 +2,17 @@
 inverse table against the product-based reference forms in hecke_reference."""
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affhecke import HeckeElt, LaurentPoly, bar_involution, hecke, invert_t, t_basis
+from affhecke import HeckeElt, LaurentPoly, bar_involution, canonical_basis, hecke, invert_t, t_basis
 from affhecke.weyl import RHO, RHO_INV, Word
 from weyl_helpers import elements_ball
 from hecke_reference import bar_involution_reference, invert_t_reference, right_letter_inverse_reference
+from kostka_reference import longest_in_double_coset
 
 
 def alphabet(n):
@@ -171,3 +174,30 @@ def test_crossing_the_cap_inside_a_call_clears_only_at_the_next_call(fresh_bar_t
         assert invert_t(w) == invert_t_reference(w)
         assert len(clears) == before + 1
         assert hecke._TABLE.terms <= cap
+
+
+def test_a_bar_check_holds_one_unstored_inverse_at_a_time(fresh_bar_table, monkeypatch):
+    # with a cap of 0 no inverse is stored, so each term's inverse is built,
+    # read and dropped; a check that kept every inverse until it summed them
+    # would peak above their summed size
+    w = longest_in_double_coset((4, 0, 0))  # l = 11, 90 terms in b_w
+    rec = hecke.KLValue.of(canonical_basis(w).value)
+    hecke.clear_bar_table()
+    monkeypatch.setattr(hecke, "BAR_TABLE_CAP", 0)
+    read = []
+    inverse = hecke._inverse
+
+    def sizing(u, width):
+        ids, ints = entry = inverse(u, width)
+        read.append(sys.getsizeof(ids) + sys.getsizeof(ints) + sum(map(sys.getsizeof, ints)))
+        return entry
+
+    monkeypatch.setattr(hecke, "_inverse", sizing)
+    tracemalloc.start()
+    try:
+        assert rec.is_bar_invariant()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read) == len(rec.elt.terms)
+    assert peak < sum(read)

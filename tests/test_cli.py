@@ -1,5 +1,6 @@
 """Command line behaviour: frozen outputs, exit codes, JSON hygiene."""
 
+import hashlib
 import inspect
 import itertools
 import json
@@ -515,6 +516,26 @@ def test_long_inverse_is_charged_its_inverse_steps(capsys):
     assert (code, out) == (3, "")
     assert "letter steps" in err
     assert time.perf_counter() - start < 5
+
+
+def test_an_x_atom_is_charged_before_it_is_built_cold_and_warm():
+    for _ in ("cold", "warm"):
+        budget = parsing.WorkBudget()
+        assert parse_element(6, "X5", budget) == hecke.x_element(6, 5)
+        assert budget.spent == hecke.x_element_steps(5) == 6 * 15 + 16
+
+
+@pytest.mark.parametrize("n", [18, 600])
+def test_an_x_atom_past_the_budget_exits_3_within_2_s(n):
+    # X18 is charged 786,494 steps; X600 once recursed past the interpreter's limit
+    assert fresh_process("mul", "--n", str(n), "X%d" % n, timeout=2) == (3, "")
+
+
+def test_the_largest_x_atom_under_the_budget_keeps_its_bytes(capsys):
+    code, out, err = run(capsys, "mul", "--n", "16", "--json", "X16")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 2**15
+    assert hashlib.sha256(out.encode()).hexdigest() == "cb931aef844d7a0e574a0a67c770182a93e8c95fd8a3f7eda2db3b8417e9fec7"
 
 
 def test_coefficient_guard_exits_3_instead_of_an_unprintable_integer(capsys):

@@ -19,8 +19,10 @@ from affhecke import (
     x_monomial,
     zero,
 )
+from affhecke import hecke
 from affhecke.errors import NegativeEntryError, RankMismatchError
-from affhecke.weyl import coxeter_ball, finite_permutations
+from affhecke.weyl import RHO_INV, Word, coxeter_ball, finite_permutations
+from hecke_reference import x_element_inverse_reference, x_element_reference
 from weyl_helpers import elements_ball
 
 V2 = LaurentPoly({2: 1})
@@ -137,6 +139,30 @@ def test_x_frozen_values():
         assert x_element(n, 1) == product.scale(LaurentPoly({1 - n: 1}))
         assert x_element_inverse(n, 1) * x_element(n, 1) == one(n)
         assert x_element(n, 1) * x_element_inverse(n, 1) == one(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_x_closed_forms_match_the_recursion(n):
+    for i in range(1, n + 1):
+        assert x_element(n, i) == x_element_reference(n, i)
+        assert x_element_inverse(n, i) == x_element_inverse_reference(n, i)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_the_x_charge_is_what_budgeted_inverse_letters_plan(n):
+    # X_i = v^{2i-1-n} T_u T_{s_1}^-1 ... T_{s_{i-1}}^-1 with u = s_i ... s_{n-1} rho^-1,
+    # built here by the inverses and products a request charges
+    for i in range(1, n + 1):
+        steps = []
+
+        def charge(work, bits, dry_run):
+            steps.append(work)
+
+        cur = t_basis(Word(n, [*range(i, n), RHO_INV]).to_perm())
+        for j in range(1, i):
+            cur = hecke.product(cur, invert_t(AffinePerm.s(n, j), charge), charge)
+        assert cur.scale(LaurentPoly({2 * i - 1 - n: 1})) == x_element(n, i)
+        assert sum(steps) == hecke.x_element_steps(i) == 6 * (2 ** (i - 1) - 1) + 4 * (i - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -112,3 +112,29 @@ def test_lift_reports_and_lifts_match_the_golden_record(monkeypatch, setting, se
         report = oracle.lift_trials(*setting, 3, seed).to_json()
         digest = hashlib.sha256(json.dumps(lifted).encode()).hexdigest()
         assert {"lifted_sha256": digest, "report": report} == expected
+
+
+def test_a_function_resolves_its_domain_once_when_built(monkeypatch):
+    ctx = shared_context(3, 2, 3)  # at d = n nothing forgotten is the complete flags
+    labels = oracle.basis_labels(ctx, "X", "X")
+    f = oracle.OrbitFunction(ctx, "X", "X", {labels[0]: 1})
+    g = oracle.OrbitFunction(ctx, ("YI", ()), ("YI", ()), {labels[0]: 1})
+    with pytest.raises(ValueError, match="unknown point space"):
+        oracle.OrbitFunction(ctx, "Z", "X", {})
+
+    def unreachable(*args):
+        raise AssertionError("a built function resolved its keys again")
+
+    monkeypatch.setattr(FlagContext, "space_id", unreachable)
+    assert f.domain == g.domain
+    assert f == g and hash(f) == hash(g)
+
+
+def test_a_warm_lift_trial_resolves_fewer_point_spaces(monkeypatch):
+    oracle.lift_trials(3, 2, 2, 1, 0)
+    calls = []
+    space_id = FlagContext.space_id
+    monkeypatch.setattr(FlagContext, "space_id", lambda self, key: calls.append(key) or space_id(self, key))
+    oracle.lift_trials(3, 2, 2, 1, 0)
+    # 52 when every comparison and domain check resolved both keys again
+    assert 0 < len(calls) < 52
