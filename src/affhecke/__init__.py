@@ -31,7 +31,6 @@ from .hecke import (
     x_element,
     x_element_inverse,
     x_monomial,
-    zero,
 )
 from .quotients import (
     IdealSpec,
@@ -48,7 +47,6 @@ from .quotients import (
 from .canonical import (
     CanonicalElt,
     canonical_basis,
-    mu_coefficient,
     positive_canonical_basis,
     quotient_canonical_basis,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "lift_family",
     "lift_trials",
     "minimal_partitions",
-    "mu_coefficient",
     "one",
     "positive_canonical_basis",
     "quotient_canonical_basis",
@@ -113,5 +110,4 @@ __all__ = [
     "x_element",
     "x_element_inverse",
     "x_monomial",
-    "zero",
 ]

@@ -80,11 +80,6 @@ def _verify(w: AffinePerm, rec: KLValue) -> None:
         raise InternalInvariantError("b_%s is not bar-invariant" % w)
 
 
-def mu_coefficient(b: CanonicalElt, x: AffinePerm) -> int:
-    """The coefficient of v^{l(x)+1} in the T_x coordinate of b."""
-    return b.value.coeff(x).coeff(x.length() + 1)
-
-
 def positive_canonical_basis(
     n: int, max_length: int, max_depth: int
 ) -> list[CanonicalElt]:

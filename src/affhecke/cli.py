@@ -234,10 +234,9 @@ def read_argv(argv):
 
 def main(argv=None) -> int:
     path, args = read_argv(sys.argv[1:] if argv is None else argv)
-    if args.n < 1:
-        _fail(path, "--n must be at least 1")
-    if getattr(args, "trials", 1) < 1:
-        _fail(path, "--trials must be at least 1")
+    for name in ("n", "d", "trials"):
+        if getattr(args, name, 1) < 1:
+            _fail(path, "--%s must be at least 1" % name)
     try:
         if args.n * (args.n - 1) // 2 > parsing.MAX_PRODUCT_WORK:  # the pairs one length visits
             raise ResourceLimitError("rank %d: one length visits more than %d pairs"

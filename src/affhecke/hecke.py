@@ -261,16 +261,6 @@ class HeckeElt:
             for w, c in self.sorted_terms()
         ]
 
-    @staticmethod
-    def from_json(n: int, data: Sequence[Mapping]) -> "HeckeElt":
-        return HeckeElt(
-            n,
-            [
-                (AffinePerm(n, rec["window"]), LaurentPoly.from_json(rec["coeffs"]))
-                for rec in data
-            ],
-        )
-
 
 def _raw(n: int, terms: dict[AffinePerm, LaurentPoly]) -> HeckeElt:
     out = HeckeElt.__new__(HeckeElt)
@@ -594,10 +584,6 @@ def bar_involution(a: HeckeElt) -> HeckeElt:
 
 
 # -- basis elements ------------------------------------------------------------
-
-
-def zero(n: int) -> HeckeElt:
-    return HeckeElt(n)
 
 
 def one(n: int) -> HeckeElt:

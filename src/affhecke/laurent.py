@@ -34,17 +34,7 @@ class LaurentPoly:
                     del c[exp]
         self._c = c
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def monomial(exp: int, coef: int = 1) -> "LaurentPoly":
-        return LaurentPoly({exp: coef})
-
     # -- inspection ------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
 
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
@@ -196,13 +186,8 @@ class LaurentPoly:
     def to_json(self) -> dict[str, int]:
         return {str(exp): coef for exp, coef in sorted(self._c.items())}
 
-    @staticmethod
-    def from_json(data: Mapping[str, int]) -> "LaurentPoly":
-        return LaurentPoly({int(exp): int(coef) for exp, coef in data.items()})
-
 
 ONE = LaurentPoly({0: 1})
-Q = LaurentPoly({-2: 1})            # the Hecke parameter q = v^-2
 V2 = LaurentPoly({2: 1})            # q^-1 = v^2
 V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
 

@@ -85,13 +85,6 @@ class OrbitFunction:
         items = values.items() if isinstance(values, dict) else values
         self.values = {lab: c for lab, c in items if c}
 
-    @staticmethod
-    def indicator(ctx: FlagContext, left, right, label) -> "OrbitFunction":
-        labels, _, _ = ctx.label_table(left, right)
-        if label not in labels:
-            raise ValueError(f"label {label} does not occur on {left} x {right}")
-        return OrbitFunction(ctx, left, right, {label: 1})
-
     def value(self, label):
         return self.values.get(label, 0)
 

@@ -40,7 +40,7 @@ import re
 
 from . import hecke, weyl
 from .errors import ElementParseError, ResourceLimitError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, v_power
 
 MAX_EXPONENT = 32
 MAX_PRODUCT_WORK = 500_000
@@ -115,8 +115,8 @@ class WorkBudget:
             work = dry_run(remaining)
         if work > remaining:
             raise ResourceLimitError(
-                "a request may take %d more letter steps, above the budget of %d per request"
-                % (work, MAX_PRODUCT_WORK)
+                "a request needs more than the %d letter steps left of its budget of %d"
+                % (remaining, MAX_PRODUCT_WORK)
             )
         if bits > MAX_COEFFICIENT_BITS:
             raise ResourceLimitError(
@@ -188,7 +188,7 @@ class _Parser:
             self.expect(")")
             return inner
         if tok == "v":
-            return hecke.one(self.n).scale(LaurentPoly.monomial(1))
+            return hecke.one(self.n).scale(v_power(1))
         if tok.isdigit():
             return hecke.one(self.n).scale(_int(tok))
         if tok.startswith("T["):
@@ -214,7 +214,7 @@ def _invert(elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
     if len(items) != 1 or items[0][1] not in (1, -1):
         raise ElementParseError("negative powers need a unit coefficient")
     exp, coef = items[0]
-    return hecke.invert_t(w, budget.charge).scale(LaurentPoly.monomial(-exp, coef))
+    return hecke.invert_t(w, budget.charge).scale(LaurentPoly({-exp: coef}))
 
 
 def _power(n: int, base: hecke.HeckeElt, k: int, budget: WorkBudget) -> hecke.HeckeElt:

@@ -313,9 +313,6 @@ class Word:
             t = letter_action(self.n, a)[0](t)
         return AffinePerm(self.n, t)
 
-    def alphabet(self) -> set:
-        return set(self.letters)
-
     def __iter__(self) -> Iterator[object]:
         return iter(self.letters)
 

@@ -1,7 +1,9 @@
 """Reference implementations of the T-basis letter steps, the product, the
 inverse T_w^-1, the Bernstein elements X_i and their inverses by their
 defining recursion, the bar involution, the canonical-basis recursion and
-the cost a request budget charges for a product or an inverse.
+the cost a request budget charges for a product or an inverse, and the
+readers of the JSON forms that ``HeckeElt.to_json`` and
+``LaurentPoly.to_json`` write (the package writes JSON, never reads it).
 
 These are the straightforward per-term forms over AffinePerm keys and
 LaurentPoly coefficients: a letter step composes every window with the
@@ -227,3 +229,13 @@ def inverse_steps_reference(w: AffinePerm, cap: int) -> int:
     """The dry-run count a budget charges for T_w^-1, along the reduced word of w reversed."""
     letters = tuple(reversed(reduced_word_reference(w).letters))
     return _dry_run_reference(w.n, {AffinePerm.identity(w.n)}, [letters], cap)
+
+
+def laurent_from_json(data) -> LaurentPoly:
+    """The polynomial whose ``LaurentPoly.to_json`` is ``data``."""
+    return LaurentPoly({int(exp): int(coef) for exp, coef in data.items()})
+
+
+def hecke_from_json(n: int, data) -> HeckeElt:
+    """The rank-n element whose ``HeckeElt.to_json`` is ``data``."""
+    return HeckeElt(n, [(AffinePerm(n, rec["window"]), laurent_from_json(rec["coeffs"])) for rec in data])

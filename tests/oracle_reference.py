@@ -20,8 +20,10 @@ The flag-table references are the per-cell builds: subspaces as
 canonical reduced row echelon bases, by one row reduction per (subspace,
 vector) pair, subspace masks by a loop over coefficient tuples, and label
 positions by one dict lookup per pair of points.  ``bases_reference``
-names the package's subspace positions by those bases.  ``IntRowSpace``, a dense fraction-free row space, is the
-reference for the sparse ``linalg.int_rank``.
+names the package's subspace positions by those bases.  ``IntRowSpace``,
+a dense fraction-free row space, is the reference for the sparse
+``linalg.int_rank``.  ``indicator`` is the function that is 1 on one
+label, which must occur on its pair space.
 
 The dense matrix forms the oracle used before its matrices became lists
 of sparse rows are here too: the dense product, the flattening of a
@@ -42,6 +44,13 @@ from affhecke import OrbitFunction
 from affhecke.errors import DomainMismatchError, InternalInvariantError
 from affhecke.oracle import perm_label
 from affhecke.weyl import finite_permutations
+
+
+def indicator(ctx, left, right, label) -> OrbitFunction:
+    labels, _, _ = ctx.label_table(left, right)
+    if label not in labels:
+        raise ValueError(f"label {label} does not occur on {left} x {right}")
+    return OrbitFunction(ctx, left, right, {label: 1})
 
 
 def _pairs(ctx, left, right):

@@ -12,6 +12,7 @@ import time
 from affhecke import (
     AffinePerm,
     FlagContext,
+    HeckeElt,
     IdealSpec,
     bar_involution,
     bicommutant_check,
@@ -30,7 +31,6 @@ from affhecke import (
     verify_hecke_iso,
     x_element,
     x_element_inverse,
-    zero,
 )
 from affhecke.laurent import LaurentPoly, v_power
 from affhecke.weyl import RHO_INV, finite_permutations, positive_elements
@@ -220,7 +220,7 @@ def test_criterion_08_canonical_bases(capsys):
             si = AffinePerm.s(n, i)
             assert canonical_basis(si).value == (t_basis(si) + one(n)).scale(v_power(1))
         w0 = AffinePerm(n, (3, 2, 1))
-        total = zero(n)
+        total = HeckeElt(n)
         for sigma in finite_permutations(n):
             total = total + t_basis(sigma)
         assert canonical_basis(w0).value == total.scale(v_power(3))

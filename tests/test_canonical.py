@@ -16,7 +16,6 @@ from affhecke import (
     canonical_basis,
     in_ideal,
     invert_t,
-    mu_coefficient,
     one,
     positive_canonical_basis,
     quotient_canonical_basis,
@@ -242,8 +241,9 @@ def test_mu_coefficient():
     n = 2
     e = AffinePerm.identity(n)
     s1 = AffinePerm.s(n, 1)
-    assert mu_coefficient(canonical_basis(s1), e) == 1
-    assert mu_coefficient(canonical_basis(e), s1) == 0
+    # mu(x, w) is the coefficient of v^{l(x)+1} in the T_x coordinate of b_w
+    assert canonical_basis(s1).value.coeff(e).coeff(e.length() + 1) == 1
+    assert canonical_basis(e).value.coeff(s1).coeff(s1.length() + 1) == 0
 
 
 def test_length_cap_guard():

@@ -14,7 +14,7 @@ import pytest
 
 from affhecke import HeckeElt, cli, errors, hecke, oracle, parsing
 from affhecke.parsing import parse_element
-from hecke_reference import mul_reference
+from hecke_reference import hecke_from_json, mul_reference
 
 
 def run(capsys, *argv):
@@ -325,6 +325,17 @@ def test_negative_trials_exit_2(capsys):
     assert "error: --trials must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "bicommutant", "--n", "2", "--d", "0", "--q", "2"),
+    ("oracle", "lift", "--n", "2", "--d", "-1", "--q", "2"),
+])
+def test_steps_below_one_exit_2(capsys, argv):
+    # --n, --d and --trials below 1 are usage errors, not resource guards
+    code, out, err = usage_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: --d must be at least 1" in err
+
+
 def test_an_expression_starting_with_a_minus_needs_a_double_dash(capsys):
     # argparse reads a leading "-" as an option; "--" ends the options
     code, out, _ = usage_exit(capsys, "mul", "--n", "2", "-T[s1]")
@@ -501,7 +512,7 @@ def test_long_word_square_fits_by_its_dry_run(capsys):
     code, out, err = run(capsys, "mul", "--n", "3", "--json", word, word)
     assert (code, err) == (0, "")
     w = parse_element(3, word)
-    assert HeckeElt.from_json(3, json.loads(out)) == mul_reference(w, w)
+    assert hecke_from_json(3, json.loads(out)) == mul_reference(w, w)
 
 
 def test_long_inverse_is_charged_its_inverse_steps(capsys):
@@ -510,7 +521,7 @@ def test_long_inverse_is_charged_its_inverse_steps(capsys):
     word = "T[%s]" % " ".join(["s0 s1 s2"] * 6 + ["s0"])
     code, out, err = run(capsys, "mul", "--n", "3", "--json", word + "^-1", word)
     assert (code, err) == (0, "")
-    assert HeckeElt.from_json(3, json.loads(out)) == hecke.one(3)
+    assert hecke_from_json(3, json.loads(out)) == hecke.one(3)
     start = time.perf_counter()
     code, out, err = run(capsys, "mul", "--n", "10", "T(w[10,9,8,7,6,5,4,3,2,1])^-1", "1")
     assert (code, out) == (3, "")
@@ -529,6 +540,18 @@ def test_an_x_atom_is_charged_before_it_is_built_cold_and_warm():
 def test_an_x_atom_past_the_budget_exits_3_within_2_s(n):
     # X18 is charged 786,494 steps; X600 once recursed past the interpreter's limit
     assert fresh_process("mul", "--n", str(n), "X%d" % n, timeout=2) == (3, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce-word", "--n", "2", "w[1,2%s]" % ("0" * 4000)),
+    ("mul", "--n", "600", "X600"),
+])
+def test_a_refused_charge_prints_one_short_line(capsys, argv):
+    # the refusal names what is left of the budget, not the work it was asked for
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) <= 200
+    assert "letter steps" in err
 
 
 def test_the_largest_x_atom_under_the_budget_keeps_its_bytes(capsys):

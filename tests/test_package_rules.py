@@ -1,6 +1,8 @@
 """Rules the whole package keeps: it imports nothing outside the standard
-library nor ``typing``, and every cache at module level is bounded."""
+library nor ``typing``, every cache at module level is bounded, and every
+name it exports is used outside the tests."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -57,3 +59,27 @@ def test_every_module_cache_is_bounded():
                 sizes[name + "." + attr] = value.cache_parameters()["maxsize"]
     assert "affhecke.flags.shared_context" in sizes  # the search finds caches
     assert not [cache for cache, size in sizes.items() if size is None]
+
+
+# Self-checks with no caller yet: the span certificates of the ideals,
+# which ROADMAP item 2 gives a benchmark row.
+UNCALLED_EXPORTS = {"generated_span_check", "double_coset_span_check"}
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a name, an attribute, an import alias or a string constant counts: the
+    # benchmark's tracer and its workloads name functions by string
+    root = Path(affhecke.__file__).resolve().parents[2]
+    package = [p for p in sorted((root / "src" / "affhecke").glob("*.py")) if p.name != "__init__.py"]
+    used = set()
+    for path in package + sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert sorted(set(affhecke.__all__) - used - UNCALLED_EXPORTS) == []

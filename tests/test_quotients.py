@@ -7,6 +7,7 @@ import pytest
 
 from affhecke import (
     AffinePerm,
+    HeckeElt,
     IdealSpec,
     LaurentPoly,
     double_coset_span_check,
@@ -21,7 +22,6 @@ from affhecke import (
     t_basis,
     x_element,
     x_monomial,
-    zero,
 )
 from affhecke.errors import (
     NonDominantError,
@@ -37,7 +37,7 @@ SPEC10 = IdealSpec(2, [(1, 0)])
 
 def random_positive(n, rng, terms=2):
     pool = positive_elements(n, max_length=3, min_degree=-2)
-    out = zero(n)
+    out = HeckeElt(n)
     for _ in range(terms):
         coeff = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
         out = out + t_basis(rng.choice(pool)).scale(coeff)
@@ -189,7 +189,7 @@ def test_reduce_examples():
     s1 = t_basis(AffinePerm.s(2, 1))
     assert reduce(s1, SPEC10).rep == s1
     assert reduce(x_element(2, 1), SPEC10).is_zero
-    assert reduce(zero(2), SPEC10).is_zero
+    assert reduce(HeckeElt(2), SPEC10).is_zero
     with pytest.raises(NotPositiveError):
         reduce(t_basis(AffinePerm.rho(2)), SPEC10)
 

@@ -194,7 +194,7 @@ def test_positive_word_exhaustive(n):
         assert word.to_perm() == w
         assert coxeter_count(word) == w.length()
         assert rho_inv_count(word) == -w.degree()
-        assert word.alphabet() <= set(range(1, n)) | {RHO_INV}
+        assert set(word) <= set(range(1, n)) | {RHO_INV}
 
 
 @pytest.mark.parametrize("n, max_length", [(2, 6), (3, 5), (4, 4)])
