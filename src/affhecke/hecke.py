@@ -38,19 +38,22 @@ slots packs wider; nothing is ever truncated.  Packing is a ring map
 Z[v] -> Z, so the ints stay exact however large intermediate digits grow,
 and only the result has to fit its slots to read back exactly.
 
-``product`` plans a*b once: the Coxeter lengths and degrees of supp b,
-the valuations and the slot width, then the reduced words of supp b.  A
-request budget is charged from that plan, before any reduced word is built
-or letter step runs, with two bounds.  Steps: the l(w) Coxeter letters of
-w at most double the terms each and its |degree(w)| rho letters keep
-their count, so a*b takes at most |supp a| * sum over w in supp b of
-2^l(w) (2 + |degree(w)|) letter-term steps.  Bits: a packed coefficient
-of a*b spans the exponents of a and b widened by 2 per letter,
-1 + 2 max l(w) + (deg - val)(a) + (deg - val)(b) slots of the plan's
-width.  Where the step bound does not fit the budget, a dry run on windows
-alone counts the letter steps instead, stopped once it passes the rest of
-the budget; every letter steps at least the windows of a, so a word of
-l(w) + |degree(w)| letters that cannot fit is refused before it is built.
+``product`` plans a*b in one pass per operand, each coefficient read
+once: ``plan_left`` takes the valuation, exponent spread and height of a,
+``plan_right`` the lengths of supp b, its valuation and spread, its weight
+sum 3^l(w) |c_w|_1 and its steps; ``coefficient_bits`` gives the slot
+width.  A request budget is charged from that plan, before any reduced
+word is built or letter step runs, with two bounds.  Steps: the l(w)
+Coxeter letters of w at most double the terms each and its |degree(w)|
+rho letters keep their count, so a*b takes at most |supp a| * sum over w
+in supp b of 2^l(w) (2 + |degree(w)|) letter-term steps.  Bits: a packed
+coefficient of a*b spans the exponents of a and b widened by 2 per
+letter, 1 + 2 max l(w) + (deg - val)(a) + (deg - val)(b) slots of the
+plan's width.  Where the step bound does not fit the budget, a dry run on
+windows alone counts the letter steps instead, stopped once it passes the
+rest of the budget; every letter steps at least the windows of a, so a
+word of l(w) + |degree(w)| letters that cannot fit is refused before it
+is built.
 ``invert_t`` charges T_w^-1 as the product 1*T_w: 2^l(w) (2 + |degree(w)|)
 steps, 1 + 2 l(w) slots of the width for 3^l(w), and a dry run along the
 inverse letter steps it takes.  An X_i atom of a request is charged
@@ -347,24 +350,21 @@ def _dry_run(n: int, windows: set, perms: Iterable[AffinePerm], word, cap: int) 
 
 
 def product(a: HeckeElt, b: HeckeElt, charge=None) -> HeckeElt:
-    """a*b, planned once: the lengths of supp b, the valuations and the slot
-    width, then the reduced words of supp b.  ``charge(steps, bits,
-    dry_run)``, if given, receives the plan's cost (see the module
+    """a*b, planned in one pass over each operand (``plan_left``,
+    ``plan_right``), then the reduced words of supp b.  ``charge(steps,
+    bits, dry_run)``, if given, receives the plan's cost (see the module
     docstring) before any word is built or letter step runs."""
     if a.n != b.n:
         raise RankMismatchError("ranks differ: %d vs %d" % (a.n, b.n))
     n = a.n
     if not a.terms or not b.terms:
         return HeckeElt(n)
-    lengths = [w.length() for w in b.terms]
+    base_a, spread_a, height = plan_left(a)
+    lengths, base_b, spread_b, weight, steps = plan_right(b)
     top = max(lengths)
-    bound = _height(a) * sum(3**k * c.norm1() for k, c in zip(lengths, b.terms.values()))
-    width = slot_width(bound)
-    base_a, base_b = _valuation(a), _valuation(b)
+    width, bits = coefficient_bits(spread_a, height, top, spread_b, weight)
     if charge is not None:
-        steps = len(a.terms) * sum(2**k * (2 + abs(w.degree())) for k, w in zip(lengths, b.terms))
-        span = 1 + 2 * top + _degree(a) - base_a + _degree(b) - base_b
-        charge(steps, span * width,
+        charge(len(a.terms) * steps, bits,
                lambda cap: _dry_run(n, {w.window for w in a.terms}, b.terms, _reduced_letters, cap))
     words = [_reduced_letters(w) for w in b.terms]
     # a T_w runs the letters of w from the packed a; every result is brought
@@ -385,16 +385,50 @@ def product(a: HeckeElt, b: HeckeElt, charge=None) -> HeckeElt:
                    lambda t: known.get(t) or AffinePerm._trusted(n, t))
 
 
-def _valuation(a: HeckeElt) -> int:
-    return min((c.valuation() for c in a.terms.values()), default=0)
+def plan_left(a: HeckeElt) -> tuple[int, int, int]:
+    """(valuation, degree - valuation, height) of a nonzero left operand,
+    reading each coefficient once."""
+    low = high = None
+    height = 0
+    for c in a.terms.values():
+        for e, x in c._c.items():
+            if low is None or e < low:
+                low = e
+            if high is None or e > high:
+                high = e
+            if abs(x) > height:
+                height = abs(x)
+    return low, high - low, height
 
 
-def _degree(a: HeckeElt) -> int:
-    return max(c.degree() for c in a.terms.values())
+def plan_right(b: HeckeElt) -> tuple[list, int, int, int, int]:
+    """(lengths of supp b, valuation, degree - valuation, sum of 3^l(w)
+    |c_w|_1, sum of 2^l(w) (2 + |degree(w)|)) of a nonzero right operand,
+    reading each coefficient once."""
+    lengths = []
+    low = high = None
+    weight = steps = 0
+    for w, c in b.terms.items():
+        k = w.length()
+        lengths.append(k)
+        norm = 0
+        for e, x in c._c.items():
+            if low is None or e < low:
+                low = e
+            if high is None or e > high:
+                high = e
+            norm += abs(x)
+        weight += 3**k * norm
+        steps += 2**k * (2 + abs(w.degree()))
+    return lengths, low, high - low, weight, steps
 
 
-def _height(a: HeckeElt) -> int:
-    return max((c.height() for c in a.terms.values()), default=0)
+def coefficient_bits(spread_a: int, height_a: int, top: int, spread_b: int, weight_b: int) -> tuple[int, int]:
+    """(slot width, bits of one packed coefficient) of a product planned
+    from a left operand's exponent spread and height and a right operand's
+    longest length, exponent spread and weight (see the module docstring)."""
+    width = slot_width(height_a * weight_b)
+    return width, (1 + 2 * top + spread_a + spread_b) * width
 
 
 def _unpack(n: int, pairs: Iterable, base: int, width: int, perm: Callable) -> HeckeElt:
@@ -412,11 +446,12 @@ class KLValue(namedtuple("KLValue", "elt valuation top height bar_bound")):
 
     @classmethod
     def of(cls, elt: HeckeElt) -> "KLValue":
-        """The record of ``elt`` with all four values exact, from one pass over its terms."""
-        terms = [(c.valuation(), c.degree(), c.height(), 3 ** w.length() * c.norm1())
-                 for w, c in elt.terms.items()]
-        lows, tops, heights, bounds = zip(*terms) if terms else [(0,)] * 4
-        return cls(elt, min(lows), max(tops), max(heights), sum(bounds))
+        """The record of ``elt`` with all four values exact, read from its
+        plans as a product's left and right operand."""
+        if not elt.terms:
+            return cls(elt, 0, 0, 0, 0)
+        low, spread, height = plan_left(elt)
+        return cls(elt, low, low + spread, height, plan_right(elt)[3])
 
     def is_bar_invariant(self) -> bool:
         """Whether bar(elt) == elt, from the record (see the module docstring)."""
@@ -604,7 +639,7 @@ def invert_t(w: AffinePerm, charge=None) -> HeckeElt:
     k = w.length()
     if charge is not None:
         identity = AffinePerm.identity(w.n).window
-        charge(2**k * (2 + abs(w.degree())), (1 + 2 * k) * slot_width(3**k),
+        charge(2**k * (2 + abs(w.degree())), coefficient_bits(0, 1, k, 0, 3**k)[1],
                lambda cap: _dry_run(w.n, {identity}, [w], lambda u: _reduced_letters(u)[::-1], cap))
     width = _TABLE.open(w.n, 3**k)
     return _unpack(w.n, zip(*_inverse(w.inverse(), width)), 0, width, _TABLE.perms.__getitem__)

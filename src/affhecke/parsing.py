@@ -20,18 +20,26 @@ that is not a letter of the rank raises ElementParseError, whatever its
 length.  Option values such as --n are read as argparse reads them (see
 ``cli.read_argv``).
 
-Every product an expression (or a command line request) builds, every
-negative power's basis inverse and every X_i atom, is charged to the
-request's ``WorkBudget`` before it runs, by the cost ``hecke`` plans for
-it (see that module's docstring).  The charges of one request add up, and the
-product that would take the total above MAX_PRODUCT_WORK letter steps
-raises ResourceLimitError before it starts.  Walking or printing a reduced
-word is charged its l(w) + |degree(w)| letters first
-(``WorkBudget.charge_words``): at n = 2, w[2000001,2000002] is
-rho^2000000, of length 0 and 2,000,000 letters, and is refused.  A
-product whose packed coefficients could pass MAX_COEFFICIENT_BITS raises
-too: that keeps every int step cheap and every coefficient printable.
-Library products, such as the canonical-basis recursion, are not budgeted.
+Scalar subexpressions (v, integers, their sums, products and powers,
+v^-k included) stay in Z[v, v^-1]: a scalar factor of an element is
+``HeckeElt.scale``, and a scalar becomes c*T_e only where it is added to
+an element or is the value of the whole expression.
+
+Every product of two elements an expression (or a command line request)
+builds, every negative power's basis inverse and every X_i atom, is
+charged to the request's ``WorkBudget`` before it runs, by the cost
+``hecke`` plans for it (see that module's docstring).  A scalar factor is
+coefficient arithmetic, charged no letter step and the bits
+``hecke.coefficient_bits`` gives with c*T_e in place of the scalar c.  The
+charges of one request add up, and the product that would take the total
+above MAX_PRODUCT_WORK letter steps raises ResourceLimitError before it
+starts.  Walking or printing a reduced word is charged its l(w) +
+|degree(w)| letters first (``WorkBudget.charge_words``): at n = 2,
+w[2000001,2000002] is rho^2000000, of length 0 and 2,000,000 letters, and
+is refused.  A product whose packed coefficients could pass
+MAX_COEFFICIENT_BITS raises too: that keeps every int step cheap and every
+coefficient printable.  Library products, such as the canonical-basis
+recursion, are not budgeted.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import re
 
 from . import hecke, weyl
 from .errors import ElementParseError, ResourceLimitError
-from .laurent import LaurentPoly, v_power
+from .laurent import ONE, LaurentPoly, v_power
 
 MAX_EXPONENT = 32
 MAX_PRODUCT_WORK = 500_000
@@ -147,50 +155,78 @@ class _Parser:
         if got != tok:
             raise ElementParseError(f"expected {tok!r}, got {got!r}")
 
-    def expression(self) -> hecke.HeckeElt:
+    def element(self, x) -> hecke.HeckeElt:
+        """``x`` as an element: a scalar c becomes c*T_e."""
+        return hecke.one(self.n).scale(x) if isinstance(x, LaurentPoly) else x
+
+    def expression(self):
         out = self._signed_term()
         while self.peek() in ("+", "-"):
             op = self.take()
             term = self._signed_term()
+            if type(out) is not type(term):
+                out, term = self.element(out), self.element(term)
             out = out + term if op == "+" else out - term
         return out
 
-    def _signed_term(self) -> hecke.HeckeElt:
+    def _signed_term(self):
         sign = 1
         while self.peek() == "-":
             self.take()
             sign = -sign
         term = self.term()
-        return term if sign == 1 else term.scale(-1)
+        return term if sign == 1 else -term
 
-    def term(self) -> hecke.HeckeElt:
+    def term(self):
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = hecke.product(out, self.factor(), self.budget.charge)
+            out = self.times(out, self.factor())
         return out
 
-    def factor(self) -> hecke.HeckeElt:
+    def times(self, a, b):
+        """a*b: a product in the algebra, or coefficient arithmetic where a
+        or b is a scalar, charged as the module docstring says."""
+        if isinstance(a, hecke.HeckeElt) and isinstance(b, hecke.HeckeElt):
+            return hecke.product(a, b, self.budget.charge)
+        if a and b:
+            self.budget.charge(0, _coefficient_bits(a, b), lambda cap: 0)
+        return a * b  # HeckeElt.scale where one side is an element
+
+    def factor(self):
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            base = _power(self.n, base, self.integer(), self.budget)
+            base = self.power(base, self.integer())
         return base
+
+    def power(self, base, k: int):
+        if abs(k) > MAX_EXPONENT:
+            raise ResourceLimitError("exponent %d exceeds the cap %d" % (k, MAX_EXPONENT))
+        if k == 0:
+            return ONE
+        if k < 0:
+            base = _invert(base, self.budget)
+            k = -k
+        out = base
+        for _ in range(k - 1):
+            out = self.times(out, base)
+        return out
 
     def integer(self) -> int:
         tok = self.take()
         return -_int(self.take()) if tok == "-" else _int(tok)
 
-    def atom(self) -> hecke.HeckeElt:
+    def atom(self):
         tok = self.take()
         if tok == "(":
             inner = self.expression()
             self.expect(")")
             return inner
         if tok == "v":
-            return hecke.one(self.n).scale(v_power(1))
+            return v_power(1)
         if tok.isdigit():
-            return hecke.one(self.n).scale(_int(tok))
+            return LaurentPoly({0: _int(tok)})
         if tok.startswith("T["):
             return hecke.t_basis(weyl.Word.parse(self.n, tok[2:-1]).to_perm())
         if tok.startswith("T(w["):
@@ -205,8 +241,27 @@ class _Parser:
         raise ElementParseError(f"unexpected token {tok!r}")
 
 
-def _invert(elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
-    terms = list(elt.terms.items())
+def _coefficient_bits(a, b) -> int:
+    """The bits ``hecke.product`` plans for a*b, a scalar c read as c*T_e."""
+    if isinstance(a, LaurentPoly):
+        spread_a, height = a.degree() - a.valuation(), a.height()
+    else:
+        _, spread_a, height = hecke.plan_left(a)
+    if isinstance(b, LaurentPoly):
+        top, spread_b, weight = 0, b.degree() - b.valuation(), b.norm1()
+    else:
+        lengths, _, spread_b, weight, _ = hecke.plan_right(b)
+        top = max(lengths)
+    return hecke.coefficient_bits(spread_a, height, top, spread_b, weight)[1]
+
+
+def _invert(base, budget: WorkBudget):
+    """base^-1 for a single term with unit coefficient: a monomial inverse
+    for a scalar, ``hecke.invert_t`` times one for an element."""
+    if isinstance(base, LaurentPoly):
+        terms = [(None, base)] if base else []
+    else:
+        terms = list(base.terms.items())
     if len(terms) != 1:
         raise ElementParseError("negative powers need a single-term base")
     w, c = terms[0]
@@ -214,21 +269,8 @@ def _invert(elt: hecke.HeckeElt, budget: WorkBudget) -> hecke.HeckeElt:
     if len(items) != 1 or items[0][1] not in (1, -1):
         raise ElementParseError("negative powers need a unit coefficient")
     exp, coef = items[0]
-    return hecke.invert_t(w, budget.charge).scale(LaurentPoly({-exp: coef}))
-
-
-def _power(n: int, base: hecke.HeckeElt, k: int, budget: WorkBudget) -> hecke.HeckeElt:
-    if abs(k) > MAX_EXPONENT:
-        raise ResourceLimitError("exponent %d exceeds the cap %d" % (k, MAX_EXPONENT))
-    if k == 0:
-        return hecke.one(n)
-    if k < 0:
-        base = _invert(base, budget)
-        k = -k
-    out = base
-    for _ in range(k - 1):
-        out = hecke.product(out, base, budget.charge)
-    return out
+    inverse = LaurentPoly({-exp: coef})
+    return inverse if w is None else hecke.invert_t(w, budget.charge).scale(inverse)
 
 
 def parse_element(n: int, text: str, budget: WorkBudget | None = None) -> hecke.HeckeElt:
@@ -237,4 +279,4 @@ def parse_element(n: int, text: str, budget: WorkBudget | None = None) -> hecke.
     out = parser.expression()
     if parser.peek() is not None:
         raise ElementParseError(f"trailing tokens starting at {parser.peek()!r}")
-    return out
+    return parser.element(out)

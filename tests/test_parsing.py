@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affhecke import hecke, parsing, weyl
-from affhecke.errors import ElementParseError, ResourceLimitError
+from affhecke.errors import AffheckeError, ElementParseError, ResourceLimitError
 from affhecke.laurent import LaurentPoly, v_power
+from parsing_reference import parse_element_reference
 
 V = v_power(1)
 
@@ -88,11 +90,6 @@ def test_parenthesized_subexpression():
 def test_rejected_expressions(bad):
     with pytest.raises(ElementParseError):
         parsing.parse_element(3 if bad.startswith("X5") else 2, bad)
-
-
-def test_negative_power_needs_unit_coefficient():
-    with pytest.raises(ElementParseError):
-        parsing.parse_element(2, "(2*T[s1])^-1")
 
 
 def test_exponent_cap():
@@ -263,3 +260,99 @@ def test_coefficient_cap(monkeypatch):
     monkeypatch.setattr(parsing, "MAX_COEFFICIENT_BITS", 1000)
     with pytest.raises(ResourceLimitError):
         parsing.parse_element(2, "(2^32)^32")
+
+
+REFUSALS = {
+    "0^-1": (ElementParseError, "negative powers need a single-term base"),
+    "2^-1": (ElementParseError, "negative powers need a unit coefficient"),
+    "(v+1)^-1": (ElementParseError, "negative powers need a unit coefficient"),
+    "(2*T[s1])^-1": (ElementParseError, "negative powers need a unit coefficient"),
+    "v^33": (ResourceLimitError, "exponent 33 exceeds the cap 32"),
+    # the bits cap on scalar-only expressions, as the kernel would plan them
+    "((v+1)^32)^32": (ResourceLimitError, "a product's coefficients may take 9118 bits, above the cap 8192"),
+    "((2^32)^32)^32": (ResourceLimitError, "a product's coefficients may take 8194 bits, above the cap 8192"),
+}
+
+
+@pytest.mark.parametrize("text", REFUSALS)
+def test_scalar_refusals_keep_their_class_and_message(text):
+    error, message = REFUSALS[text]
+    for read in (parsing.parse_element, parse_element_reference):
+        with pytest.raises(error) as exc:
+            read(2, text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+
+class _Recording(parsing.WorkBudget):
+    """A budget that also keeps each (steps, bits) it is charged."""
+
+    def __init__(self):
+        super().__init__()
+        self.charges = []
+
+    def charge(self, work, bits, dry_run):
+        self.charges.append((work, bits))
+        super().charge(work, bits, dry_run)
+
+
+def _letters(n):
+    return (["s%d" % i for i in range(n)] if n > 1 else []) + ["r", "r-"]
+
+
+def _atoms(n):
+    word = st.lists(st.sampled_from(_letters(n)), max_size=3).map(lambda w: "T[%s]" % " ".join(w))
+    return st.one_of(word, st.integers(1, n).map("X{}".format), st.just("v"),
+                     st.integers(0, 5).map(str), st.just("(v^-2-1)"))
+
+
+def _expressions(n):
+    """Sums, differences, products, signs and powers of atoms, with and
+    without parentheses; exponents run from -2 to 2."""
+    def grow(inner):
+        binary = st.tuples(inner, st.sampled_from((" + ", " - ", "*")), inner).map("".join)
+        power = st.tuples(inner, st.integers(-2, 2)).map(lambda t: "(%s)^%d" % t)
+        return st.one_of(binary, binary.map("({})".format), power, inner.map("-{}".format))
+    return st.recursive(_atoms(n), grow, max_leaves=6)
+
+
+def _outcome(read, n, text):
+    """``read``'s value and charges, or the class of its error."""
+    budget = _Recording()
+    try:
+        return read(n, text, budget), budget
+    except AffheckeError as exc:
+        return type(exc), budget
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_scalars_read_as_the_all_hecke_reader_reads_them(data):
+    # equal values and equal error classes.  A scalar factor is charged no
+    # letter step, so a request never spends more than the reference, and
+    # the same bits as the reference charges.  Only the reference charges
+    # v^-k, as invert_t(T_e) at 2 bits, so charges of 2 bits (a unit
+    # coefficient times a unit coefficient) are left out of the comparison.
+    n = data.draw(st.integers(1, 3))
+    text = data.draw(_expressions(n))
+    got, budget = _outcome(parsing.parse_element, n, text)
+    want, reference = _outcome(parse_element_reference, n, text)
+    assert got == want
+    assert budget.spent <= reference.spent
+    assert [b for _, b in budget.charges if b > 2] == [b for _, b in reference.charges if b > 2]
+
+
+@pytest.mark.parametrize("text", [
+    "((v+2)^3*(v^-2-1) - 3*v^-2)*(-v)^-1 + 4^0 - (2^5)^-0",
+    "T[s1 s0]*v*3",
+])
+def test_scalar_factors_run_no_product_and_no_inverse(monkeypatch, text):
+    calls = []
+    for name in ("product", "invert_t"):
+        real = getattr(hecke, name)
+        monkeypatch.setattr(hecke, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    budget = parsing.WorkBudget()
+    got = parsing.parse_element(2, text, budget)
+    assert calls == [] and budget.spent == 0
+    monkeypatch.undo()
+    assert got == parse_element_reference(2, text)
