@@ -92,6 +92,11 @@ def test_rejected_expressions(bad):
         parsing.parse_element(3 if bad.startswith("X5") else 2, bad)
 
 
+def test_negative_power_needs_unit_coefficient():
+    with pytest.raises(ElementParseError):
+        parsing.parse_element(2, "(2*T[s1])^-1")
+
+
 def test_exponent_cap():
     cap = parsing.MAX_EXPONENT
     for k in (cap, -cap):
