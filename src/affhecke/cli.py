@@ -37,9 +37,10 @@ def _word_lines(args, walk) -> tuple[list[str], int]:
 
 def _cmd_mul(args) -> tuple[list[str], int]:
     budget = args.budget
-    product = parsing.parse_element(args.n, args.exprs[0], budget)
+    value = parsing.parse_element(args.n, args.exprs[0], budget, keep_scalar=True)
     for text in args.exprs[1:]:
-        product = hecke.product(product, parsing.parse_element(args.n, text, budget), budget.charge)
+        value = parsing.times(value, parsing.parse_element(args.n, text, budget, keep_scalar=True), budget)
+    product = parsing.as_element(args.n, value)
     if args.json:
         return [_dump(product.to_json())], 0
     budget.charge_words(product.terms)  # the text names each term by a reduced word
@@ -83,11 +84,19 @@ def _cmd_ideal_member(args) -> tuple[list[str], int]:
     return ["true" if member else "false"], 0
 
 
+def _quotient_operand(args, text: str, spec: quotients.IdealSpec):
+    """The class of an argument: its reduced representative, or a scalar c
+    itself where c*T_e survives the reduction, for ``parsing.times``."""
+    value = parsing.parse_element(args.n, text, args.budget, keep_scalar=True)
+    rep = quotients.reduce(parsing.as_element(args.n, value), spec).rep
+    return rep if isinstance(value, hecke.HeckeElt) or not rep else value
+
+
 def _cmd_quotient_mul(args) -> tuple[list[str], int]:
     spec, budget = _spec(args), args.budget
-    left = quotients.reduce(parsing.parse_element(args.n, args.left, budget), spec)
-    right = quotients.reduce(parsing.parse_element(args.n, args.right, budget), spec)
-    product = quotients.quotient_mul(left, right, budget.charge)
+    left = _quotient_operand(args, args.left, spec)
+    right = _quotient_operand(args, args.right, spec)
+    product = quotients.reduce(parsing.as_element(args.n, parsing.times(left, right, budget)), spec)
     if args.json:
         return [_dump(product.to_json())], 0
     budget.charge_words(product.rep.terms)

@@ -97,17 +97,19 @@ packs b and each b_x once, at base min(val(b) - 1, val(b_x)) and the width of
 h = 2 height(b) + sum |mu| height(b_x), takes one letter step, subtracts the
 corrections as ints and unpacks once, naming every term by the table's
 AffinePerm for its window, so l(x) is computed once per window while the table
-lasts (``product`` reuses only its left operand's).  The new record reads no
-coefficient.  Its valuation is the lowest set bit of the ints over B, since a
-nonzero lowest digit |c| < 2^(B-1) keeps its low bits.  Its bounds hold term
-by term: v c T_x (T_s + 1) = v^{+-1} c (T_x + T_xs), + where xs > x, with
-l(xs) <= l(x) + 1.  So a coefficient of v b (T_s + 1) is a sum of two of b's,
-no exponent passes top(b) + 1 and the bar sum is at most 4 bar_bound(b); the
-corrections add sum |mu| height(b_x), top(b_x) to the max, sum |mu| bar_bound.
-``KLValue.is_bar_invariant`` is false if val < -top, else it subtracts the
-element, packed at base -top and the bar sum's width, from that sum: bar(a) ==
-a exactly when every id is left at 0, as bar(a) has no exponent below -top and
-bar_bound covers every coefficient.
+lasts (``product`` reuses only its left operand's).  A unit coefficient +-v^e
+unpacks to ``laurent``'s shared object, so records keep one per distinct unit
+rather than one per term; nearly every canonical coefficient is one.  The new
+record reads no coefficient.  Its valuation is the lowest set bit of the ints
+over B, since a nonzero lowest digit |c| < 2^(B-1) keeps its low bits.  Its
+bounds hold term by term: v c T_x (T_s + 1) = v^{+-1} c (T_x + T_xs), + where
+xs > x, with l(xs) <= l(x) + 1.  So a coefficient of v b (T_s + 1) is a sum of
+two of b's, no exponent passes top(b) + 1 and the bar sum is at most 4
+bar_bound(b); the corrections add sum |mu| height(b_x), top(b_x) to the max,
+sum |mu| bar_bound.  ``KLValue.is_bar_invariant`` is false if val < -top,
+else it subtracts the element, packed at base -top and the bar sum's width,
+from that sum: bar(a) == a exactly when every id is left at 0, as bar(a) has
+no exponent below -top and bar_bound covers every coefficient.
 """
 
 from __future__ import annotations

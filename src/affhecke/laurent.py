@@ -3,6 +3,14 @@
 All scalar coefficients of the algebra live here, together with the bar
 involution v -> v^-1.  Values are immutable and hashable; arithmetic is
 plain dict convolution on arbitrary-precision ints, so equality is exact.
+No operation mutates a value: every result is a newly built object.
+
+Unit monomials +-v^e with |e| <= UNIT_WINDOW are shared: ``v_power``,
+``ONE`` and ``kronecker_unpack`` hand out one object per (exponent, sign),
+kept in a store of at most 2 (2 UNIT_WINDOW + 1) entries; outside the
+window each call builds a fresh one.  Canonical-basis coefficients are
+nearly all units, so an element keeps one dict per distinct unit, not one
+per term.  Equality stays by value; no code tests identity.
 
 ``kronecker_pack`` and ``kronecker_unpack`` convert a polynomial to and
 from one int, sum_e c_e 2^(B (e - e0)), for the T-basis kernel in
@@ -187,13 +195,28 @@ class LaurentPoly:
         return {str(exp): coef for exp, coef in sorted(self._c.items())}
 
 
-ONE = LaurentPoly({0: 1})
-V2 = LaurentPoly({2: 1})            # q^-1 = v^2
-V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
+UNIT_WINDOW = 64  # the largest |e| whose +-v^e is shared
+_UNITS: dict[tuple[int, int], LaurentPoly] = {}
+
+
+def _unit(exp: int, sign: int) -> LaurentPoly:
+    """sign * v^exp, shared when |exp| <= UNIT_WINDOW (see the module docstring)."""
+    out = _UNITS.get((exp, sign))
+    if out is None:
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = {exp: sign}
+        if -UNIT_WINDOW <= exp <= UNIT_WINDOW:
+            _UNITS[exp, sign] = out
+    return out
 
 
 def v_power(k: int) -> LaurentPoly:
-    return LaurentPoly({k: 1})
+    return _unit(k, 1)
+
+
+ONE = v_power(0)
+V2 = v_power(2)                     # q^-1 = v^2
+V2_MINUS_ONE = LaurentPoly({2: 1, 0: -1})
 
 
 # -- Kronecker packing -------------------------------------------------------
@@ -225,7 +248,12 @@ def kronecker_pack_bar(p: LaurentPoly, top: int, width: int) -> int:
 
 
 def kronecker_unpack(value: int, base: int, width: int) -> LaurentPoly:
-    """The polynomial whose balanced base-2^width digits are ``value``'s."""
+    """The polynomial whose balanced base-2^width digits are ``value``'s;
+    a unit monomial, +-2^(width s), is the shared +-v^(base + s)."""
+    mag = abs(value)
+    s, r = divmod(mag.bit_length() - 1, width)
+    if not r and not mag & (mag - 1):  # +-2^(width s): one +-1 digit at the start of slot s
+        return _unit(base + s, 1 if value > 0 else -1)
     c: dict[int, int] = {}
     full = 1 << width
     half = full >> 1

@@ -30,7 +30,10 @@ builds, every negative power's basis inverse and every X_i atom, is
 charged to the request's ``WorkBudget`` before it runs, by the cost
 ``hecke`` plans for it (see that module's docstring).  A scalar factor is
 coefficient arithmetic, charged no letter step and the bits
-``hecke.coefficient_bits`` gives with c*T_e in place of the scalar c.  The
+``hecke.coefficient_bits`` gives with c*T_e in place of the scalar c.
+``times`` applies this rule inside an expression and between the
+arguments of a command line request, which ``parse_element`` reads with
+``keep_scalar``, so a scalar-only argument is a coefficient too.  The
 charges of one request add up, and the product that would take the total
 above MAX_PRODUCT_WORK letter steps raises ResourceLimitError before it
 starts.  Walking or printing a reduced word is charged its l(w) +
@@ -155,17 +158,13 @@ class _Parser:
         if got != tok:
             raise ElementParseError(f"expected {tok!r}, got {got!r}")
 
-    def element(self, x) -> hecke.HeckeElt:
-        """``x`` as an element: a scalar c becomes c*T_e."""
-        return hecke.one(self.n).scale(x) if isinstance(x, LaurentPoly) else x
-
     def expression(self):
         out = self._signed_term()
         while self.peek() in ("+", "-"):
             op = self.take()
             term = self._signed_term()
             if type(out) is not type(term):
-                out, term = self.element(out), self.element(term)
+                out, term = as_element(self.n, out), as_element(self.n, term)
             out = out + term if op == "+" else out - term
         return out
 
@@ -181,17 +180,8 @@ class _Parser:
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = self.times(out, self.factor())
+            out = times(out, self.factor(), self.budget)
         return out
-
-    def times(self, a, b):
-        """a*b: a product in the algebra, or coefficient arithmetic where a
-        or b is a scalar, charged as the module docstring says."""
-        if isinstance(a, hecke.HeckeElt) and isinstance(b, hecke.HeckeElt):
-            return hecke.product(a, b, self.budget.charge)
-        if a and b:
-            self.budget.charge(0, _coefficient_bits(a, b), lambda cap: 0)
-        return a * b  # HeckeElt.scale where one side is an element
 
     def factor(self):
         base = self.atom()
@@ -210,7 +200,7 @@ class _Parser:
             k = -k
         out = base
         for _ in range(k - 1):
-            out = self.times(out, base)
+            out = times(out, base, self.budget)
         return out
 
     def integer(self) -> int:
@@ -239,6 +229,21 @@ class _Parser:
             self.budget.charge(steps, 0, lambda cap: steps)
             return hecke.x_element(self.n, i)
         raise ElementParseError(f"unexpected token {tok!r}")
+
+
+def as_element(n: int, x) -> hecke.HeckeElt:
+    """``x`` as an element of rank n: a scalar c becomes c*T_e."""
+    return hecke.one(n).scale(x) if isinstance(x, LaurentPoly) else x
+
+
+def times(a, b, budget: WorkBudget):
+    """a*b: a product in the algebra, or coefficient arithmetic where a
+    or b is a scalar, charged to ``budget`` as the module docstring says."""
+    if isinstance(a, hecke.HeckeElt) and isinstance(b, hecke.HeckeElt):
+        return hecke.product(a, b, budget.charge)
+    if a and b:
+        budget.charge(0, _coefficient_bits(a, b), lambda cap: 0)
+    return a * b  # HeckeElt.scale where one side is an element
 
 
 def _coefficient_bits(a, b) -> int:
@@ -273,10 +278,12 @@ def _invert(base, budget: WorkBudget):
     return inverse if w is None else hecke.invert_t(w, budget.charge).scale(inverse)
 
 
-def parse_element(n: int, text: str, budget: WorkBudget | None = None) -> hecke.HeckeElt:
-    """The element ``text`` denotes; its products are charged to ``budget``."""
+def parse_element(n: int, text: str, budget: WorkBudget | None = None, keep_scalar: bool = False):
+    """The element ``text`` denotes; its products are charged to ``budget``.
+    With ``keep_scalar``, a scalar-only expression is returned as its
+    LaurentPoly, for ``times`` to multiply as a coefficient."""
     parser = _Parser(n, _tokenize(text), budget if budget is not None else WorkBudget())
     out = parser.expression()
     if parser.peek() is not None:
         raise ElementParseError(f"trailing tokens starting at {parser.peek()!r}")
-    return parser.element(out)
+    return out if keep_scalar else as_element(n, out)

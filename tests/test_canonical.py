@@ -291,3 +291,16 @@ def test_kernel_compatibility():
     for b in positive_canonical_basis(2, 3, 3):
         if in_ideal(b.index, spec):
             assert all(in_ideal(x, spec) for x in b.value.support())
+
+
+def test_unit_coefficients_are_one_object_per_exponent_and_sign():
+    """The canonical values share one +-v^e (``laurent`` keeps them) instead
+    of a fresh polynomial per coefficient."""
+    units = {}
+    for w in coxeter_ball(3, 7):
+        for c in canonical_basis(w).value.terms.values():
+            (e, k), *rest = c.items()
+            if not rest and k in (1, -1):
+                units.setdefault((e, k), []).append(c)
+    assert len(units) > 1
+    assert all(c is cs[0] for cs in units.values() for c in cs)

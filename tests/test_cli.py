@@ -44,6 +44,28 @@ def test_mul_three_factors(capsys):
     assert out == "v*T[]\n"
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("mul", "--n", "2", "3", "T[s1]"), "3*T[s1]\n"),
+    (("quotient-mul", "--n", "2", "--lambda", "1,0", "2", "T[s1]"), "2*T[s1]\n"),
+])
+def test_scalar_arguments_multiply_as_coefficients(capsys, monkeypatch, argv, out):
+    # a scalar-only argument is a coefficient, as a scalar factor inside an expression is
+    calls = []
+    product = hecke.product
+    monkeypatch.setattr(hecke, "product", lambda *args: calls.append(args) or product(*args))
+    assert run(capsys, *argv) == (0, out, "")
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--n", "2", "(v+1)^32", "(v+1)^32", "(v+1)^32"),
+    ("quotient-mul", "--n", "2", "--lambda", "1,0", "(v+1)^32*(v+1)^32", "(v+1)^32"),
+])
+def test_scalar_arguments_keep_the_bits_cap(capsys, argv):
+    # the bits a product of the arguments as c*T_e plans, refused with its message
+    assert run(capsys, *argv) == (3, "", "error: a product's coefficients may take 9118 bits, above the cap 8192\n")
+
+
 def test_reduce_word(capsys):
     assert run(capsys, "reduce-word", "--n", "3", "w[2,1,3]") == (0, "s1\n", "")
     assert run(capsys, "reduce-word", "--n", "3", "w[1,2,3]") == (0, "e\n", "")

@@ -6,7 +6,9 @@ on random elements at n in {2, 3, 4} with rho letters, negative
 coefficients and coefficients of +-2^40, which need slots wider than 40
 bits (test_bar_reference compares invert_t).  The cost a budget is
 charged for a product or an inverse is compared at n in {1, 2, 3, 4}.
-The Kronecker codec is checked at the edges of a slot.
+The Kronecker codec is checked at the edges of a slot, and at every width
+for one-term values, where unit monomials are the shared ones.  No
+operation may mutate an operand, shared units included.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from affhecke import HeckeElt, LaurentPoly, bar_involution, hecke
+from affhecke import HeckeElt, LaurentPoly, bar_involution, hecke, laurent
 from affhecke.laurent import kronecker_pack, kronecker_unpack, slot_width
 from affhecke.weyl import RHO, RHO_INV, AffinePerm, Word
 from hecke_reference import (
@@ -180,3 +182,54 @@ def test_kronecker_round_trip(coeffs, below):
     base = (p.valuation() if p else 0) - below
     width = slot_width(p.height())
     assert kronecker_unpack(kronecker_pack(p, base, width), base, width) == p
+
+
+@pytest.mark.parametrize("base", [-9, 0, 5])
+def test_kronecker_round_trip_of_one_term(base):
+    """One-term values at every width: +-v^e reads back as the shared unit
+    and +-2^j v^e exactly for j < width - 1.  At j = width - 1 the digit
+    +2^(width-1) borrows into the next slot, while -2^(width-1) is the
+    lowest balanced digit and reads back."""
+    for width in range(2, 65):
+        for e in (base, base + 1, base + 7):
+            for sign in (1, -1):
+                packed = kronecker_pack(LaurentPoly({e: sign}), base, width)
+                unit = kronecker_unpack(packed, base, width)
+                assert unit == LaurentPoly({e: sign})
+                assert unit is kronecker_unpack(packed, base, width) is laurent._unit(e, sign)
+                for j in range(1, width):
+                    p = LaurentPoly({e: sign << j})
+                    back = kronecker_unpack(kronecker_pack(p, base, width), base, width)
+                    if j < width - 1 or sign < 0:
+                        assert back == p
+                    else:
+                        assert back == LaurentPoly({e: -(1 << j), e + 1: 1})
+
+
+UNITS = st.builds(laurent._unit, st.integers(-4, 4), st.sampled_from((1, -1)))
+
+
+def shared_element(n):
+    """Random elements of rank n whose coefficients are often shared units."""
+    words = st.lists(st.sampled_from(alphabet(n)), max_size=5)
+    coeffs = st.one_of(UNITS, st.dictionaries(st.integers(-4, 4), COEFFS.filter(bool), min_size=1,
+                                              max_size=3).map(LaurentPoly))
+    terms = st.lists(st.tuples(words, coeffs), max_size=4)
+    return terms.map(lambda ts: HeckeElt(n, [(Word(n, w).to_perm(), c) for w, c in ts]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_no_operation_mutates_an_operand(data):
+    """Sharing units is sound only while no operation writes into a
+    coefficient or an element it was given."""
+    n = data.draw(RANKS)
+    a, b = data.draw(shared_element(n)), data.draw(shared_element(n))
+    c = data.draw(UNITS)
+    polys = [c, *a.terms.values(), *b.terms.values()]
+    before = [dict(p._c) for p in polys], [dict(x.terms) for x in (a, b)]
+    a + b, a - b, -a, a * b, a.scale(c), b.scale(c), hecke.product(b, a), bar_involution(a)
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        p + q, p - q, p * q, -p, p.bar()
+    assert ([dict(p._c) for p in polys], [dict(x.terms) for x in (a, b)]) == before
+    assert all(p._c == {e: sign} for (e, sign), p in laurent._UNITS.items())

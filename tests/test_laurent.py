@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from affhecke import LaurentPoly
-from affhecke.laurent import v_power
+from affhecke import LaurentPoly, laurent
+from affhecke.laurent import kronecker_unpack, v_power
 from hecke_reference import laurent_from_json
 
 coeff_maps = st.dictionaries(
@@ -118,3 +118,20 @@ def test_json_round_trip(p):
     blob = p.to_json()
     assert all(isinstance(k, str) for k in blob)
     assert laurent_from_json(blob) == p
+
+
+def test_the_unit_store_is_bounded():
+    """+-v^e is one object for |e| <= UNIT_WINDOW and a fresh one outside,
+    so the store never holds more than 2 (2 UNIT_WINDOW + 1) = 258 units."""
+    window = laurent.UNIT_WINDOW
+    for e in range(-4 * window, 4 * window + 1):
+        v_power(e)
+        for sign in (1, -1):
+            assert kronecker_unpack(sign << (3 * (e + 1000)), -1000, 3) == LaurentPoly({e: sign})
+    assert len(laurent._UNITS) <= 258 == 2 * (2 * window + 1)
+    assert v_power(window) is v_power(window) is kronecker_unpack(1, window, 2)
+    assert kronecker_unpack(-1, -window, 2) is kronecker_unpack(-1, -window, 2)
+    assert kronecker_unpack(-1, -window - 1, 2) is not kronecker_unpack(-1, -window - 1, 2)
+    assert v_power(window + 1) is not v_power(window + 1)
+    assert v_power(window + 1) == v_power(window + 1)
+    assert laurent.ONE is v_power(0)
