@@ -37,9 +37,9 @@ def _word_lines(args, walk) -> tuple[list[str], int]:
 
 def _cmd_mul(args) -> tuple[list[str], int]:
     budget = args.budget
-    value = parsing.parse_element(args.n, args.exprs[0], budget, keep_scalar=True)
+    value = parsing.parse_element(args.n, args.exprs[0], budget)
     for text in args.exprs[1:]:
-        value = parsing.times(value, parsing.parse_element(args.n, text, budget, keep_scalar=True), budget)
+        value = hecke.times(value, parsing.parse_element(args.n, text, budget), budget.charge)
     product = parsing.as_element(args.n, value)
     if args.json:
         return [_dump(product.to_json())], 0
@@ -84,19 +84,16 @@ def _cmd_ideal_member(args) -> tuple[list[str], int]:
     return ["true" if member else "false"], 0
 
 
-def _quotient_operand(args, text: str, spec: quotients.IdealSpec):
-    """The class of an argument: its reduced representative, or a scalar c
-    itself where c*T_e survives the reduction, for ``parsing.times``."""
-    value = parsing.parse_element(args.n, text, args.budget, keep_scalar=True)
-    rep = quotients.reduce(parsing.as_element(args.n, value), spec).rep
-    return rep if isinstance(value, hecke.HeckeElt) or not rep else value
-
-
 def _cmd_quotient_mul(args) -> tuple[list[str], int]:
     spec, budget = _spec(args), args.budget
-    left = _quotient_operand(args, args.left, spec)
-    right = _quotient_operand(args, args.right, spec)
-    product = quotients.reduce(parsing.as_element(args.n, parsing.times(left, right, budget)), spec)
+    left = parsing.parse_element(args.n, args.left, budget)
+    if isinstance(left, hecke.HeckeElt):
+        left = quotients.reduce(left, spec)
+    right = parsing.parse_element(args.n, args.right, budget)
+    if isinstance(right, hecke.HeckeElt) or not isinstance(left, quotients.QuotientElt):
+        # beside a scalar left argument, the right one names the quotient
+        right = quotients.reduce(parsing.as_element(args.n, right), spec)
+    product = quotients.quotient_mul(left, right, budget.charge)
     if args.json:
         return [_dump(product.to_json())], 0
     budget.charge_words(product.rep.terms)

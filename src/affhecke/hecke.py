@@ -387,6 +387,32 @@ def product(a: HeckeElt, b: HeckeElt, charge=None) -> HeckeElt:
                    lambda t: known.get(t) or AffinePerm._trusted(n, t))
 
 
+def times(a, b, charge=None):
+    """a*b, where a and b are each a HeckeElt or a scalar LaurentPoly: the
+    ``product`` of two elements, else coefficient arithmetic, charged no
+    letter step and the bits ``coefficient_bits`` gives with c*T_e in
+    place of a scalar c."""
+    if isinstance(a, HeckeElt) and isinstance(b, HeckeElt):
+        return product(a, b, charge)
+    if charge is not None and a and b:
+        charge(0, _scalar_bits(a, b), lambda cap: 0)
+    return a * b  # HeckeElt.scale where one side is an element
+
+
+def _scalar_bits(a, b) -> int:
+    """The bits ``product`` plans for a*b, a scalar c read as c*T_e."""
+    if isinstance(a, LaurentPoly):
+        spread_a, height = a.degree() - a.valuation(), a.height()
+    else:
+        _, spread_a, height = plan_left(a)
+    if isinstance(b, LaurentPoly):
+        top, spread_b, weight = 0, b.degree() - b.valuation(), b.norm1()
+    else:
+        lengths, _, spread_b, weight, _ = plan_right(b)
+        top = max(lengths)
+    return coefficient_bits(spread_a, height, top, spread_b, weight)[1]
+
+
 def plan_left(a: HeckeElt) -> tuple[int, int, int]:
     """(valuation, degree - valuation, height) of a nonzero left operand,
     reading each coefficient once."""

@@ -30,10 +30,10 @@ builds, every negative power's basis inverse and every X_i atom, is
 charged to the request's ``WorkBudget`` before it runs, by the cost
 ``hecke`` plans for it (see that module's docstring).  A scalar factor is
 coefficient arithmetic, charged no letter step and the bits
-``hecke.coefficient_bits`` gives with c*T_e in place of the scalar c.
-``times`` applies this rule inside an expression and between the
-arguments of a command line request, which ``parse_element`` reads with
-``keep_scalar``, so a scalar-only argument is a coefficient too.  The
+``hecke.coefficient_bits`` gives with c*T_e in place of the scalar c
+(``hecke.times``).  ``parse_element`` returns a scalar-only expression as
+its LaurentPoly, so the arguments of a command line request multiply by
+the same rule and a scalar-only argument is a coefficient too.  The
 charges of one request add up, and the product that would take the total
 above MAX_PRODUCT_WORK letter steps raises ResourceLimitError before it
 starts.  Walking or printing a reduced word is charged its l(w) +
@@ -180,7 +180,7 @@ class _Parser:
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = times(out, self.factor(), self.budget)
+            out = hecke.times(out, self.factor(), self.budget.charge)
         return out
 
     def factor(self):
@@ -200,7 +200,7 @@ class _Parser:
             k = -k
         out = base
         for _ in range(k - 1):
-            out = times(out, base, self.budget)
+            out = hecke.times(out, base, self.budget.charge)
         return out
 
     def integer(self) -> int:
@@ -236,30 +236,6 @@ def as_element(n: int, x) -> hecke.HeckeElt:
     return hecke.one(n).scale(x) if isinstance(x, LaurentPoly) else x
 
 
-def times(a, b, budget: WorkBudget):
-    """a*b: a product in the algebra, or coefficient arithmetic where a
-    or b is a scalar, charged to ``budget`` as the module docstring says."""
-    if isinstance(a, hecke.HeckeElt) and isinstance(b, hecke.HeckeElt):
-        return hecke.product(a, b, budget.charge)
-    if a and b:
-        budget.charge(0, _coefficient_bits(a, b), lambda cap: 0)
-    return a * b  # HeckeElt.scale where one side is an element
-
-
-def _coefficient_bits(a, b) -> int:
-    """The bits ``hecke.product`` plans for a*b, a scalar c read as c*T_e."""
-    if isinstance(a, LaurentPoly):
-        spread_a, height = a.degree() - a.valuation(), a.height()
-    else:
-        _, spread_a, height = hecke.plan_left(a)
-    if isinstance(b, LaurentPoly):
-        top, spread_b, weight = 0, b.degree() - b.valuation(), b.norm1()
-    else:
-        lengths, _, spread_b, weight, _ = hecke.plan_right(b)
-        top = max(lengths)
-    return hecke.coefficient_bits(spread_a, height, top, spread_b, weight)[1]
-
-
 def _invert(base, budget: WorkBudget):
     """base^-1 for a single term with unit coefficient: a monomial inverse
     for a scalar, ``hecke.invert_t`` times one for an element."""
@@ -278,12 +254,12 @@ def _invert(base, budget: WorkBudget):
     return inverse if w is None else hecke.invert_t(w, budget.charge).scale(inverse)
 
 
-def parse_element(n: int, text: str, budget: WorkBudget | None = None, keep_scalar: bool = False):
-    """The element ``text`` denotes; its products are charged to ``budget``.
-    With ``keep_scalar``, a scalar-only expression is returned as its
-    LaurentPoly, for ``times`` to multiply as a coefficient."""
+def parse_element(n: int, text: str, budget: WorkBudget | None = None):
+    """The value ``text`` denotes: a HeckeElt, or a LaurentPoly for a
+    scalar-only expression (``as_element`` makes it c*T_e).  Its products
+    are charged to ``budget``."""
     parser = _Parser(n, _tokenize(text), budget if budget is not None else WorkBudget())
     out = parser.expression()
     if parser.peek() is not None:
         raise ElementParseError(f"trailing tokens starting at {parser.peek()!r}")
-    return out if keep_scalar else as_element(n, out)
+    return out

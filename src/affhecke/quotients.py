@@ -127,11 +127,16 @@ def reduce(a: HeckeElt, spec: IdealSpec) -> QuotientElt:
     return QuotientElt(spec, HeckeElt(a.n, kept))
 
 
-def quotient_mul(a: QuotientElt, b: QuotientElt, charge=None) -> QuotientElt:
-    """The image of a.rep * b.rep; ``charge`` as for ``hecke.product``."""
-    if a.spec != b.spec:
-        raise SpecMismatchError("ideal specs differ: %s vs %s" % (a.spec, b.spec))
-    return reduce(hecke.product(a.rep, b.rep, charge), a.spec)
+def quotient_mul(a, b, charge=None) -> QuotientElt:
+    """The image of a.rep * b.rep; ``charge`` as for ``hecke.times``.  One
+    of a and b may be a scalar c, for the class of c*T_e, which multiplies
+    as a coefficient."""
+    spec = a.spec if isinstance(a, QuotientElt) else b.spec
+    if isinstance(b, QuotientElt) and b.spec != spec:
+        raise SpecMismatchError("ideal specs differ: %s vs %s" % (spec, b.spec))
+    rep = hecke.times(a.rep if isinstance(a, QuotientElt) else a,
+                      b.rep if isinstance(b, QuotientElt) else b, charge)
+    return reduce(rep, spec)
 
 
 # -- generators ---------------------------------------------------------------------

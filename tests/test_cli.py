@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from affhecke import HeckeElt, cli, errors, hecke, oracle, parsing
+from affhecke import HeckeElt, cli, errors, hecke, oracle, parsing, quotients
 from affhecke.parsing import parse_element
 from hecke_reference import hecke_from_json, mul_reference
 
@@ -47,14 +47,20 @@ def test_mul_three_factors(capsys):
 @pytest.mark.parametrize("argv, out", [
     (("mul", "--n", "2", "3", "T[s1]"), "3*T[s1]\n"),
     (("quotient-mul", "--n", "2", "--lambda", "1,0", "2", "T[s1]"), "2*T[s1]\n"),
+    (("mul", "--n", "2", "2", "v", "T[s1]", "3"), "6*v*T[s1]\n"),
+    (("quotient-mul", "--n", "2", "--lambda", "1,0", "T[s1]", "v"), "v*T[s1]\n"),
+    (("quotient-mul", "--n", "2", "--lambda", "1,0", "2", "3"), "6*T[]\n"),
+    (("quotient-mul", "--n", "2", "--lambda", "0,0", "2", "3"), "0\n"),
 ])
 def test_scalar_arguments_multiply_as_coefficients(capsys, monkeypatch, argv, out):
-    # a scalar-only argument is a coefficient, as a scalar factor inside an expression is
+    # a scalar-only argument is a coefficient, as a scalar factor inside an
+    # expression is; quotient-mul still multiplies through quotient_mul
     calls = []
-    product = hecke.product
-    monkeypatch.setattr(hecke, "product", lambda *args: calls.append(args) or product(*args))
+    for owner, name in ((hecke, "product"), (quotients, "quotient_mul")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     assert run(capsys, *argv) == (0, out, "")
-    assert calls == []
+    assert calls == (["quotient_mul"] if argv[0] == "quotient-mul" else [])
 
 
 @pytest.mark.parametrize("argv", [

@@ -55,8 +55,8 @@ def test_negative_power_of_basis_term():
 
 
 def test_negative_scalar_power():
-    got = parsing.parse_element(2, "v^-3")
-    assert got == hecke.one(2).scale(v_power(-3))
+    # a scalar-only expression reads as its LaurentPoly
+    assert parsing.parse_element(2, "v^-3") == v_power(-3)
 
 
 def test_sum_difference_and_sign_stacking():
@@ -155,8 +155,8 @@ def test_str_round_trip():
             c = LaurentPoly({rng.randrange(-3, 4): rng.randrange(-5, 6)
                              for _ in range(2)})
             elt = elt + hecke.t_basis(w).scale(c)
-        assert parsing.parse_element(n, str(elt)) == elt
-    assert parsing.parse_element(2, str(hecke.one(2).scale(0))).is_zero
+        assert parsing.as_element(n, parsing.parse_element(n, str(elt))) == elt
+    assert parsing.parse_element(2, str(hecke.one(2).scale(0))) == LaurentPoly()
 
 
 def _charged(run):
@@ -261,7 +261,7 @@ def test_one_budget_covers_a_whole_request(monkeypatch):
 
 
 def test_coefficient_cap(monkeypatch):
-    assert parsing.parse_element(2, "(2^32)^32") == hecke.one(2).scale(2**1024)
+    assert parsing.parse_element(2, "(2^32)^32") == LaurentPoly({0: 2**1024})
     monkeypatch.setattr(parsing, "MAX_COEFFICIENT_BITS", 1000)
     with pytest.raises(ResourceLimitError):
         parsing.parse_element(2, "(2^32)^32")
@@ -322,10 +322,10 @@ def _expressions(n):
 
 
 def _outcome(read, n, text):
-    """``read``'s value and charges, or the class of its error."""
+    """``read``'s value, as an element, and charges, or the class of its error."""
     budget = _Recording()
     try:
-        return read(n, text, budget), budget
+        return parsing.as_element(n, read(n, text, budget)), budget
     except AffheckeError as exc:
         return type(exc), budget
 
@@ -360,4 +360,4 @@ def test_scalar_factors_run_no_product_and_no_inverse(monkeypatch, text):
     got = parsing.parse_element(2, text, budget)
     assert calls == [] and budget.spent == 0
     monkeypatch.undo()
-    assert got == parse_element_reference(2, text)
+    assert parsing.as_element(2, got) == parse_element_reference(2, text)

@@ -222,6 +222,22 @@ def test_reduction_is_multiplicative():
         assert reduce(a * b, SPEC10) == quotient_mul(reduce(a, SPEC10), reduce(b, SPEC10))
 
 
+@pytest.mark.parametrize("spec", [SPEC10, IdealSpec(2, [(0, 0)])])
+def test_a_scalar_operand_is_the_class_of_c_times_one(spec):
+    # c stands for the class of c*T_e, and is charged the same bits
+    rng = random.Random(43)
+    for _ in range(10):
+        za = reduce(random_positive(2, rng), spec)
+        c = LaurentPoly({rng.randrange(-3, 4): rng.randrange(-5, 6) for _ in range(2)})
+        zc = reduce(one(2).scale(c), spec)
+        for left, right, as_class in ((c, za, (zc, za)), (za, c, (za, zc))):
+            bits, want = [], []
+            got = quotient_mul(left, right, lambda steps, b, dry_run: bits.append(b))
+            expected = quotient_mul(*as_class, lambda steps, b, dry_run: want.append(b))
+            assert got == expected
+            assert bits == want
+
+
 def test_quotient_mul_requires_matching_spec():
     other = IdealSpec(2, [(2, 0)])
     with pytest.raises(SpecMismatchError):
